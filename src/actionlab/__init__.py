@@ -19,7 +19,6 @@ from .hilbert import (
     frame_shift,
     hermitian_eigen,
     inner,
-    jacobi_eigh,
     random_state,
     transition_probability,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "frame_shift",
     "hermitian_eigen",
     "inner",
-    "jacobi_eigh",
     "random_state",
     "transition_probability",
     "__version__",

@@ -1,9 +1,10 @@
 """Exact finite-dimensional Hilbert-space engine.
 
 Complex state vectors, orthonormal labeled bases with real eigenvalue grids,
-diagonal phase unitaries, and an in-house Hermitian eigensolver.  Everything
-is dense, double precision, and immutable after construction; all operations
-are pure functions, so objects can be shared freely between workers.
+diagonal phase unitaries, and a Hermitian eigensolver (LAPACK with a
+deterministic vector convention).  Everything is dense, double precision,
+and immutable after construction; all operations are pure functions, so
+objects can be shared freely between workers.
 
 All amplitudes are stored in a fixed reference basis (the computational
 basis of the model).  A ``LabeledBasis`` is a set of d orthonormal vectors
@@ -236,16 +237,10 @@ def random_state(dim: int, rng: np.random.Generator, label: str | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# In-house Hermitian eigensolver.
-#
-# Production path: Householder reduction to Hermitian tridiagonal form, a
-# diagonal phase similarity that makes the off-diagonal real non-negative,
-# then implicit-shift QL with the rotations accumulated into the eigenvector
-# matrix.  O(d^3) with small constants; d <= ~500 solves in seconds.
-#
-# ``jacobi_eigh`` is an independent cyclic complex Jacobi implementation kept
-# as a cross-check oracle for the test suite; it is O(d^3) per sweep with
-# Python-loop constants, so use it only for small dimensions.
+# Hermitian eigensolver: LAPACK (numpy.linalg.eigh) plus a deterministic
+# convention on top.  LAPACK fixes neither the order of vectors inside a
+# degenerate cluster nor the global phase of each vector; both are pinned
+# here so that every run and every BLAS returns the same basis up to roundoff.
 # ---------------------------------------------------------------------------
 
 
@@ -263,110 +258,33 @@ def _check_hermitian(H) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def _householder_tridiagonalize(A: np.ndarray):
-    """Unitary reduction to real symmetric tridiagonal form.
+def _lead_index(V: np.ndarray) -> np.ndarray:
+    """Per column, the first index whose magnitude is within 1e-9 of the maximum.
 
-    Returns (diag, offdiag, Q) with H = Q T Q^dag, offdiag >= 0.
-    Mutates its argument.
+    A plain argmax would let roundoff choose between exactly tied components
+    (transverse spin eigenvectors have |c_m| = |c_-m|).
     """
-    d = A.shape[0]
-    Q = np.eye(d, dtype=complex)
-    for k in range(d - 2):
-        x = A[k + 1 :, k]
-        xnorm = float(np.linalg.norm(x))
-        # Column already tridiagonal: nothing to reflect away.
-        if xnorm == 0.0 or float(np.linalg.norm(x[1:])) <= 1e-15 * xnorm:
-            continue
-        alpha = x[0]
-        phase = alpha / abs(alpha) if abs(alpha) > 0.0 else 1.0
-        v = x.astype(complex, copy=True)
-        v[0] += phase * xnorm
-        v /= np.linalg.norm(v)
-        # Rank-2 update A <- P A P with P = I - 2 v v^dag on the trailing block.
-        sub = A[k + 1 :, :]
-        sub -= 2.0 * np.outer(v, v.conj() @ sub)
-        sub2 = A[:, k + 1 :]
-        sub2 -= 2.0 * np.outer(sub2 @ v, v.conj())
-        Qs = Q[:, k + 1 :]
-        Qs -= 2.0 * np.outer(Qs @ v, v.conj())
-    # Diagonal phase similarity making the off-diagonal real non-negative.
-    dvec = np.ones(d, dtype=complex)
-    off = np.zeros(max(d - 1, 0))
-    for k in range(d - 1):
-        t = A[k + 1, k] * dvec[k]
-        at = abs(t)
-        dvec[k + 1] = t / at if at > 0.0 else dvec[k]
-        off[k] = at
-    return np.real(np.diag(A)).copy(), off, Q * dvec[np.newaxis, :]
-
-
-def _tql_implicit(diag: np.ndarray, off: np.ndarray, Z: np.ndarray, max_iter: int = 60):
-    """Implicit-shift QL for a real symmetric tridiagonal matrix.
-
-    Eigenvector rotations are folded into the columns of Z in place.
-    """
-    d = diag.astype(float).copy()
-    n = d.shape[0]
-    e = np.zeros(n)
-    e[: n - 1] = off
-    eps = np.finfo(float).eps
-    for l in range(n):
-        for it in range(max_iter + 1):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if it == max_iter:
-                raise EigensolverError(
-                    f"QL iteration did not converge at index {l}: "
-                    f"residual off-diagonal {abs(e[l]):.3e}"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
-            s = c = 1.0
-            p = 0.0
-            broke = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    broke = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                zi = Z[:, i].copy()
-                zi1 = Z[:, i + 1].copy()
-                Z[:, i + 1] = s * zi + c * zi1
-                Z[:, i] = c * zi - s * zi1
-            if broke:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d, Z
+    mags = np.abs(V)
+    return np.argmax(mags >= (1.0 - 1e-9) * mags.max(axis=0), axis=0)
 
 
 def _canonical_phases(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
-    lead = np.argmax(np.abs(V), axis=0)
-    pivots = V[lead, np.arange(V.shape[1])]
+    """Rotate each column so its leading component (``_lead_index``) is real positive."""
+    pivots = V[_lead_index(V), np.arange(V.shape[1])]
     mags = np.abs(pivots)
     phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
     return V * np.conj(phases)[np.newaxis, :]
+
+
+def _check_residual(H: np.ndarray, w: np.ndarray, V: np.ndarray) -> None:
+    """Raise EigensolverError unless ||H V - V w||_inf is within tolerance."""
+    scale = max(float(np.max(np.abs(H))), 1.0)
+    resid = float(np.max(np.abs(H @ V - V * w[np.newaxis, :])))
+    if resid > EIGEN_RESIDUAL_TOLERANCE * scale:
+        raise EigensolverError(
+            f"eigenpair residual {resid:.3e} exceeds "
+            f"{EIGEN_RESIDUAL_TOLERANCE} * scale {scale:.3e}"
+        )
 
 
 def eigh_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
@@ -375,17 +293,12 @@ def eigh_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, vectors) with vectors[:, k] the k-th eigenvector.
     Degenerate clusters (gap below 1e-9 times the spectral range) are
     re-orthonormalized and deterministically ordered by the position of each
-    vector's largest-magnitude component; all columns get a canonical global
-    phase.  Residuals ||H v - w v||_inf are verified against
+    vector's leading component; all columns get a canonical global phase.
+    Residuals ||H v - w v||_inf are verified against
     EIGEN_RESIDUAL_TOLERANCE before returning.
     """
     A = _check_hermitian(H)
-    H0 = A.copy()
-    diag, off, Q = _householder_tridiagonalize(A)
-    w, V = _tql_implicit(diag, off, Q)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    V = V[:, order]
+    w, V = np.linalg.eigh(A)
     # Deterministic handling of (near-)degenerate clusters.
     span = max(float(w[-1] - w[0]), 1.0)
     gap_tol = 1e-9 * span
@@ -395,22 +308,13 @@ def eigh_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
         while stop < len(w) and w[stop] - w[stop - 1] <= gap_tol:
             stop += 1
         if stop - start > 1:
-            block = V[:, start:stop]
             # Columns are orthonormal to machine precision already; a QR pass
             # tightens the cluster and gives a reproducible in-cluster order.
-            qmat, _ = np.linalg.qr(block)
-            lead = np.argmax(np.abs(qmat), axis=0)
-            sub = np.argsort(lead, kind="stable")
-            V[:, start:stop] = qmat[:, sub]
+            qmat, _ = np.linalg.qr(V[:, start:stop])
+            V[:, start:stop] = qmat[:, np.argsort(_lead_index(qmat), kind="stable")]
         start = stop
     V = _canonical_phases(V)
-    scale = max(float(np.max(np.abs(H0))), 1.0)
-    resid = float(np.max(np.abs(H0 @ V - V * w[np.newaxis, :])))
-    if resid > EIGEN_RESIDUAL_TOLERANCE * scale:
-        raise EigensolverError(
-            f"eigenpair residual {resid:.3e} exceeds "
-            f"{EIGEN_RESIDUAL_TOLERANCE} * scale {scale:.3e}"
-        )
+    _check_residual(A, w, V)
     return w, V
 
 
@@ -430,61 +334,3 @@ def hermitian_eigen(H) -> LabeledBasis:
             "strictly increasing eigenvalue grid"
         )
     return LabeledBasis(V.T, w)
-
-
-def jacobi_eigh(H, tol: float = 1e-14, max_sweeps: int = 40) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi eigensolver (independent cross-check oracle).
-
-    Annihilates one off-diagonal element per rotation; converges in a handful
-    of sweeps.  Returns (eigenvalues, vectors) like eigh_hermitian but without
-    the canonical ordering of degenerate clusters.
-    """
-    A = _check_hermitian(H).copy()
-    d = A.shape[0]
-    V = np.eye(d, dtype=complex)
-    scale = max(float(np.max(np.abs(A))), 1e-300)
-    for sweep in range(max_sweeps):
-        off_max = 0.0
-        for p in range(d - 1):
-            row = np.abs(A[p, p + 1 :])
-            if row.size:
-                off_max = max(off_max, float(row.max()))
-        if off_max <= tol * scale:
-            break
-        thresh = max(0.05 * off_max if sweep < 3 else 0.0, tol * scale)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                m = abs(apq)
-                if m <= thresh:
-                    continue
-                u = apq / m
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * m)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cu = np.conj(u)
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - (cu * s) * colq
-                A[:, q] = s * colp + (cu * c) * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - (u * s) * rowq
-                A[q, :] = s * rowp + (u * c) * rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - (cu * s) * vq
-                V[:, q] = s * vp + (cu * c) * vq
-    else:
-        raise EigensolverError(f"Jacobi did not converge in {max_sweeps} sweeps")
-    w = np.real(np.diag(A))
-    order = np.argsort(w, kind="stable")
-    return w[order], _canonical_phases(V[:, order])

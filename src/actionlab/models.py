@@ -5,8 +5,8 @@ basis:
 
 * ``qubit_system`` — hand-checkable two-level system with mutually unbiased
   x, y, z bases (eigenvalues ±1/2).
-* ``spin_system(j)`` — angular momentum j: canonical z basis plus x and y
-  bases obtained by diagonalizing the standard tridiagonal matrices.
+* ``spin_system(j)`` — angular momentum j: canonical z basis, x basis from
+  diagonalizing the standard tridiagonal Jx, y basis rotated from x about z.
 * ``ring_system(params)`` — free particle on a discrete ring: position basis
   and discrete-Fourier momentum basis with signed, centered momenta.
 
@@ -28,6 +28,8 @@ from .hilbert import (
     LabeledBasis,
     PhysicalConstants,
     StateVector,
+    _canonical_phases,
+    _check_residual,
     expand,
     hermitian_eigen,
 )
@@ -155,10 +157,13 @@ def _dimension_for(j: float) -> int:
 
 @lru_cache(maxsize=16)
 def spin_system(j: float) -> ModelSystem:
-    """Angular momentum j with z canonical and x, y bases from diagonalization.
+    """Angular momentum j: z canonical, x diagonalized, y rotated from x.
 
     Eigenvalues run -j..+j in unit steps for all three bases.  Systems are
-    cached: construction costs one dense diagonalization per transverse basis.
+    cached: construction costs one dense diagonalization, of Jx.  The y basis
+    follows from it because R_z(pi/2) = exp(-i pi Jz / 2) maps Jx to Jy, so
+    |y_k> is |x_k> times the diagonal phases exp(-i pi m / 2); it gets the
+    same canonical phases and residual gate as a diagonalized basis.
     """
     j = float(j)
     d = _dimension_for(j)
@@ -166,7 +171,9 @@ def spin_system(j: float) -> ModelSystem:
     mgrid = -j + np.arange(d)
     z = LabeledBasis(np.eye(d), mgrid)
     x = hermitian_eigen(jx)
-    y = hermitian_eigen(jy)
+    vy = _canonical_phases((x.vectors * np.exp(-0.5j * np.pi * mgrid)).T)
+    _check_residual(jy, x.eigenvalues, vy)
+    y = LabeledBasis(vy.T, x.eigenvalues)
     oracle = ClassicalOracle("spin_cone", (("j", j),))
     return ModelSystem(f"spin{j:g}", d, {"x": x, "y": y, "z": z}, classical_oracle=oracle,
                        metadata={"j": j})

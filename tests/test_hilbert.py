@@ -15,10 +15,9 @@ from actionlab.hilbert import (
     frame_shift,
     hermitian_eigen,
     inner,
-    jacobi_eigh,
     random_state,
 )
-from conftest import haar_basis
+from conftest import haar_basis, jacobi_eigh
 
 SQRT2 = np.sqrt(2.0)
 
@@ -199,7 +198,7 @@ class TestEigensolver:
             assert np.all(np.diff(w) >= 0)
 
     def test_agrees_with_jacobi_oracle(self):
-        # Two independent in-house routes must coincide.
+        # LAPACK and the independent Jacobi oracle must coincide.
         rng = np.random.default_rng(29)
         for dim in (3, 8, 21):
             x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -249,8 +248,9 @@ class TestLabeledBasis:
 
 
 class TestEigensolverStress:
-    def test_dense_d101_full_householder_path(self):
-        # Dense complex Hermitian, large enough to exercise every reflector.
+    def test_dense_d101_residual_orthonormality_trace_norm(self):
+        # Dense complex Hermitian at d = 101: small residuals, orthonormal
+        # vectors, ascending eigenvalues, and the trace and Frobenius norm.
         rng = np.random.default_rng(97)
         d = 101
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

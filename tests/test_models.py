@@ -14,6 +14,7 @@ from actionlab.models import (
     spin_system,
     wrap_displacement,
 )
+from conftest import jacobi_eigh
 
 
 class TestQubit:
@@ -61,6 +62,16 @@ class TestSpin:
             basis = spin50.basis(name)
             rebuilt = (basis.vectors.T * basis.eigenvalues) @ basis.vectors.conj()
             assert np.max(np.abs(rebuilt - mat)) < 1e-9
+
+    def test_bases_match_jacobi_oracle_column_for_column(self, spin20):
+        # Jx eigenvectors have |c_m| = |c_-m|, so the canonical phase must
+        # break an exact magnitude tie the same way for any correct solver.
+        jx, jy, _ = angular_momentum_matrices(20.0)
+        for mat, name in ((jx, "x"), (jy, "y")):
+            w, v = jacobi_eigh(mat)
+            basis = spin20.basis(name)
+            assert np.max(np.abs(basis.eigenvalues - w)) < 1e-10
+            assert np.max(np.abs(basis.vectors.T - v)) < 1e-10
 
     def test_invalid_j(self):
         with pytest.raises(ValueError):
