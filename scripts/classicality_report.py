@@ -13,7 +13,11 @@ import argparse
 import numpy as np
 
 from actionlab.action import action_profile, stationary_points
-from actionlab.experiments import config_from_dict, run_resolution_sweep
+from actionlab.experiments import (
+    SPIN_PROFILE_SMOOTHING_SPACINGS,
+    config_from_dict,
+    run_resolution_sweep,
+)
 from actionlab.models import spin_system
 
 
@@ -28,7 +32,7 @@ def main():
     a = system.basis("x").state_at(args.xa)
     b = system.basis("y").state_at(args.xb)
     z = system.basis("z")
-    smoothing = 2.0 * float(np.median(z.spacing))
+    smoothing = SPIN_PROFILE_SMOOTHING_SPACINGS * float(np.median(z.spacing))
     profile = action_profile(a, z, b, smoothing=smoothing)
     points = stationary_points(profile)
     oracle = system.classical_oracle.predict(args.xa, args.xb)

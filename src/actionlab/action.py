@@ -159,33 +159,23 @@ class StationaryPoint:
 
 def _segments_of(valid: np.ndarray) -> list[tuple[int, int]]:
     """Contiguous runs [start, stop) of True entries."""
-    runs = []
-    start = None
-    for i, flag in enumerate(valid):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(valid)))
-    return runs
+    edges = np.flatnonzero(np.diff(np.pad(valid, 1)))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
 def unwrap_segment(raw: np.ndarray, two_pi: float, anchor: int = 0) -> np.ndarray:
     """Nearest-multiple chaining outward from an anchor index.
 
-    Each step moves by less than half a turn of 2 pi hbar.  When the true
-    point-to-point action difference stays below half a turn, the result is
-    independent of the anchor up to the global multiple fixed at the anchor
-    itself (the anchor keeps its raw value).
+    Each step moves by less than half a turn of 2 pi hbar: the turn count
+    between neighbours is round((raw[i-1] - raw[i]) / 2 pi hbar), and the
+    result is raw plus 2 pi hbar times the cumulative turn count relative to
+    the anchor.  When the true point-to-point action difference stays below
+    half a turn, the result is independent of the anchor up to the global
+    multiple fixed at the anchor itself (the anchor keeps its raw value).
     """
-    out = raw.copy()
-    for i in range(anchor + 1, len(out)):
-        out[i] = raw[i] + two_pi * np.round((out[i - 1] - raw[i]) / two_pi)
-    for i in range(anchor - 1, -1, -1):
-        out[i] = raw[i] + two_pi * np.round((out[i + 1] - raw[i]) / two_pi)
-    return out
+    turns = np.zeros(len(raw), dtype=np.int64)
+    np.cumsum(np.round((raw[:-1] - raw[1:]) / two_pi).astype(np.int64), out=turns[1:])
+    return raw + two_pi * (turns - turns[anchor])
 
 
 def _nonuniform_derivatives(x: np.ndarray, f: np.ndarray):
@@ -347,20 +337,14 @@ def stationary_points(profile: ActionProfile) -> list[StationaryPoint]:
     list is legal: it means no classically allowed intermediate value exists
     for this a, b pair.
     """
-    g = profile.gradient
     x = profile.x_grid
+    g0, g1 = profile.gradient[:-1], profile.gradient[1:]
+    sids = profile.segment_id
+    sign_change = ((sids[:-1] == sids[1:]) & np.isfinite(g0) & np.isfinite(g1)
+                   & ((g0 == 0.0) | (g0 * g1 < 0.0)))
+    left = np.flatnonzero(sign_change)
     candidates: list[StationaryPoint] = []
-    for i in range(profile.dim - 1):
-        if not (np.isfinite(g[i]) and np.isfinite(g[i + 1])):
-            continue
-        if profile.segment_id[i] != profile.segment_id[i + 1]:
-            continue
-        if g[i] == 0.0:
-            idx = i
-        elif g[i] * g[i + 1] < 0.0:
-            idx = i if abs(g[i]) <= abs(g[i + 1]) else i + 1
-        else:
-            continue
+    for idx in np.where(np.abs(g0[left]) <= np.abs(g1[left]), left, left + 1).tolist():
         sid = profile.segment_id[idx]
         in_seg = np.where(profile.segment_id == sid)[0]
         seg_lo, seg_hi = int(in_seg[0]), int(in_seg[-1])

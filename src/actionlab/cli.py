@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json", "both"),
                        help="output format override")
         p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent sweep points")
         p.add_argument("--quiet", action="store_true", help="suppress the summary")
         if name == "verify":
             p.add_argument("--scope", default="all",
@@ -159,9 +158,7 @@ def _run(args) -> int:
     if args.config:
         cfg, defaults = load_config(args.config)
         if args.seed is not None:
-            cfg_dict = cfg.to_dict()
-            cfg_dict["seed"] = args.seed
-            cfg, _ = config_from_dict(cfg_dict)
+            cfg = replace(cfg, seed=args.seed)
     elif needs_config:
         print(f"error: '{command}' requires --config <path>", file=sys.stderr)
         print(parser_usage(), file=sys.stderr)
@@ -178,9 +175,9 @@ def _run(args) -> int:
     elif command == "profile":
         table = run_profile(cfg)
     elif command == "sweep":
-        table = run_resolution_sweep(cfg, jobs=max(1, args.jobs))
+        table = run_resolution_sweep(cfg)
     elif command == "emerge":
-        table = run_emergence_experiment(cfg, jobs=max(1, args.jobs))
+        table = run_emergence_experiment(cfg)
     else:
         table = run_propagation_time_experiment(cfg)
     elapsed = time.perf_counter() - t0

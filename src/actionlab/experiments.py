@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -276,6 +275,9 @@ def config_from_dict(raw: dict) -> tuple[ExperimentConfig, list[str]]:
     for key in ("model", "a", "b", "intermediate"):
         if key not in raw:
             raise ConfigError("required key missing", field=key)
+    for key in ("model", "a", "b", "sweep", "constants", "emergence", "propagation", "output"):
+        if key in raw and not isinstance(raw[key], dict):
+            raise ConfigError(f"must be a mapping, got {type(raw[key]).__name__}", field=key)
     defaults: list[str] = []
     model = _take(raw["model"], "model", ModelConfig, defaults)
     a = _take(raw["a"], "a", StateSpec, defaults)
@@ -297,7 +299,16 @@ def config_from_dict(raw: dict) -> tuple[ExperimentConfig, list[str]]:
     if emergence is not None:
         if set(emergence) - {"pairs"}:
             raise ConfigError("unknown keys", field="emergence")
-        pairs = tuple((float(p[0]), float(p[1])) for p in emergence["pairs"])
+        listed = emergence.get("pairs")
+        if not isinstance(listed, list):
+            raise ConfigError("must be a list of [x_a, x_b] pairs", field="emergence.pairs")
+        for i, pair in enumerate(listed):
+            # type() rather than isinstance(): JSON true/false are not numbers.
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) in (int, float) for v in pair)):
+                raise ConfigError(f"must be two numbers, got {pair!r}",
+                                  field=f"emergence.pairs[{i}]")
+        pairs = tuple((float(p[0]), float(p[1])) for p in listed)
     seed = raw.get("seed")
     if seed is None:
         seed = 20260808
@@ -491,7 +502,7 @@ def run_profile(cfg: ExperimentConfig) -> ResultTable:
     )
 
 
-def run_resolution_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
+def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Disturbance and regime metrics per intermediate-measurement resolution."""
     constants = cfg.constants
     system, a, b, basis, profile = _profile_for(cfg)
@@ -509,6 +520,8 @@ def run_resolution_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
     stars = np.array([p.x_star for p in points]) if points else np.array([])
     dominant_x = points[0].x_star if points else float(np.nan)
 
+    # One call per value, so each value's d x d arrays are freed before the
+    # next value builds its own; a plain loop would hold two sets at once.
     def one(value: float) -> dict:
         delta = value * unit
         kernel = gaussian_kernel(basis, delta)
@@ -539,15 +552,14 @@ def run_resolution_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
             "delta_n": points[0].delta_n if points else float(np.nan),
         }
 
-    rows = _map_ordered(one, list(cfg.sweep.values), jobs)
     return ResultTable(
         name="resolution_sweep",
-        columns=_rows_to_columns(rows),
+        columns=_rows_to_columns([one(value) for value in cfg.sweep.values]),
         provenance=_provenance(cfg, "resolution_sweep"),
     )
 
 
-def run_emergence_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
+def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Stationary intermediate values against the classical oracle."""
     constants = cfg.constants
     system = build_system(cfg.model, constants)
@@ -558,52 +570,30 @@ def run_emergence_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ResultTabl
     if pairs is None:
         pairs = _default_emergence_pairs(cfg, system)
     grid_step = float(np.median(basis.spacing))
-
-    def one(pair: tuple[float, float]) -> list[dict]:
-        x_a, x_b = pair
+    smoothing = profile_smoothing_for(cfg, system, basis)
+    rows = []
+    for x_a, x_b in pairs:
         a = build_state(system, StateSpec(cfg.a.basis, eigenvalue=x_a), constants, "a")
         b = build_state(system, StateSpec(cfg.b.basis, eigenvalue=x_b), constants, "b")
-        smoothing = profile_smoothing_for(cfg, system, basis)
         profile = action_profile(a, basis, b, constants, smoothing=smoothing)
         points = stationary_points(profile)
         predicted = system.classical_oracle.predict(x_a, x_b)
-        rows = []
+        template = dict.fromkeys(EMERGENCE_COLUMNS, float(np.nan))
+        template.update(x_a=x_a, x_b=x_b, found=False, classically_allowed=bool(predicted))
         if not predicted:
-            rows.append({
-                "x_a": x_a, "x_b": x_b, "branch": 0.0,
-                "classical": float(np.nan), "x_star": float(np.nan),
-                "deviation_spacings": float(np.nan),
-                "delta_x_m": float(np.nan), "delta_n": float(np.nan),
-                "weak_value": float(np.nan), "curvature": float(np.nan),
-                "found": len(points) > 0, "classically_allowed": False,
-            })
-            return rows
+            rows.append(dict(template, branch=0.0, found=len(points) > 0))
         for branch in predicted:
+            row = dict(template, branch=float(np.sign(branch)), classical=branch)
             if points:
                 best = min(points, key=lambda p: abs(p.x_star - branch))
-                dev = abs(best.x_star - branch) / grid_step
-                rows.append({
-                    "x_a": x_a, "x_b": x_b, "branch": float(np.sign(branch)),
-                    "classical": branch, "x_star": best.x_star,
-                    "deviation_spacings": dev,
-                    "delta_x_m": best.delta_x_m, "delta_n": best.delta_n,
-                    "weak_value": best.weak_value_magnitude,
-                    "curvature": best.curvature_at,
-                    "found": True, "classically_allowed": True,
-                })
-            else:
-                rows.append({
-                    "x_a": x_a, "x_b": x_b, "branch": float(np.sign(branch)),
-                    "classical": branch, "x_star": float(np.nan),
-                    "deviation_spacings": float(np.nan),
-                    "delta_x_m": float(np.nan), "delta_n": float(np.nan),
-                    "weak_value": float(np.nan), "curvature": float(np.nan),
-                    "found": False, "classically_allowed": True,
-                })
-        return rows
-
-    nested = _map_ordered(one, list(pairs), jobs)
-    rows = [r for group in nested for r in group]
+                row.update(
+                    x_star=best.x_star,
+                    deviation_spacings=abs(best.x_star - branch) / grid_step,
+                    delta_x_m=best.delta_x_m, delta_n=best.delta_n,
+                    weak_value=best.weak_value_magnitude, curvature=best.curvature_at,
+                    found=True,
+                )
+            rows.append(row)
     return ResultTable(
         name="emergence",
         columns=_rows_to_columns(rows, EMERGENCE_COLUMNS),
@@ -651,7 +641,8 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
         evolved = DiagonalUnitary(basis, -basis.eigenvalues * tau / hbar)
         b = apply_diagonal(evolved, a)
         if cfg.propagation.centers is None:
-            cfg = _with_centers(cfg, (float(spec_a.packet_center),))
+            cfg = replace(cfg, propagation=replace(
+                cfg.propagation, centers=(float(spec_a.packet_center),)))
     else:
         basis = system.basis(cfg.intermediate)
         a = build_state(system, cfg.a, constants, "a")
@@ -720,29 +711,6 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
         provenance=_provenance(cfg, "propagation_time"),
         hbar_power={"expected_gradient": 1, "t_peak": 1, "deviation": 1},
     )
-
-
-def _with_centers(cfg: ExperimentConfig, centers: tuple[float, ...]) -> ExperimentConfig:
-    prop = PropagationConfig(
-        tau=cfg.propagation.tau,
-        centers=centers,
-        window_width=cfg.propagation.window_width,
-        scan_halfwidth=cfg.propagation.scan_halfwidth,
-        scan_points=cfg.propagation.scan_points,
-    )
-    return ExperimentConfig(
-        model=cfg.model, a=cfg.a, b=cfg.b, intermediate=cfg.intermediate,
-        sweep=cfg.sweep, seed=cfg.seed, hbar=cfg.hbar,
-        profile_smoothing=cfg.profile_smoothing,
-        emergence_pairs=cfg.emergence_pairs, propagation=prop, output=cfg.output,
-    )
-
-
-def _map_ordered(fn, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _rows_to_columns(rows: list[dict], names: tuple[str, ...] = ()) -> dict[str, list]:

@@ -94,3 +94,31 @@ def jacobi_eigh(H, tol: float = 1e-14, max_sweeps: int = 40) -> tuple[np.ndarray
     w = np.real(np.diag(A))
     order = np.argsort(w, kind="stable")
     return w[order], _canonical_phases(V[:, order])
+
+
+def loop_unwrap_segment(raw: np.ndarray, two_pi: float, anchor: int = 0) -> np.ndarray:
+    """Nearest-multiple chaining one grid point at a time, outward from the anchor.
+
+    Reference for the package's cumulative-turn-count form.
+    """
+    out = raw.copy()
+    for i in range(anchor + 1, len(out)):
+        out[i] = raw[i] + two_pi * np.round((out[i - 1] - raw[i]) / two_pi)
+    for i in range(anchor - 1, -1, -1):
+        out[i] = raw[i] + two_pi * np.round((out[i + 1] - raw[i]) / two_pi)
+    return out
+
+
+def loop_segments_of(valid) -> list[tuple[int, int]]:
+    """Contiguous runs [start, stop) of True entries, found by a scan."""
+    runs = []
+    start = None
+    for i, flag in enumerate(valid):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(valid)))
+    return runs

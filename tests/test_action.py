@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actionlab.action import (
+    _segments_of,
     action_phase,
     action_profile,
     aligned_unitary,
@@ -26,7 +27,7 @@ from actionlab.hilbert import (
     inner,
 )
 from actionlab.models import make_packet, ring_arrival_state
-from tests.conftest import RING_PARAMS
+from tests.conftest import RING_PARAMS, loop_segments_of, loop_unwrap_segment
 
 
 def spin_pair(system, x_a, x_b):
@@ -407,3 +408,36 @@ class TestStationaryPointInvariants:
         for pt in stationary_points(prof):
             scale = np.nanmax(np.abs(prof.gradient))
             assert abs(prof.gradient_at(pt.x_star)) < 0.05 * scale
+
+
+class TestLoopOracles:
+    """The array forms agree bit for bit with the per-point loops in conftest."""
+
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=499),
+        st.floats(-50.0, 50.0),
+        st.floats(0.01, 100.0).filter(lambda h: h != 1.0),
+        st.integers(min_value=0, max_value=499),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unwrap_segment_matches_loop(self, fractions, start, hbar, anchor_raw):
+        # Steps reach to within 1e-6 of half a turn.  At exactly half a turn
+        # the nearest multiple is a tie, which the chained loop and the
+        # cumulative count may break differently.
+        half_turn = np.pi * hbar * (1.0 - 1e-6)
+        smooth = start + np.concatenate([[0.0], np.cumsum(np.array(fractions) * half_turn)])
+        two_pi = 2.0 * np.pi * hbar
+        raw = (smooth + np.pi * hbar) % two_pi - np.pi * hbar
+        anchor = anchor_raw % len(raw)
+        assert np.array_equal(unwrap_segment(raw, two_pi, anchor),
+                              loop_unwrap_segment(raw, two_pi, anchor))
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=300))
+    @example([True])
+    @example([False])
+    @example([True] * 40)
+    @example([False] * 40)
+    @settings(max_examples=200, deadline=None)
+    def test_segments_of_matches_loop(self, flags):
+        valid = np.array(flags)
+        assert np.array_equal(_segments_of(valid), loop_segments_of(valid))

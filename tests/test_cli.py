@@ -61,6 +61,25 @@ class TestExitCodes:
         assert dispatch(["sweep", "--config", str(path)]) == 2
         assert "sweep.values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("model", 5, "model: must be a mapping"),
+        ("constants", 2, "constants: must be a mapping"),
+        ("output", None, "output: must be a mapping"),
+        ("sweep", [], "sweep: must be a mapping"),
+        ("b", "y", "b: must be a mapping"),
+        ("emergence", {"pairs": 3}, "emergence.pairs: must be a list"),
+        ("emergence", {"pairs": [[1]]}, "emergence.pairs[0]: must be two numbers"),
+        ("emergence", {"pairs": [[0.5, 0.5], [0.5, 0.5, 0.5]]},
+         "emergence.pairs[1]: must be two numbers"),
+    ])
+    def test_malformed_section_reports_field(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(QUBIT_CFG, **{key: value})))
+        assert dispatch(["emerge", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestProfileOutputs:
     def test_qubit_profile_contains_quarter_turns(self, qubit_config, tmp_path, capsys):

@@ -135,10 +135,6 @@ class TestResolutionSweep:
         tv = table.column("tv_disturbance")
         assert tv[0] == max(tv)
 
-    def test_parallel_jobs_identical(self, table):
-        again = run_resolution_sweep(cfg_of(SPIN20_SWEEP), jobs=4)
-        assert again.to_csv() == table.to_csv()
-
 
 class TestEmergence:
     def test_spin50_nine_pairs_within_two_spacings(self, spin50):
