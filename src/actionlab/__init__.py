@@ -19,8 +19,8 @@ from .hilbert import (
     frame_shift,
     hermitian_eigen,
     inner,
+    orthonormality_deviation,
     random_state,
-    transition_probability,
 )
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "frame_shift",
     "hermitian_eigen",
     "inner",
+    "orthonormality_deviation",
     "random_state",
-    "transition_probability",
     "__version__",
 ]

@@ -100,33 +100,11 @@ class ActionProfile:
             raise ValueError(
                 f"x={x:g} outside gradient support [{xs[0]:g}, {xs[-1]:g}]"
             )
-        if self.smoothing <= 0.0:
-            return float(np.interp(x, xs, self.gradient[ok]))
-        idx = int(np.argmin(np.abs(self.x_grid - x)))
-        sid = self.segment_id[idx]
-        if sid < 0:
-            return float(np.interp(x, xs, self.gradient[ok]))
-        in_seg = np.where(self.segment_id == sid)[0]
-        w = _fit_halfwidth(self, idx)
-        lo = max(idx - w, int(in_seg[0]))
-        hi = min(idx + w, int(in_seg[-1]))
-        ys = self.s_unwrapped[lo : hi + 1]
-        if hi - lo < 2 or not np.all(np.isfinite(ys)):
-            return float(np.interp(x, xs, self.gradient[ok]))
-        u = self.x_grid[lo : hi + 1] - x
-        coef = np.polyfit(u, ys, 2)
-        return float(coef[1])
-
-    def curvature_at(self, x: float) -> float:
-        ok = np.isfinite(self.curvature)
-        if not np.any(ok):
-            raise ValueError("profile has no finite curvature points")
-        xs = self.x_grid[ok]
-        if x < xs[0] or x > xs[-1]:
-            raise ValueError(
-                f"x={x:g} outside curvature support [{xs[0]:g}, {xs[-1]:g}]"
-            )
-        return float(np.interp(x, xs, self.curvature[ok]))
+        if self.smoothing > 0.0:
+            window = _fit_window(self, int(np.argmin(np.abs(self.x_grid - x))))
+            if window is not None:
+                return float(np.polyfit(self.x_grid[window] - x, self.s_unwrapped[window], 2)[1])
+        return float(np.interp(x, xs, self.gradient[ok]))
 
     def to_columns(self) -> dict[str, np.ndarray]:
         """Column view used by the CSV/JSON writers."""
@@ -315,6 +293,21 @@ def _fit_halfwidth(profile: ActionProfile, idx: int) -> int:
     return max(1, int(np.ceil(2.0 * profile.smoothing / cell)))
 
 
+def _fit_window(profile: ActionProfile, idx: int) -> slice | None:
+    """Grid slice of the local quadratic fit around idx, clipped to its segment;
+    None outside the valid support, below three points or on non-finite action."""
+    sid = profile.segment_id[idx]
+    if sid < 0:
+        return None
+    in_seg = np.flatnonzero(profile.segment_id == sid)
+    w = _fit_halfwidth(profile, idx)
+    lo = max(idx - w, int(in_seg[0]))
+    hi = min(idx + w, int(in_seg[-1]))
+    if hi - lo < 2 or not np.all(np.isfinite(profile.s_unwrapped[lo : hi + 1])):
+        return None
+    return slice(lo, hi + 1)
+
+
 def _quadratic_fit(x: np.ndarray, f: np.ndarray, x0: float):
     """Least-squares parabola around x0; returns (vertex_x, vertex_f, curvature)."""
     u = x - x0
@@ -345,20 +338,13 @@ def stationary_points(profile: ActionProfile) -> list[StationaryPoint]:
     left = np.flatnonzero(sign_change)
     candidates: list[StationaryPoint] = []
     for idx in np.where(np.abs(g0[left]) <= np.abs(g1[left]), left, left + 1).tolist():
-        sid = profile.segment_id[idx]
-        in_seg = np.where(profile.segment_id == sid)[0]
-        seg_lo, seg_hi = int(in_seg[0]), int(in_seg[-1])
-        w = _fit_halfwidth(profile, idx)
-        lo = max(idx - w, seg_lo)
-        hi = min(idx + w, seg_hi)
-        if hi - lo < 2:
+        window = _fit_window(profile, idx)
+        if window is None:
             continue
-        ys = profile.s_unwrapped[lo : hi + 1]
-        if not np.all(np.isfinite(ys)):
-            continue
-        vx, vf, curv = _quadratic_fit(x[lo : hi + 1], ys, float(x[idx]))
-        cell = float(np.max(np.diff(x[lo : hi + 1])))
-        guard = cell * max(1.0, w / 2.0)
+        vx, vf, curv = _quadratic_fit(x[window], profile.s_unwrapped[window], float(x[idx]))
+        # The guard scales with the unclipped half-width, also at segment edges.
+        cell = float(np.max(np.diff(x[window])))
+        guard = cell * max(1.0, _fit_halfwidth(profile, idx) / 2.0)
         if vx is None or abs(vx - x[idx]) > guard:
             # Refinement escaping its neighborhood is an extrapolation
             # artifact; fall back to the grid point.

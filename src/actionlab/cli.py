@@ -26,8 +26,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError
 from .experiments import (
@@ -41,6 +39,7 @@ from .experiments import (
     run_propagation_time_experiment,
     run_resolution_sweep,
 )
+from .hilbert import orthonormality_deviation
 
 OUTPUT_ENV_VAR = "ACTIONLAB_OUT"
 
@@ -225,20 +224,18 @@ def _run_models(args, cfg: ExperimentConfig | None) -> int:
             print(f"{name}: {text}")
         return EXIT_OK
     system = build_system(cfg.model, cfg.constants)
+    bases = {
+        name: {
+            "eigenvalues": [float(x) for x in basis.eigenvalues],
+            "orthonormality_deviation": orthonormality_deviation(basis.vectors),
+        }
+        for name, basis in sorted(system.bases.items())
+    }
     payload = {
         "name": system.name,
         "dimension": system.dimension,
-        "bases": {
-            name: {
-                "eigenvalues": [float(x) for x in basis.eigenvalues],
-                "orthonormality_deviation": float(
-                    np.max(np.abs(basis.vectors.conj() @ basis.vectors.T
-                                  - np.eye(basis.n_states)))
-                ),
-            }
-            for name, basis in sorted(system.bases.items())
-        },
-        "change_of_basis_residual": system.change_of_basis_residual(),
+        "bases": bases,
+        "change_of_basis_residual": max(b["orthonormality_deviation"] for b in bases.values()),
         "metadata": dict(system.metadata),
     }
     out_dir, _ = _resolve_out(args, cfg)

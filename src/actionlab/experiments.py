@@ -430,6 +430,14 @@ def build_system(model: ModelConfig, constants: PhysicalConstants) -> ModelSyste
     return ring_system(params, constants)
 
 
+def _config_basis(system: ModelSystem, name, field: str) -> LabeledBasis:
+    """The system's basis named by config field ``field``; unknown names are a ConfigError."""
+    if not isinstance(name, str) or name not in system.bases:
+        raise ConfigError(f"model {system.name!r} has no basis {name!r}; "
+                          f"available: {sorted(system.bases)}", field=field)
+    return system.bases[name]
+
+
 def build_state(
     system: ModelSystem,
     spec: StateSpec,
@@ -442,7 +450,7 @@ def build_state(
     interpreted as arrival events and carried back to the reference time over
     the configured flight time.
     """
-    basis = system.basis(spec.basis)
+    basis = _config_basis(system, spec.basis, f"{role}.basis")
     if spec.eigenvalue is not None:
         x = float(spec.eigenvalue)
         idx = basis.index_at(x)
@@ -479,7 +487,7 @@ def _profile_for(cfg: ExperimentConfig):
     system = build_system(cfg.model, constants)
     a = build_state(system, cfg.a, constants, "a")
     b = build_state(system, cfg.b, constants, "b")
-    basis = system.basis(cfg.intermediate)
+    basis = _config_basis(system, cfg.intermediate, "intermediate")
     smoothing = profile_smoothing_for(cfg, system, basis)
     profile = action_profile(a, basis, b, constants, smoothing=smoothing)
     return system, a, b, basis, profile
@@ -512,7 +520,7 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
             "sweep in delta_x_m units needs a stationary point; none found",
             field="sweep.units",
         )
-    final_basis = system.basis(cfg.b.basis)
+    final_basis = _config_basis(system, cfg.b.basis, "b.basis")
     if cfg.b.eigenvalue is None:
         raise ConfigError("resolution sweep needs an eigenstate b", field="b")
     b_index = final_basis.index_at(float(cfg.b.eigenvalue))
@@ -527,7 +535,7 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
         kernel = gaussian_kernel(basis, delta)
         ops = build_measurement(kernel, basis)
         joint = joint_distribution(a, final_basis, ops)
-        report = nondisturbance_check(kernel, profile, constants)
+        report = nondisturbance_check(kernel, profile, points, constants)
         if points:
             regime = regime_classifier(kernel, profile, dominant_x, constants).value
             argmax = joint.conditional_argmax(b_index)
@@ -565,7 +573,7 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
     system = build_system(cfg.model, constants)
     if system.classical_oracle is None:
         raise ConfigError("model has no classical oracle", field="model")
-    basis = system.basis(cfg.intermediate)
+    basis = _config_basis(system, cfg.intermediate, "intermediate")
     pairs = cfg.emergence_pairs
     if pairs is None:
         pairs = _default_emergence_pairs(cfg, system)
@@ -644,7 +652,7 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
             cfg = replace(cfg, propagation=replace(
                 cfg.propagation, centers=(float(spec_a.packet_center),)))
     else:
-        basis = system.basis(cfg.intermediate)
+        basis = _config_basis(system, cfg.intermediate, "intermediate")
         a = build_state(system, cfg.a, constants, "a")
         b = build_state(system, cfg.b, constants, "b")
     smoothing = profile_smoothing_for(cfg, system, basis)
@@ -739,11 +747,6 @@ class InvariantCheck:
     passed: bool
 
 
-def check_orthonormality(system: ModelSystem) -> float:
-    """Max Gram deviation across the system's bases."""
-    return system.change_of_basis_residual()
-
-
 def _reconstruction_metric(system: ModelSystem, rng: np.random.Generator, n: int = 10) -> float:
     worst = 0.0
     names = sorted(system.bases)
@@ -814,7 +817,7 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
     if selected("models"):
         for label, system in (("qubit", qubit), ("spin20", spin20),
                               ("spin50", spin50), ("ring256", ring)):
-            record(f"models.orthonormality.{label}", check_orthonormality(system), 1e-10)
+            record(f"models.orthonormality.{label}", system.change_of_basis_residual(), 1e-10)
         from .models import angular_momentum_matrices
 
         jx, _, _ = angular_momentum_matrices(50.0)

@@ -109,8 +109,7 @@ class LabeledBasis:
         spacing = np.diff(ev)
         if np.any(spacing <= 0.0):
             raise ValueError("eigenvalues must be strictly increasing")
-        gram = mat.conj() @ mat.T
-        dev = float(np.max(np.abs(gram - np.eye(n))))
+        dev = orthonormality_deviation(mat)
         if dev > ORTHONORMALITY_TOLERANCE:
             raise ValueError(
                 f"basis vectors not orthonormal: max Gram deviation {dev:.3e} "
@@ -195,9 +194,10 @@ def inner(psi: StateVector, phi: StateVector) -> complex:
     return complex(np.vdot(psi.amplitudes, phi.amplitudes))
 
 
-def transition_probability(psi: StateVector, phi: StateVector) -> float:
-    """P(phi|psi) = |<phi|psi>|^2 for normalized states."""
-    return abs(inner(phi, psi)) ** 2
+def orthonormality_deviation(vectors) -> float:
+    """Max |V V^dag - I| over the rows of V; zero for orthonormal rows."""
+    v = np.asarray(vectors)
+    return float(np.max(np.abs(v.conj() @ v.T - np.eye(v.shape[0]))))
 
 
 def expand(psi: StateVector, basis: LabeledBasis) -> np.ndarray:

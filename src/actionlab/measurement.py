@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionProfile
+from .action import ActionProfile, StationaryPoint
 from .errors import NotApplicableError
 from .hilbert import (
     DEFAULT_CONSTANTS,
@@ -255,19 +255,18 @@ class SlowKernelReport:
 def nondisturbance_check(
     kernel: ResolutionKernel,
     profile: ActionProfile,
+    points: list[StationaryPoint],
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     threshold: float = 0.1,
 ) -> SlowKernelReport:
     """Evaluate the slow-kernel condition around the stationary regions.
 
-    Support: grid points within one disturbance-free interval delta_x_m of a
-    stationary point (that is where contributions survive and the separation
-    argument must hold), intersected with points of finite action curvature.
+    Support: grid points within one disturbance-free interval delta_x_m of
+    one of the profile's stationary ``points`` (that is where contributions
+    survive and the separation argument must hold), intersected with points
+    of finite action curvature (all of them when ``points`` is empty).
     Kernel curvature is differenced along x_m for every outcome row.
     """
-    from .action import stationary_points  # local import, avoids cycle at import time
-
-    points = stationary_points(profile)
     x = profile.x_grid
     finite_curv = np.isfinite(profile.curvature)
     if points:

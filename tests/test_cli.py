@@ -80,6 +80,20 @@ class TestExitCodes:
         assert f"error: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("intermediate", "w", "intermediate"),
+        ("intermediate", 5, "intermediate"),
+        ("a", {"basis": "w", "eigenvalue": 0.5}, "a.basis"),
+        ("b", {"basis": "w", "eigenvalue": 0.5}, "b.basis"),
+    ])
+    def test_unknown_basis_reports_field(self, tmp_path, capsys, key, value, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(QUBIT_CFG, **{key: value})))
+        assert dispatch(["emerge", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}:" in err
+        assert "Traceback" not in err
+
 
 class TestProfileOutputs:
     def test_qubit_profile_contains_quarter_turns(self, qubit_config, tmp_path, capsys):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from actionlab.errors import ConfigError, ScanBoundaryError
+from actionlab.hilbert import orthonormality_deviation
 from actionlab.experiments import (
     ExperimentConfig,
     ModelConfig,
     PropagationConfig,
     StateSpec,
-    check_orthonormality,
+    build_system,
     config_from_dict,
     philox_stream,
     run_emergence_experiment,
@@ -249,17 +250,19 @@ class TestInvariantSuite:
 
     def test_negative_control_corrupted_basis(self, spin20):
         # The orthonormality metric must catch a deliberately broken basis.
-        class Corrupted:
-            name = "corrupted"
-            dimension = spin20.dimension
+        vectors = spin20.basis("z").vectors.copy()
+        vectors[0] = vectors[1]  # duplicated row: rank deficient
+        assert orthonormality_deviation(vectors) > 1e-10
 
-            def change_of_basis_residual(self):
-                vectors = spin20.basis("z").vectors.copy()
-                vectors[0] = vectors[1]  # duplicated row: rank deficient
-                return float(np.max(np.abs(vectors.conj() @ vectors.T
-                                           - np.eye(spin20.dimension))))
 
-        assert check_orthonormality(Corrupted()) > 1e-10
+class TestModelCache:
+    @pytest.mark.parametrize("raw", [RING_EMERGE, SPIN20_SWEEP, dict(
+        SPIN20_SWEEP, model={"name": "qubit"}, a={"basis": "x", "eigenvalue": 0.5},
+        b={"basis": "y", "eigenvalue": 0.5})], ids=["ring", "spin", "qubit"])
+    def test_equal_configs_share_one_model(self, raw):
+        first, second = cfg_of(raw), cfg_of(json.loads(json.dumps(raw)))
+        assert build_system(first.model, first.constants) is build_system(
+            second.model, second.constants)
 
 
 class TestReproducibility:

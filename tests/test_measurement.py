@@ -189,13 +189,15 @@ class TestNondisturbanceCheck:
         _, _, prof = spin20_profile
         z = spin20.basis("z")
         dxm = stationary_points(prof)[0].delta_x_m
-        report = nondisturbance_check(gaussian_kernel(z, 10.0 * dxm), prof)
+        report = nondisturbance_check(gaussian_kernel(z, 10.0 * dxm), prof,
+                                      stationary_points(prof))
         assert report.passed
         assert report.max_ratio < 0.1
 
     def test_projective_kernel_fails(self, spin20, spin20_profile):
         _, _, prof = spin20_profile
-        report = nondisturbance_check(projective_kernel(spin20.basis("z")), prof)
+        report = nondisturbance_check(projective_kernel(spin20.basis("z")), prof,
+                                      stationary_points(prof))
         assert not report.passed
         assert report.max_ratio > 1.0
 
@@ -204,10 +206,18 @@ class TestNondisturbanceCheck:
         z = spin20.basis("z")
         dxm = stationary_points(prof)[0].delta_x_m
         ratios = [
-            nondisturbance_check(gaussian_kernel(z, m * dxm), prof).max_ratio
+            nondisturbance_check(gaussian_kernel(z, m * dxm), prof,
+                                 stationary_points(prof)).max_ratio
             for m in (1.0, 2.0, 4.0, 8.0)
         ]
         assert all(ratios[i] > ratios[i + 1] for i in range(3))
+
+    def test_without_points_support_is_finite_curvature(self, spin20, spin20_profile):
+        _, _, prof = spin20_profile
+        # S'' is exactly 0 at x = 0 on this symmetric profile, so one ratio is infinite.
+        with np.errstate(divide="ignore"):
+            report = nondisturbance_check(gaussian_kernel(spin20.basis("z"), 1.0), prof, [])
+        assert report.n_support == int(np.isfinite(prof.curvature).sum())
 
 
 class TestRegimeClassifier:
