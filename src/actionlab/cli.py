@@ -29,6 +29,8 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError
 from .experiments import (
+    SCOPE_RULE,
+    SEED_RULE,
     ExperimentConfig,
     ResultTable,
     config_from_dict,
@@ -130,9 +132,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -154,6 +153,8 @@ def _run(args) -> int:
     needs_config = command in ("profile", "sweep", "emerge", "propagate")
     cfg = None
     defaults: list[str] = []
+    if args.seed is not None:
+        SEED_RULE(args.seed, "--seed")
     if args.config:
         cfg, defaults = load_config(args.config)
         if args.seed is not None:
@@ -168,7 +169,8 @@ def _run(args) -> int:
 
     t0 = time.perf_counter()
     if command == "verify":
-        scope = [s.strip() for s in args.scope.split(",")] if args.scope != "all" else "all"
+        scope = "all" if args.scope == "all" else SCOPE_RULE(
+            [s.strip() for s in args.scope.split(",")], "--scope")
         seed = args.seed if args.seed is not None else (cfg.seed if cfg else 20260808)
         table = run_invariant_suite(scope, seed=seed)
     elif command == "profile":

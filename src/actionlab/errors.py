@@ -21,13 +21,13 @@ class NotApplicableError(RuntimeError):
     """Requested approximation does not apply in this regime or geometry."""
 
 
-class ScanBoundaryError(RuntimeError):
-    """A scanned maximum sits on the scan boundary; widen the scan window."""
-
-
 class ConfigError(ValueError):
     """Invalid or malformed experiment configuration."""
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
         super().__init__(f"{field}: {message}" if field else message)
+
+
+class ScanBoundaryError(ConfigError):
+    """A scanned maximum sits on the scan boundary; widen the scan window."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -76,7 +76,11 @@ SPIN_PROFILE_SMOOTHING_SPACINGS = 2.0
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
-    """Philox-4x64 counter-based generator for (seed, purpose-stream)."""
+    """Philox-4x64 counter-based generator for (seed, purpose-stream).
+
+    The key is ``seed + (stream << 32)``, so distinct (seed, stream) pairs get
+    distinct keys only while seed < 2**32 (``SEED_RULE``).
+    """
     return np.random.Generator(np.random.Philox(key=np.uint64(seed) + (np.uint64(stream) << np.uint64(32))))
 
 
@@ -84,15 +88,81 @@ def philox_stream(seed: int, stream: int) -> np.random.Generator:
 # Configuration
 # ---------------------------------------------------------------------------
 
+# Size bounds: the largest models the experiments are sized for (spin j and
+# ring N at the paper's semiclassical scale).  At N = MAX_SITES the t-scan
+# matrix of a propagation run, MAX_SCAN_POINTS x N complex values, is 0.65 GB.
+MAX_J = 2000
+MAX_SITES = 8192
+MAX_SCAN_POINTS = 10001
+# Every config number has |v| <= MAX_ABS and every positive scale lies in
+# [MIN_SCALE, MAX_ABS], so squares and ratios of them stay finite doubles.
+MAX_ABS = 1e12
+MIN_SCALE = 1e-12
+
+
+def _rule(accepts, what: str, cast=None):
+    """A field rule: ``rule(value, path)`` returns the value (cast) or raises ConfigError."""
+
+    def check(value, path: str):
+        if not accepts(value):
+            raise ConfigError(f"must be {what}, got {value!r}", field=path)
+        return cast(value) if cast else value
+
+    return check
+
+
+def _is_number(v, lo: float = -MAX_ABS, hi: float = MAX_ABS) -> bool:
+    # type() rather than isinstance(): JSON true/false are not numbers.  The
+    # range test also rejects NaN and inf, and unlike np.isfinite it works on
+    # integers too large for a double.
+    return type(v) in (int, float) and lo <= v <= hi
+
+
+def _number(lo: float = -MAX_ABS, hi: float = MAX_ABS, cast=None):
+    return _rule(lambda v: _is_number(v, lo, hi), f"a number in [{lo:.12g}, {hi:.12g}]", cast)
+
+
+def _integer(lo: float = -MAX_ABS, hi: float = MAX_ABS):
+    return _rule(lambda v: type(v) is int and lo <= v <= hi, f"an integer in [{lo:.12g}, {hi:.12g}]")
+
+
+def _string(*choices: str):
+    return _rule(lambda v: type(v) is str and (not choices or v in choices),
+                 f"one of {list(choices)}" if choices else "a string")
+
+
+def _list(item, non_empty: bool = False):
+    """A JSON list of values that pass ``item``, stored as a tuple; bad items are named by index."""
+    whole = _rule(lambda v: type(v) is list and bool(v or not non_empty),
+                  "a non-empty list" if non_empty else "a list")
+    return lambda value, path: tuple(item(v, f"{path}[{i}]")
+                                     for i, v in enumerate(whole(value, path)))
+
+
+_SCALE = _number(MIN_SCALE)
+# philox_stream packs the seed into the low 32 bits of its key.
+SEED_RULE = _integer(0, 2**32 - 1)
+# Module prefixes of the invariant suite's checks (``verify --scope``).
+SCOPE_RULE = _list(_string("hilbert", "models", "action", "measurement"))
+
+
+def _field(rule, default=MISSING, record_absent: bool = False):
+    """A config field: ``rule`` checks its JSON value, or is the dataclass of its section.
+
+    ``record_absent`` also names a section among the defaults applied when
+    the whole mapping is left out.
+    """
+    return field(default=default, metadata={"rule": rule, "record_absent": record_absent})
+
 
 @dataclass(frozen=True)
 class StateSpec:
     """Which state to build: a basis eigenstate or a packet in that basis."""
 
-    basis: str
-    eigenvalue: float | None = None
-    packet_center: float | None = None
-    packet_width: float | None = None
+    basis: str = _field(_string())
+    eigenvalue: float | None = _field(_number(), None)
+    packet_center: float | None = _field(_number(), None)
+    packet_width: float | None = _field(_SCALE, None)
 
     def validate(self, path: str):
         has_eig = self.eigenvalue is not None
@@ -104,123 +174,83 @@ class StateSpec:
             )
         if has_packet and (self.packet_center is None or self.packet_width is None):
             raise ConfigError("packet needs both packet_center and packet_width", field=path)
-        if self.packet_width is not None and self.packet_width <= 0:
-            raise ConfigError(f"packet_width must be positive, got {self.packet_width}",
-                              field=f"{path}.packet_width")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    name: str
-    j: float | None = None
-    sites: int | None = None
-    circumference: float | None = None
-    mass: float | None = None
-    flight_time: float | None = None
-    winding: int = 0
+    name: str = _field(_string("qubit", "spin", "ring"))
+    j: float | None = _field(_number(0.5, MAX_J), None)
+    sites: int | None = _field(_integer(2, MAX_SITES), None)
+    circumference: float | None = _field(_SCALE, None)
+    mass: float | None = _field(_SCALE, None)
+    flight_time: float | None = _field(_SCALE, None)
+    winding: int = _field(_integer(), 0)
 
-    def validate(self, path: str = "model"):
-        if self.name not in ("qubit", "spin", "ring"):
-            raise ConfigError(f"unknown model {self.name!r}", field=f"{path}.name")
-        if self.name == "spin" and self.j is None:
-            raise ConfigError("spin model needs j", field=f"{path}.j")
-        if self.name == "ring":
-            for key in ("sites", "circumference", "mass", "flight_time"):
-                if getattr(self, key) is None:
-                    raise ConfigError(f"ring model needs {key}", field=f"{path}.{key}")
+    def validate(self, path: str):
+        needs = {"spin": ("j",), "ring": ("sites", "circumference", "mass", "flight_time")}
+        for key in needs.get(self.name, ()):
+            if getattr(self, key) is None:
+                raise ConfigError(f"{self.name} model needs {key}", field=f"{path}.{key}")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    values: tuple[float, ...] = (0.25, 1.0, 4.0, 16.0)
-    units: str = "delta_x_m"
-
-    def validate(self, path: str = "sweep"):
-        if not self.values:
-            raise ConfigError("sweep values must be non-empty", field=f"{path}.values")
-        if any(v <= 0 or not np.isfinite(v) for v in self.values):
-            raise ConfigError("sweep values must be positive", field=f"{path}.values")
-        if self.units not in ("delta_x_m", "absolute"):
-            raise ConfigError(f"unknown sweep units {self.units!r}", field=f"{path}.units")
+    values: tuple[float, ...] = _field(_list(_SCALE, non_empty=True), (0.25, 1.0, 4.0, 16.0))
+    units: str = _field(_string("delta_x_m", "absolute"), "delta_x_m")
 
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    tau: float = 0.0
-    centers: tuple[float, ...] | None = None
-    window_width: float | None = None
-    scan_halfwidth: float | None = None
-    scan_points: int = 1201
-
-    def validate(self, path: str = "propagation"):
-        if self.scan_points < 16:
-            raise ConfigError("scan_points must be at least 16", field=f"{path}.scan_points")
-        if self.window_width is not None and self.window_width <= 0:
-            raise ConfigError("window_width must be positive", field=f"{path}.window_width")
+    tau: float = _field(_number(), 0.0)
+    centers: tuple[float, ...] | None = _field(_list(_number()), None)
+    window_width: float | None = _field(_SCALE, None)
+    scan_halfwidth: float | None = _field(_SCALE, None)
+    scan_points: int = _field(_integer(16, MAX_SCAN_POINTS), 1201)
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "."
-    format: str = "csv"
+    directory: str = _field(_string(), ".")
+    format: str = _field(_string("csv", "json", "both"), "csv")
 
-    def validate(self, path: str = "output"):
-        if self.format not in ("csv", "json", "both"):
-            raise ConfigError(f"unknown format {self.format!r}", field=f"{path}.format")
+
+@dataclass(frozen=True)
+class ConstantsConfig(PhysicalConstants):
+    """The ``constants`` section: physical constants read from a config."""
+
+    hbar: float = _field(_number(MIN_SCALE, cast=float), 1.0)
+
+
+@dataclass(frozen=True)
+class EmergenceConfig:
+    """Boundary pairs (x_a, x_b) of an emergence scan, stored as floats."""
+
+    pairs: tuple[tuple[float, float], ...] = _field(_list(_rule(
+        lambda p: type(p) is list and len(p) == 2 and all(_is_number(v) for v in p),
+        "two numbers", cast=lambda p: (float(p[0]), float(p[1])))))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: ModelConfig
-    a: StateSpec
-    b: StateSpec
-    intermediate: str
-    sweep: SweepConfig = SweepConfig()
-    seed: int = 20260808
-    hbar: float = 1.0
-    profile_smoothing: float | str = "auto"
-    emergence_pairs: tuple[tuple[float, float], ...] | None = None
-    propagation: PropagationConfig = PropagationConfig()
-    output: OutputConfig = OutputConfig()
+    """One experiment config; each field's rule or section says which JSON it takes."""
 
-    def validate(self):
-        self.model.validate()
-        self.a.validate("a")
-        self.b.validate("b")
-        self.sweep.validate()
-        self.propagation.validate()
-        self.output.validate()
-        if self.hbar <= 0 or not np.isfinite(self.hbar):
-            raise ConfigError(f"hbar must be positive, got {self.hbar}", field="constants.hbar")
-        if isinstance(self.profile_smoothing, str) and self.profile_smoothing != "auto":
-            raise ConfigError("profile_smoothing must be 'auto' or a number",
-                              field="profile_smoothing")
-        if not isinstance(self.profile_smoothing, str) and self.profile_smoothing < 0:
-            raise ConfigError("profile_smoothing must be >= 0", field="profile_smoothing")
-
-    @property
-    def constants(self) -> PhysicalConstants:
-        return PhysicalConstants(hbar=self.hbar)
+    model: ModelConfig = _field(ModelConfig)
+    a: StateSpec = _field(StateSpec)
+    b: StateSpec = _field(StateSpec)
+    intermediate: str = _field(_string())
+    sweep: SweepConfig = _field(SweepConfig, SweepConfig(), record_absent=True)
+    propagation: PropagationConfig = _field(PropagationConfig, PropagationConfig())
+    output: OutputConfig = _field(OutputConfig, OutputConfig())
+    constants: ConstantsConfig = _field(ConstantsConfig, ConstantsConfig())
+    seed: int = _field(SEED_RULE, 20260808)
+    # A nonzero width below MIN_SCALE would underflow the filter's Gaussian.
+    profile_smoothing: float | str = _field(_rule(
+        lambda v: v == "auto" or _is_number(v, 0, 0) or _is_number(v, MIN_SCALE),
+        f"'auto', 0 or a number in [{MIN_SCALE:g}, {MAX_ABS:g}]"), "auto")
+    emergence: EmergenceConfig | None = _field(EmergenceConfig, None)
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "schema_version": SCHEMA_VERSION,
-            "model": _dataclass_dict(self.model),
-            "a": _dataclass_dict(self.a),
-            "b": _dataclass_dict(self.b),
-            "intermediate": self.intermediate,
-            "sweep": {"values": list(self.sweep.values), "units": self.sweep.units},
-            "seed": self.seed,
-            "constants": {"hbar": self.hbar},
-            "profile_smoothing": self.profile_smoothing,
-            "propagation": _dataclass_dict(self.propagation),
-            "output": _dataclass_dict(self.output),
-        }
-        if self.emergence_pairs is not None:
-            d["emergence"] = {"pairs": [list(p) for p in self.emergence_pairs]}
-        if self.propagation.centers is not None:
-            d["propagation"]["centers"] = list(self.propagation.centers)
-        return d
+        return {"schema_version": SCHEMA_VERSION, **_json_value(self)}
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -229,100 +259,58 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
-def _dataclass_dict(obj) -> dict:
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if v is None:
-            continue
-        if isinstance(v, tuple):
-            v = list(v)
-        out[f.name] = v
-    return out
+def _json_value(v):
+    """JSON form of a config value: sections become mappings without unset fields."""
+    if is_dataclass(v):
+        return {f.name: _json_value(getattr(v, f.name)) for f in fields(v)
+                if getattr(v, f.name) is not None}
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v
 
 
-def _take(src: dict, path: str, cls, defaults: list[str]):
-    """Build a flat dataclass from a dict, rejecting unknown keys."""
-    known = {f.name for f in fields(cls)}
-    unknown = set(src) - known
+def _walk(cls, raw, path: str, defaults: list[str]):
+    """Build dataclass ``cls`` from the JSON mapping ``raw`` found at ``path``.
+
+    Rejects unknown keys, checks each value against its field's rule (or
+    walks into its section), appends the fields left at their defaults to
+    ``defaults`` and runs the section's cross-field ``validate``, if any.
+    """
+    if type(raw) is not dict:
+        raise ConfigError(f"must be a mapping, got {type(raw).__name__}", field=path)
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}", field=path)
     kwargs = {}
     for f in fields(cls):
-        if f.name in src:
-            value = src[f.name]
-            if isinstance(value, list):
-                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-            kwargs[f.name] = value
-        else:
-            defaults.append(f"{path}.{f.name}")
-    return cls(**kwargs)
+        where = f"{path}.{f.name}" if path else f.name
+        rule = f.metadata["rule"]
+        section = is_dataclass(rule)
+        if f.name in raw:
+            value = raw[f.name]
+            kwargs[f.name] = _walk(rule, value, where, defaults) if section else rule(value, where)
+        elif f.default is MISSING:
+            raise ConfigError("required key missing", field=where)
+        elif not section:
+            defaults.append(where)
+        elif f.default is not None:
+            _walk(rule, {}, where, defaults)
+            if f.metadata["record_absent"]:
+                defaults.append(where)
+    obj = cls(**kwargs)
+    if hasattr(obj, "validate"):
+        obj.validate(path)
+    return obj
 
 
 def config_from_dict(raw: dict) -> tuple[ExperimentConfig, list[str]]:
-    """Parse and validate a config mapping; returns (config, defaults applied)."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    raw = dict(raw)
-    version = raw.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}", field="schema_version")
-    known_top = {"model", "a", "b", "intermediate", "sweep", "seed", "constants",
-                 "profile_smoothing", "emergence", "propagation", "output"}
-    unknown = set(raw) - known_top
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)}")
-    for key in ("model", "a", "b", "intermediate"):
-        if key not in raw:
-            raise ConfigError("required key missing", field=key)
-    for key in ("model", "a", "b", "sweep", "constants", "emergence", "propagation", "output"):
-        if key in raw and not isinstance(raw[key], dict):
-            raise ConfigError(f"must be a mapping, got {type(raw[key]).__name__}", field=key)
+    """Parse and check a config mapping; returns (config, defaults applied)."""
+    if type(raw) is dict and "schema_version" in raw:
+        raw = dict(raw)
+        _rule(lambda v: type(v) is int and v == SCHEMA_VERSION,
+              str(SCHEMA_VERSION))(raw.pop("schema_version"), "schema_version")
     defaults: list[str] = []
-    model = _take(raw["model"], "model", ModelConfig, defaults)
-    a = _take(raw["a"], "a", StateSpec, defaults)
-    b = _take(raw["b"], "b", StateSpec, defaults)
-    sweep = _take(raw.get("sweep", {}), "sweep", SweepConfig, defaults)
-    if "sweep" not in raw:
-        defaults.append("sweep")
-    propagation = _take(raw.get("propagation", {}), "propagation", PropagationConfig, defaults)
-    output = _take(raw.get("output", {}), "output", OutputConfig, defaults)
-    constants = raw.get("constants", {})
-    if set(constants) - {"hbar"}:
-        raise ConfigError(f"unknown keys {sorted(set(constants) - {'hbar'})}", field="constants")
-    hbar = constants.get("hbar")
-    if hbar is None:
-        hbar = 1.0
-        defaults.append("constants.hbar")
-    emergence = raw.get("emergence")
-    pairs = None
-    if emergence is not None:
-        if set(emergence) - {"pairs"}:
-            raise ConfigError("unknown keys", field="emergence")
-        listed = emergence.get("pairs")
-        if not isinstance(listed, list):
-            raise ConfigError("must be a list of [x_a, x_b] pairs", field="emergence.pairs")
-        for i, pair in enumerate(listed):
-            # type() rather than isinstance(): JSON true/false are not numbers.
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(type(v) in (int, float) for v in pair)):
-                raise ConfigError(f"must be two numbers, got {pair!r}",
-                                  field=f"emergence.pairs[{i}]")
-        pairs = tuple((float(p[0]), float(p[1])) for p in listed)
-    seed = raw.get("seed")
-    if seed is None:
-        seed = 20260808
-        defaults.append("seed")
-    smoothing = raw.get("profile_smoothing", "auto")
-    if "profile_smoothing" not in raw:
-        defaults.append("profile_smoothing")
-    cfg = ExperimentConfig(
-        model=model, a=a, b=b, intermediate=raw["intermediate"], sweep=sweep,
-        seed=int(seed), hbar=float(hbar), profile_smoothing=smoothing,
-        emergence_pairs=pairs, propagation=propagation, output=output,
-    )
-    cfg.validate()
-    return cfg, defaults
+    return _walk(ExperimentConfig, raw, "", defaults), defaults
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +392,7 @@ def _provenance(cfg: ExperimentConfig, experiment: str) -> dict[str, str]:
         "experiment": experiment,
         "config_hash": cfg.config_hash(),
         "schema_version": str(SCHEMA_VERSION),
-        "hbar": f"{cfg.hbar:.17g}",
+        "hbar": f"{cfg.constants.hbar:.17g}",
         "seed": str(cfg.seed),
         "version": __version__,
     }
@@ -419,20 +407,20 @@ def build_system(model: ModelConfig, constants: PhysicalConstants) -> ModelSyste
     if model.name == "qubit":
         return qubit_system()
     if model.name == "spin":
-        return spin_system(float(model.j))
+        return spin_system(model.j)
     params = RingParameters(
-        sites=int(model.sites),
+        sites=model.sites,
         circumference=float(model.circumference),
         mass=float(model.mass),
         flight_time=float(model.flight_time),
-        winding=int(model.winding),
+        winding=model.winding,
     )
     return ring_system(params, constants)
 
 
-def _config_basis(system: ModelSystem, name, field: str) -> LabeledBasis:
+def _config_basis(system: ModelSystem, name: str, field: str) -> LabeledBasis:
     """The system's basis named by config field ``field``; unknown names are a ConfigError."""
-    if not isinstance(name, str) or name not in system.bases:
+    if name not in system.bases:
         raise ConfigError(f"model {system.name!r} has no basis {name!r}; "
                           f"available: {sorted(system.bases)}", field=field)
     return system.bases[name]
@@ -574,9 +562,7 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
     if system.classical_oracle is None:
         raise ConfigError("model has no classical oracle", field="model")
     basis = _config_basis(system, cfg.intermediate, "intermediate")
-    pairs = cfg.emergence_pairs
-    if pairs is None:
-        pairs = _default_emergence_pairs(cfg, system)
+    pairs = cfg.emergence.pairs if cfg.emergence else _default_emergence_pairs(cfg, system)
     grid_step = float(np.median(basis.spacing))
     smoothing = profile_smoothing_for(cfg, system, basis)
     rows = []
@@ -698,7 +684,8 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
         peak = int(np.argmax(overlap))
         if peak in (0, len(t_grid) - 1):
             raise ScanBoundaryError(
-                f"overlap peak at scan boundary for center {center:g}; widen the scan"
+                f"overlap peak at scan boundary for center {center:g}; widen the scan",
+                field="propagation.scan_halfwidth",
             )
         # Parabolic refinement of the peak.
         y0, y1, y2 = overlap[peak - 1], overlap[peak], overlap[peak + 1]

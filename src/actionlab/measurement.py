@@ -243,7 +243,8 @@ class SlowKernelReport:
     The intermediate measurement leaves the a -> b causality intact when
     P(r|x_m) curves much less than S''(x_m)/(2 pi hbar) across the stationary
     region.  ``max_ratio`` is the worst |P''| / (S''/(2 pi hbar)) over the
-    support; the check passes when it stays under ``threshold``.
+    support (inf where S'' vanishes on it); the check passes when it stays
+    under ``threshold``.
     """
 
     max_ratio: float
@@ -280,6 +281,9 @@ def nondisturbance_check(
     if n_support == 0:
         return SlowKernelReport(np.nan, threshold, False, 0)
     scurv = np.abs(profile.curvature[support]) / (2.0 * np.pi * constants.hbar)
+    if not np.all(scurv):
+        # A flat action (S'' = 0) gives no curvature scale to separate against.
+        return SlowKernelReport(np.inf, threshold, False, n_support)
     # Second derivative of each kernel row along the eigenvalue grid.
     table = kernel.table
     pcurv = np.empty_like(table)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,23 @@ from actionlab.hilbert import _canonical_phases
 from actionlab.models import RingParameters, qubit_system, ring_system, spin_system
 
 RING_PARAMS = RingParameters(sites=256, circumference=256.0, mass=1.0, flight_time=20.0)
+DELETE = object()
+
+
+def mutated(config: dict, path: str, value) -> dict:
+    """Deep copy of a config mapping with the dotted ``path`` set to ``value`` (or DELETEd)."""
+    config = copy.deepcopy(config)
+    *parents, key = path.split(".")
+    node = config
+    for name in parents:
+        if not isinstance(node.get(name), dict):
+            node[name] = {}
+        node = node[name]
+    if value is DELETE:
+        node.pop(key, None)
+    else:
+        node[key] = value
+    return config
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,16 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from actionlab.cli import dispatch, dump_config, load_config
+from conftest import DELETE, mutated
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 QUBIT_CFG = {
     "model": {"name": "qubit"},
@@ -22,6 +28,9 @@ SPIN_CFG = {
     "intermediate": "z",
     "seed": 99,
 }
+
+
+RING_PROPAGATION_CFG = json.loads((CONFIGS / "ring256_propagation.json").read_text())
 
 
 @pytest.fixture()
@@ -79,6 +88,71 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
+
+    # Malformed values: each exits 2 with an error line that names the field.
+    @pytest.mark.parametrize("base, path, value, field", [
+        (QUBIT_CFG, "sweep.values", ["a"], "sweep.values[0]"),
+        (QUBIT_CFG, "sweep.values", 3, "sweep.values"),
+        (QUBIT_CFG, "sweep.values", [True], "sweep.values[0]"),
+        (QUBIT_CFG, "sweep.values", [1e300], "sweep.values[0]"),
+        (QUBIT_CFG, "a.eigenvalue", [1], "a.eigenvalue"),
+        (SPIN_CFG, "a.eigenvalue", "10", "a.eigenvalue"),
+        (QUBIT_CFG, "a.eigenvalue", float("nan"), "a.eigenvalue"),
+        (RING_PROPAGATION_CFG, "a.packet_width", "x", "a.packet_width"),
+        (RING_PROPAGATION_CFG, "a.packet_width", True, "a.packet_width"),
+        (RING_PROPAGATION_CFG, "a.packet_center", "0.5", "a.packet_center"),
+        (RING_PROPAGATION_CFG, "propagation.tau", "x", "propagation.tau"),
+        (RING_PROPAGATION_CFG, "propagation.tau", True, "propagation.tau"),
+        (RING_PROPAGATION_CFG, "propagation.tau", 1e300, "propagation.tau"),
+        (RING_PROPAGATION_CFG, "propagation.scan_points", 20.5, "propagation.scan_points"),
+        (RING_PROPAGATION_CFG, "propagation.window_width", "x", "propagation.window_width"),
+        (RING_PROPAGATION_CFG, "propagation.centers", [float("nan")], "propagation.centers[0]"),
+        (RING_PROPAGATION_CFG, "propagation.scan_halfwidth", 2, "propagation.scan_halfwidth"),
+        (SPIN_CFG, "model.j", "20", "model.j"),
+        (SPIN_CFG, "model.j", True, "model.j"),
+        (SPIN_CFG, "model.j", float("nan"), "model.j"),
+        (RING_PROPAGATION_CFG, "model.sites", 64.7, "model.sites"),
+        (RING_PROPAGATION_CFG, "model.sites", "64", "model.sites"),
+        (RING_PROPAGATION_CFG, "model.winding", 1.5, "model.winding"),
+        (RING_PROPAGATION_CFG, "model.mass", "1", "model.mass"),
+        (QUBIT_CFG, "seed", True, "seed"),
+        (QUBIT_CFG, "seed", 1.5, "seed"),
+        (QUBIT_CFG, "seed", -1, "seed"),
+        (QUBIT_CFG, "seed", "7", "seed"),
+        (QUBIT_CFG, "seed", 2**70, "seed"),
+        (QUBIT_CFG, "constants.hbar", "2", "constants.hbar"),
+        (QUBIT_CFG, "constants.hbar", True, "constants.hbar"),
+        (SPIN_CFG, "profile_smoothing", True, "profile_smoothing"),
+        (SPIN_CFG, "profile_smoothing", 1e300, "profile_smoothing"),
+        (QUBIT_CFG, "output.directory", 5, "output.directory"),
+        (SPIN_CFG, "emergence.pairs", [[float("nan"), 1.0]], "emergence.pairs[0]"),
+        (QUBIT_CFG, "schema_version", True, "schema_version"),
+        (QUBIT_CFG, "model.name", DELETE, "model.name"),
+        (QUBIT_CFG, "a.basis", DELETE, "a.basis"),
+    ])
+    def test_malformed_value_reports_field(self, tmp_path, capsys, base, path, value, field):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(mutated(base, path, value)))
+        command = "propagate" if base is RING_PROPAGATION_CFG else "emerge"
+        out = tmp_path / "out"
+        assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--seed", "-1"], "--seed"),
+        # Seeds from 2**32 up would reuse the Philox keys of smaller seeds.
+        (["--seed", "4294967296"], "--seed"),
+        (["--scope", "bogus"], "--scope[0]"),
+        (["--scope", "hilbert,bogus"], "--scope[1]"),
+    ])
+    def test_bad_verify_argument_writes_nothing(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out"
+        assert dispatch(["verify", "--quiet", "--out", str(out)] + argv) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, field", [
         ("intermediate", "w", "intermediate"),
@@ -204,3 +278,49 @@ class TestEmptyTable:
         data = [l for l in lines if not l.startswith("#")]
         assert len(data) == 1  # header row only
         assert data[0].startswith("x_a,x_b,")
+
+
+BUNDLED = {  # bundled config -> the command it is written for
+    "qubit_profile": "profile",
+    "ring256_emergence": "emerge",
+    "ring256_propagation": "propagate",
+    "spin20_sweep": "sweep",
+    "spin50_emergence": "emerge",
+}
+FIELD_PATHS = (
+    "model", "model.name", "model.j", "model.sites", "model.circumference",
+    "model.mass", "model.flight_time", "model.winding",
+    "a", "a.basis", "a.eigenvalue", "a.packet_center", "a.packet_width",
+    "b", "b.basis", "b.eigenvalue", "intermediate",
+    "sweep", "sweep.values", "sweep.units", "seed", "constants", "constants.hbar",
+    "profile_smoothing", "emergence", "emergence.pairs", "schema_version",
+    "propagation", "propagation.tau", "propagation.centers", "propagation.window_width",
+    "propagation.scan_halfwidth", "propagation.scan_points",
+    "output", "output.directory", "output.format",
+)
+# Size-like values stay at most 256 or reach 2**70 and beyond, where numpy
+# refuses the allocation at once, so no run builds a model larger than the
+# bundled ones.
+VALUE_POOL = (
+    DELETE, None, True, False, 0, 1, -1, 2, 16, 256, 0.5, -0.5, 1e-300,
+    1e300, -1e300, 2**70, -(2**70), float("nan"), float("inf"),
+    "", "x", "auto", "20", "z", [], [1.0], ["a"], [0.5, 2.0], [[0.5, 0.5]], {},
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(stem=st.sampled_from(sorted(BUNDLED)),
+           edits=st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.sampled_from(VALUE_POOL)),
+                          min_size=1, max_size=2))
+    def test_every_edited_bundled_config_exits_0_or_2(self, stem, edits):
+        cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
+        for path, value in edits:
+            cfg = mutated(cfg, path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "cfg.json"
+            config.write_text(json.dumps(cfg))
+            code = dispatch([BUNDLED[stem], "--config", str(config),
+                             "--out", str(Path(tmp) / "out"), "--quiet"])
+        assert code in (0, 2)

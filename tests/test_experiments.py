@@ -7,6 +7,9 @@ import pytest
 from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import orthonormality_deviation
 from actionlab.experiments import (
+    MAX_J,
+    MAX_SCAN_POINTS,
+    MAX_SITES,
     ExperimentConfig,
     ModelConfig,
     PropagationConfig,
@@ -20,6 +23,7 @@ from actionlab.experiments import (
     run_propagation_time_experiment,
     run_resolution_sweep,
 )
+from conftest import mutated
 
 SPIN20_SWEEP = {
     "model": {"name": "spin", "j": 20},
@@ -92,6 +96,21 @@ class TestConfig:
             config_from_dict({"model": {"name": "qubit"},
                               "a": {"basis": "x", "eigenvalue": 0.5},
                               "b": {"basis": "y", "eigenvalue": 0.5}})
+
+    # config_from_dict only checks the values; no model of these sizes is built.
+    @pytest.mark.parametrize("raw, path, largest, above", [
+        (SPIN20_SWEEP, "model.j", MAX_J, MAX_J + 0.5),
+        (SPIN20_SWEEP, "model.j", MAX_J, 1e9),
+        (RING_EMERGE, "model.sites", MAX_SITES, MAX_SITES + 1),
+        (RING_EMERGE, "model.sites", MAX_SITES, 10**7),
+        (SPIN20_SWEEP, "propagation.scan_points", MAX_SCAN_POINTS, MAX_SCAN_POINTS + 1),
+        (SPIN20_SWEEP, "propagation.scan_points", MAX_SCAN_POINTS, 10**9),
+        (SPIN20_SWEEP, "seed", 2**32 - 1, 2**32),
+    ])
+    def test_size_bounds(self, raw, path, largest, above):
+        config_from_dict(mutated(raw, path, largest))
+        with pytest.raises(ConfigError, match=f"^{path}: "):
+            config_from_dict(mutated(raw, path, above))
 
     def test_state_spec_exclusive(self):
         with pytest.raises(ConfigError, match="exactly one"):

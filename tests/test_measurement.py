@@ -214,10 +214,11 @@ class TestNondisturbanceCheck:
 
     def test_without_points_support_is_finite_curvature(self, spin20, spin20_profile):
         _, _, prof = spin20_profile
-        # S'' is exactly 0 at x = 0 on this symmetric profile, so one ratio is infinite.
-        with np.errstate(divide="ignore"):
-            report = nondisturbance_check(gaussian_kernel(spin20.basis("z"), 1.0), prof, [])
+        # S'' is exactly 0 at x = 0 on this symmetric profile, so the check fails.
+        report = nondisturbance_check(gaussian_kernel(spin20.basis("z"), 1.0), prof, [])
         assert report.n_support == int(np.isfinite(prof.curvature).sum())
+        assert report.max_ratio == np.inf
+        assert not report.passed
 
 
 class TestRegimeClassifier:
