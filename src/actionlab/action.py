@@ -16,6 +16,7 @@ measurement resolution that leaves the a -> b statistics undisturbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -209,9 +210,7 @@ def action_profile(
     if smoothing < 0 or not np.isfinite(smoothing):
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
     if smoothing > 0.0:
-        kern = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * smoothing**2))
-        kern *= weights[np.newaxis, :]
-        norm = kern.sum(axis=1)
+        kern, norm = _branch_filter(basis, smoothing)
         amp_product = (kern @ bare_product) / norm
         rho_a_vals = (kern @ (np.abs(amps_a) ** 2 / weights)) / norm
         rho_b_vals = (kern @ (np.abs(amps_b) ** 2 / weights)) / norm
@@ -278,6 +277,22 @@ def action_profile(
         hbar=hbar,
         smoothing=smoothing,
     )
+
+
+@lru_cache(maxsize=4)
+def _branch_filter(basis: LabeledBasis, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted Gaussian branch-filter kernel over the basis grid and its row sums.
+
+    Cached per (basis, width): an emergence scan filters every pair over the
+    same basis.  Holds at most four d x d kernels; the arrays are read-only.
+    """
+    x = basis.eigenvalues
+    kern = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * smoothing**2))
+    kern *= basis.spacing_per_state()[np.newaxis, :]
+    norm = kern.sum(axis=1)
+    kern.flags.writeable = False
+    norm.flags.writeable = False
+    return kern, norm
 
 
 def _fit_halfwidth(profile: ActionProfile, idx: int) -> int:

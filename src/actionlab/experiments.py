@@ -426,6 +426,16 @@ def _config_basis(system: ModelSystem, name: str, field: str) -> LabeledBasis:
     return system.bases[name]
 
 
+def _config_packet(basis: LabeledBasis, spec: StateSpec, role: str,
+                   label: str | None = None) -> StateVector:
+    """``make_packet`` for a configured packet; a centre off the spectrum is a ConfigError."""
+    try:
+        return make_packet(basis, float(spec.packet_center), float(spec.packet_width),
+                           label=label)
+    except ValueError as err:
+        raise ConfigError(str(err), field=f"{role}.packet_center") from err
+
+
 def build_state(
     system: ModelSystem,
     spec: StateSpec,
@@ -452,8 +462,7 @@ def build_state(
         if system.name.startswith("ring") and role == "b" and spec.basis == "position":
             return ring_arrival_state(system, x, constants)
         return basis.state(idx, label=f"{spec.basis}={basis.eigenvalues[idx]:g}")
-    return make_packet(basis, float(spec.packet_center), float(spec.packet_width),
-                       label=f"{spec.basis}-packet@{spec.packet_center:g}")
+    return _config_packet(basis, spec, role, label=f"{spec.basis}-packet@{spec.packet_center:g}")
 
 
 def profile_smoothing_for(cfg: ExperimentConfig, system: ModelSystem, basis: LabeledBasis) -> float:
@@ -630,7 +639,7 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
                 "ring propagation needs a = {basis: 'energy', packet_center, packet_width}",
                 field="a",
             )
-        a = make_packet(basis, float(spec_a.packet_center), float(spec_a.packet_width))
+        a = _config_packet(basis, spec_a, "a")
         tau = cfg.propagation.tau
         evolved = DiagonalUnitary(basis, -basis.eigenvalues * tau / hbar)
         b = apply_diagonal(evolved, a)
@@ -702,7 +711,7 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
         })
     return ResultTable(
         name="propagation_time",
-        columns=_rows_to_columns(rows),
+        columns=_rows_to_columns(rows, PROPAGATION_COLUMNS),
         provenance=_provenance(cfg, "propagation_time"),
         hbar_power={"expected_gradient": 1, "t_peak": 1, "deviation": 1},
     )
@@ -718,6 +727,9 @@ EMERGENCE_COLUMNS = (
     "x_a", "x_b", "branch", "classical", "x_star", "deviation_spacings",
     "delta_x_m", "delta_n", "weak_value", "curvature", "found",
     "classically_allowed",
+)
+PROPAGATION_COLUMNS = (
+    "center", "window_width", "expected_gradient", "t_peak", "deviation", "peak_overlap",
 )
 
 

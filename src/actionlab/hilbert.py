@@ -2,14 +2,16 @@
 
 Complex state vectors, orthonormal labeled bases with real eigenvalue grids,
 diagonal phase unitaries, and a Hermitian eigensolver (LAPACK with a
-deterministic vector convention).  Everything is dense, double precision,
-and immutable after construction; all operations are pure functions, so
-objects can be shared freely between workers.
+deterministic vector convention).  Everything is double precision and
+immutable after construction; all operations are pure functions, so objects
+can be shared freely between workers.
 
 All amplitudes are stored in a fixed reference basis (the computational
-basis of the model).  A ``LabeledBasis`` is a set of d orthonormal vectors
+basis of the model).  A ``LabeledBasis`` is a set of orthonormal vectors
 expressed in that reference basis together with a strictly increasing grid
-of real eigenvalues x_m.
+of real eigenvalues x_m.  The reference basis itself is an identity basis
+that stores no matrix; every other basis holds its rows as a dense array.
+``expand`` and ``synthesize`` move amplitudes into and out of a basis.
 """
 
 from __future__ import annotations
@@ -88,54 +90,104 @@ class LabeledBasis:
     dimensions; a labeled orthonormal subset (for example one branch of a
     degenerate spectrum) is also allowed and spans a proper subspace, so
     expansions in it are not complete.
+
+    The constructor takes arbitrary rows and checks their Gram matrix.
+    ``identity``, ``fourier`` and ``subset`` build bases that are orthonormal
+    by construction and skip that O(n^2 d) check; an identity basis stores
+    no matrix at all.
     """
 
-    __slots__ = ("vectors", "eigenvalues", "spacing")
+    __slots__ = ("_rows", "eigenvalues", "spacing", "dim")
 
     def __init__(self, vectors, eigenvalues):
         mat = np.asarray(vectors, dtype=complex)
-        ev = np.asarray(eigenvalues, dtype=float)
         if mat.ndim != 2 or mat.shape[0] > mat.shape[1]:
             raise ValueError(
                 f"need n <= dim orthonormal row vectors, got shape {mat.shape}"
             )
-        n = mat.shape[0]
-        if n < 2:
-            raise ValueError("need at least 2 labeled states")
-        if ev.shape != (n,):
-            raise ValueError(f"need {n} eigenvalues, got shape {ev.shape}")
-        if not np.all(np.isfinite(ev)):
-            raise ValueError("eigenvalues contain non-finite entries")
-        spacing = np.diff(ev)
-        if np.any(spacing <= 0.0):
-            raise ValueError("eigenvalues must be strictly increasing")
+        ev, spacing = _labels(eigenvalues, mat.shape[0])
         dev = orthonormality_deviation(mat)
         if dev > ORTHONORMALITY_TOLERANCE:
             raise ValueError(
                 f"basis vectors not orthonormal: max Gram deviation {dev:.3e} "
                 f"exceeds {ORTHONORMALITY_TOLERANCE}"
             )
-        mat = mat.copy()
-        mat.flags.writeable = False
-        ev = ev.copy()
-        ev.flags.writeable = False
-        spacing.flags.writeable = False
-        object.__setattr__(self, "vectors", mat)
+        self._freeze(mat.copy(), ev, spacing, mat.shape[1])
+
+    @classmethod
+    def identity(cls, eigenvalues) -> LabeledBasis:
+        """The reference basis itself, labeled by ``eigenvalues``; no matrix is stored."""
+        return cls._orthonormal(None, eigenvalues, np.size(eigenvalues))
+
+    @classmethod
+    def fourier(cls, k, eigenvalues) -> LabeledBasis:
+        """Unitary DFT rows exp(2 pi i k_j n / N) / sqrt(N) over N = len(k) sites.
+
+        The integer wave numbers ``k`` must be distinct modulo N, which makes
+        the rows orthonormal.  The rows are built in one array with the ufunc
+        sequence of the out-of-place expression.
+        """
+        k = np.asarray(k)
+        n = k.size
+        if k.ndim != 1 or k.dtype.kind not in "iu" or np.unique(k % n).size != n:
+            raise ValueError("need distinct integer wave numbers modulo their count")
+        rows = np.empty((n, n), dtype=complex)
+        np.multiply.outer(k, np.arange(n), out=rows)
+        np.multiply(2j * np.pi, rows, out=rows)
+        np.divide(rows, n, out=rows)
+        np.exp(rows, out=rows)
+        np.divide(rows, np.sqrt(n), out=rows)
+        return cls._orthonormal(rows, eigenvalues, n)
+
+    def subset(self, rows, eigenvalues) -> LabeledBasis:
+        """States ``rows`` of this basis, in that order, relabeled by ``eigenvalues``.
+
+        Distinct rows of an orthonormal set are orthonormal, so there is no
+        Gram check; the rows are copied once.
+        """
+        idx = np.asarray(rows)
+        if idx.ndim != 1 or np.unique(idx).size != idx.size:
+            raise ValueError("subset rows must be distinct indices")
+        return type(self)._orthonormal(self.vectors[idx], eigenvalues, self.dim)
+
+    @classmethod
+    def _orthonormal(cls, rows, eigenvalues, dim: int) -> LabeledBasis:
+        """A basis on rows that are orthonormal by construction (None: the
+        identity); the labels are checked, the Gram matrix is not."""
+        ev, spacing = _labels(eigenvalues, dim if rows is None else rows.shape[0])
+        basis = object.__new__(cls)
+        basis._freeze(rows, ev, spacing, dim)
+        return basis
+
+    def _freeze(self, rows, ev, spacing, dim):
+        if rows is not None:
+            rows.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "eigenvalues", ev)
         object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "dim", dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledBasis is immutable")
 
     @property
-    def dim(self) -> int:
-        """Dimension of the underlying space."""
-        return self.vectors.shape[1]
+    def is_identity(self) -> bool:
+        """True for the reference basis, which stores no matrix."""
+        return self._rows is None
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Dense (n_states, dim) rows; an identity basis builds np.eye on each call."""
+        if self._rows is not None:
+            return self._rows
+        eye = np.eye(self.dim, dtype=complex)
+        eye.flags.writeable = False
+        return eye
 
     @property
     def n_states(self) -> int:
         """Number of labeled states (equals dim for a full basis)."""
-        return self.vectors.shape[0]
+        return self.eigenvalues.shape[0]
 
     @property
     def is_complete(self) -> bool:
@@ -143,7 +195,11 @@ class LabeledBasis:
 
     def state(self, k: int, label: str | None = None) -> StateVector:
         """Basis vector k as a StateVector."""
-        return StateVector(self.vectors[k], label=label)
+        if self._rows is not None:
+            return StateVector(self._rows[k], label=label)
+        unit = np.zeros(self.dim, dtype=complex)
+        unit[k] = 1.0
+        return StateVector(unit, label=label)
 
     def state_at(self, x: float, label: str | None = None) -> StateVector:
         """Basis vector whose eigenvalue is closest to x."""
@@ -165,6 +221,23 @@ class LabeledBasis:
     def __repr__(self):
         ev = self.eigenvalues
         return f"<LabeledBasis dim={self.dim} x=[{ev[0]:g}..{ev[-1]:g}]>"
+
+
+def _labels(eigenvalues, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of n strictly increasing finite labels and their spacings."""
+    ev = np.array(eigenvalues, dtype=float)
+    if n < 2:
+        raise ValueError("need at least 2 labeled states")
+    if ev.shape != (n,):
+        raise ValueError(f"need {n} eigenvalues, got shape {ev.shape}")
+    if not np.all(np.isfinite(ev)):
+        raise ValueError("eigenvalues contain non-finite entries")
+    spacing = np.diff(ev)
+    if np.any(spacing <= 0.0):
+        raise ValueError("eigenvalues must be strictly increasing")
+    ev.flags.writeable = False
+    spacing.flags.writeable = False
+    return ev, spacing
 
 
 class DiagonalUnitary:
@@ -201,10 +274,23 @@ def orthonormality_deviation(vectors) -> float:
 
 
 def expand(psi: StateVector, basis: LabeledBasis) -> np.ndarray:
-    """Amplitudes <m|psi> ordered by the basis eigenvalues."""
+    """Amplitudes <m|psi> ordered by the basis eigenvalues.
+
+    Dense bases compute conj(V conj(psi)), which equals conj(V) psi bit for
+    bit without a d x d conjugate copy of V.
+    """
     if psi.dim != basis.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {basis.dim}")
-    return basis.vectors.conj() @ psi.amplitudes
+    if basis.is_identity:
+        return psi.amplitudes.copy()
+    return np.conj(basis.vectors @ np.conj(psi.amplitudes))
+
+
+def synthesize(coeffs: np.ndarray, basis: LabeledBasis) -> np.ndarray:
+    """Reference-basis amplitudes of sum_m coeffs[m] |m>; the inverse of ``expand``."""
+    if basis.is_identity:
+        return coeffs
+    return basis.vectors.T @ coeffs
 
 
 def apply_diagonal(unitary: DiagonalUnitary, psi: StateVector) -> StateVector:
@@ -213,7 +299,7 @@ def apply_diagonal(unitary: DiagonalUnitary, psi: StateVector) -> StateVector:
     if psi.dim != basis.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {basis.dim}")
     coeffs = expand(psi, basis) * np.exp(1j * unitary.phases)
-    return StateVector(basis.vectors.T @ coeffs, label=psi.label)
+    return StateVector(synthesize(coeffs, basis), label=psi.label)
 
 
 def frame_shift(

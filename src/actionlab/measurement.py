@@ -212,11 +212,17 @@ def joint_distribution(
     if a.dim != inter.dim or final_basis.dim != inter.dim:
         raise ValueError("dimension mismatch between state, bases and operators")
     amps_a = expand(a, inter)
-    # <b_k|m> = conj(<m|b_k>); rows b, columns m.
-    overlaps = final_basis.vectors.conj() @ inter.vectors.T
-    amp = (ops.sqrt_table * amps_a[np.newaxis, :]) @ overlaps.T
+    weighted = ops.sqrt_table * amps_a[np.newaxis, :]
+    if inter.is_identity:
+        # <b_k|m> is conj(F)[k, m]; conj(conj(Y) F^T) equals Y conj(F)^T bit
+        # for bit and skips the product with the identity.
+        amp = np.conj(np.conj(weighted) @ final_basis.vectors.T)
+    else:
+        # <b_k|m> = conj(<m|b_k>); rows b, columns m.
+        overlaps = final_basis.vectors.conj() @ inter.vectors.T
+        amp = weighted @ overlaps.T
     table = np.abs(amp) ** 2
-    baseline = np.abs(final_basis.vectors.conj() @ a.amplitudes) ** 2
+    baseline = np.abs(expand(a, final_basis)) ** 2
     marginal_b = table.sum(axis=0)
     safe = np.where(marginal_b > 0.0, marginal_b, 1.0)
     conditional = table / safe[np.newaxis, :]

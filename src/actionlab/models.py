@@ -36,6 +36,7 @@ from .hilbert import (
     apply_diagonal,
     hermitian_eigen,
     orthonormality_deviation,
+    synthesize,
 )
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def qubit_system() -> ModelSystem:
     """Two-level system with hand-built mutually unbiased x, y, z bases (cached)."""
     s = 1.0 / np.sqrt(2.0)
     ev = np.array([-0.5, 0.5])
-    z = LabeledBasis(np.eye(2), ev)
+    z = LabeledBasis.identity(ev)
     x = LabeledBasis(np.array([[s, -s], [s, s]]), ev)
     y = LabeledBasis(np.array([[s, 1j * s], [1j * s, s]]), ev)
     oracle = ClassicalOracle("spin_cone", (("j", 0.5),))
@@ -166,7 +167,7 @@ def spin_system(j: float) -> ModelSystem:
     d = _dimension_for(j)
     jx, jy, _ = angular_momentum_matrices(j)
     mgrid = -j + np.arange(d)
-    z = LabeledBasis(np.eye(d), mgrid)
+    z = LabeledBasis.identity(mgrid)
     x = hermitian_eigen(jx)
     vy = _canonical_phases((x.vectors * np.exp(-0.5j * np.pi * mgrid)).T)
     _check_residual(jy, x.eigenvalues, vy)
@@ -186,18 +187,19 @@ def ring_system(
     Fourier basis with centered indices, eigenvalues p_k = 2 pi hbar k / L,
     so momenta are signed and ordered.  Kinetic energies E_k = p_k^2 / 2M are
     recorded per momentum state in ``metadata``-adjacent arrays via
-    ``ring_energies``.  Cached, so the O(N^3) basis check runs once per ring.
+    ``ring_energies``.  Position is the identity basis and momentum a unitary
+    DFT, so neither needs a Gram check.  Cached, so the O(N^2) momentum rows
+    are built once per ring.
     """
     n = params.sites
     length = params.circumference
     hbar = constants.hbar
     x_n = np.arange(n) * (length / n)
-    position = LabeledBasis(np.eye(n), x_n)
+    position = LabeledBasis.identity(x_n)
     k = _centered_indices(n)
     p_k = 2.0 * np.pi * hbar * k / length
     # |p_k> amplitudes at site n: exp(i p_k x_n / hbar) / sqrt(N)
-    phases = np.exp(2j * np.pi * np.outer(k, np.arange(n)) / n)
-    momentum = LabeledBasis(phases / np.sqrt(n), p_k)
+    momentum = LabeledBasis.fourier(k, p_k)
     oracle = ClassicalOracle(
         "free_momentum",
         (
@@ -264,8 +266,7 @@ def positive_energy_basis(system: ModelSystem) -> LabeledBasis:
     if int(np.sum(keep)) < 3:
         raise ValueError("ring too small for a positive-momentum energy basis")
     order = np.argsort(energies[keep], kind="stable")
-    vectors = momentum.vectors[keep][order]
-    return LabeledBasis(vectors, energies[keep][order])
+    return momentum.subset(np.flatnonzero(keep)[order], energies[keep][order])
 
 
 def make_packet(
@@ -301,4 +302,4 @@ def make_packet(
     expo = -((ev - center) ** 2) / (4.0 * width * width)
     amp = np.exp(expo - np.max(expo))
     amp /= np.linalg.norm(amp)
-    return StateVector(basis.vectors.T @ amp.astype(complex), label=label)
+    return StateVector(synthesize(amp.astype(complex), basis), label=label)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actionlab.action import (
+    _branch_filter,
     _segments_of,
     action_phase,
     action_profile,
@@ -110,6 +113,25 @@ class TestActionProfile:
         a, b = spin_pair(spin50, 25.0, 25.0)
         prof = action_profile(a, spin50.basis("z"), b)
         assert abs(np.sum(prof.amp_product_bare) - inner(b, a)) < 1e-14
+
+    def test_branch_filter_cached_with_unchanged_profiles(self, spin20):
+        a, b = spin_pair(spin20, 10.0, 10.0)
+        z = spin20.basis("z")
+        first = action_profile(a, z, b, smoothing=2.0)
+        hits = _branch_filter.cache_info().hits
+        second = action_profile(a, z, b, smoothing=2.0)
+        assert _branch_filter.cache_info().hits == hits + 1
+        for f in dataclasses.fields(first):
+            one, two = getattr(first, f.name), getattr(second, f.name)
+            if isinstance(one, np.ndarray):
+                assert np.array_equal(one, two, equal_nan=True), f.name
+            else:
+                assert one == two, f.name
+        # Oracle: the kernel built inline, as before it was cached.
+        x = z.eigenvalues
+        kern = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * 2.0**2))
+        kern *= z.spacing_per_state()[np.newaxis, :]
+        assert np.array_equal(first.amp_product, (kern @ first.amp_product_bare) / kern.sum(axis=1))
 
     def test_spin50_gradient_sign_change_near_oracle(self, spin50):
         # Brute-force profile against the classical cone-intersection oracle.

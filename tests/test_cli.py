@@ -141,6 +141,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # A packet centre that passes the field rules but lies off the built
+    # model's spectrum: via the ring propagation runner and via build_state.
+    @pytest.mark.parametrize("command, base, path, value", [
+        ("propagate", RING_PROPAGATION_CFG, "model.mass", 16),
+        ("profile", SPIN_CFG, "a", {"basis": "z", "packet_center": 25.0, "packet_width": 2.0}),
+    ])
+    def test_packet_off_spectrum_reports_field(self, tmp_path, capsys, command, base, path,
+                                               value):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(mutated(base, path, value)))
+        out = tmp_path / "out"
+        assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: a.packet_center: packet center" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, field", [
         (["--seed", "-1"], "--seed"),
         # Seeds from 2**32 up would reuse the Philox keys of smaller seeds.

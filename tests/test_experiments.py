@@ -236,6 +236,20 @@ class TestPropagation:
                 assert np.sign(by_center[ci][0]) != np.sign(by_center[co][0])
                 assert np.sign(by_center[ci][1]) != np.sign(by_center[co][1])
 
+    def test_no_centers_gives_header_only_table(self):
+        cfg = cfg_of({
+            "model": {"name": "ring", "sites": 256, "circumference": 256.0,
+                      "mass": 1.0, "flight_time": 20.0},
+            "a": {"basis": "energy", "packet_center": 0.5, "packet_width": 0.1},
+            "b": {"basis": "position", "eigenvalue": 0.0},
+            "intermediate": "momentum",
+            "propagation": {"tau": 5.0, "centers": []},
+        })
+        table = run_propagation_time_experiment(cfg)
+        body = [line for line in table.to_csv().splitlines() if not line.startswith("#")]
+        assert table.n_rows == 0
+        assert body == ["center,window_width,expected_gradient,t_peak,deviation,peak_overlap"]
+
     def test_boundary_peak_raises(self):
         cfg = cfg_of({
             "model": {"name": "ring", "sites": 256, "circumference": 256.0,

@@ -14,14 +14,21 @@ roundoff of the O(1) ``t_peak`` it is computed from.
 
 The references are regenerated only on purpose; ``scripts/run_all_experiments.py``
 writes its tables to ``out/``, which is not tracked.
+
+The benchmark's default-seed commands are also run here, in-process, against
+the benchmark's own output checks and reference tables (``perfbench/``, read
+only), so a roundoff change that the benchmark would count as wrong rows
+fails the suite first.
 """
 
+import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from actionlab.cli import load_config
+from actionlab.cli import dispatch, load_config
 from actionlab.experiments import (
     run_emergence_experiment,
     run_invariant_suite,
@@ -32,7 +39,20 @@ from actionlab.experiments import (
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+BENCH = ROOT / "perfbench"
 FLOAT_TOLERANCE = 1e-12
+
+
+def _bench_module(name: str):
+    """A module of ``perfbench/``, loaded from its file without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _bench_module("checks")
+workloads = _bench_module("workloads")
 
 RUNNERS = {
     "qubit_profile": run_profile,
@@ -70,3 +90,18 @@ def test_bundled_config_matches_golden(stem):
 
 def test_invariant_suite_matches_golden():
     assert_matches_golden(run_invariant_suite("all", seed=20260808), GOLDEN / "invariants.csv")
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_benchmark_workload_matches_reference(workload, tmp_path):
+    for index, (command, config) in enumerate(
+            workloads.commands(workload, workloads.DEFAULT_SEED)):
+        name = f"{index}-{command}"
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        assert dispatch([command, "--config", str(path), "--out", str(tmp_path / name),
+                         "--quiet"]) == 0
+        rows = checks.read_table(tmp_path / name / checks.TABLE_FILES[command])
+        assert checks.check_command(command, rows, config) == []
+        reference = BENCH / "reference" / workload / f"{name}.csv"
+        assert checks.compare_reference(command, rows, reference) == []

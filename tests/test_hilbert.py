@@ -15,8 +15,11 @@ from actionlab.hilbert import (
     frame_shift,
     hermitian_eigen,
     inner,
+    orthonormality_deviation,
     random_state,
+    synthesize,
 )
+from actionlab.models import positive_energy_basis
 from conftest import haar_basis, jacobi_eigh
 
 SQRT2 = np.sqrt(2.0)
@@ -245,6 +248,75 @@ class TestLabeledBasis:
         with pytest.raises(ValueError):
             PhysicalConstants(hbar=0.0)
         assert PhysicalConstants(hbar=2.0).hbar == 2.0
+
+
+class TestStructuredBases:
+    """Identity, DFT and subset bases skip work the dense constructor does;
+    these oracles redo it."""
+
+    @pytest.fixture(params=["spin20-x", "spin20-y", "spin20-z", "qubit-z",
+                            "ring256-momentum", "ring256-position", "ring256-positive-energy"])
+    def basis(self, request, spin20, qubit, ring256):
+        system, name = request.param.split("-", 1)
+        if name == "positive-energy":
+            return positive_energy_basis(ring256)
+        return {"spin20": spin20, "qubit": qubit, "ring256": ring256}[system].basis(name)
+
+    def test_expand_bitwise_equals_conjugate_product(self, basis):
+        # Identity bases are checked against np.eye, dense ones against their rows.
+        rows = np.eye(basis.dim, dtype=complex) if basis.is_identity else basis.vectors
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            psi = random_state(basis.dim, rng)
+            got = expand(psi, basis)
+            assert np.array_equal(got.view(float), (rows.conj() @ psi.amplitudes).view(float))
+
+    def test_synthesis_bitwise_equals_transpose_product(self, basis):
+        rows = np.eye(basis.dim, dtype=complex) if basis.is_identity else basis.vectors
+        rng = np.random.default_rng(9)
+        coeffs = rng.normal(size=basis.n_states) + 1j * rng.normal(size=basis.n_states)
+        assert np.array_equal(synthesize(coeffs, basis).view(float),
+                              (rows.T @ coeffs).view(float))
+
+    def test_identity_stores_no_matrix(self, spin20):
+        z = spin20.basis("z")
+        assert z.is_identity and z.dim == z.n_states == 41
+        assert np.array_equal(z.vectors, np.eye(41))
+        assert not z.vectors.flags.writeable
+        assert np.array_equal(z.state(7).amplitudes, np.eye(41)[7])
+        with pytest.raises(ValueError, match="increasing"):
+            LabeledBasis.identity([0.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("n", [2, 3, 256, 401])
+    def test_fourier_rows_orthonormal_and_equal_to_direct_formula(self, n):
+        # The Gram check the constructor no longer runs.
+        k = np.arange(n) - n // 2
+        basis = LabeledBasis.fourier(k, k.astype(float))
+        assert orthonormality_deviation(basis.vectors) <= 1e-10
+        direct = np.exp(2j * np.pi * np.outer(k, np.arange(n)) / n) / np.sqrt(n)
+        assert np.array_equal(basis.vectors.view(float), direct.view(float))
+
+    @pytest.mark.parametrize("k", [np.array([0, 2]), np.array([0.0, 1.0]), np.array([[0, 1]])])
+    def test_fourier_rejects_non_distinct_or_non_integer_wave_numbers(self, k):
+        with pytest.raises(ValueError, match="wave numbers"):
+            LabeledBasis.fourier(k, [0.0, 1.0])
+
+    def test_subset_keeps_requested_rows_and_labels(self, spin20):
+        x = spin20.basis("x")
+        sub = x.subset([5, 2, 9], [0.0, 1.0, 2.5])
+        assert sub.dim == 41 and sub.n_states == 3
+        assert np.array_equal(sub.vectors, x.vectors[[5, 2, 9]])
+        assert np.array_equal(sub.eigenvalues, [0.0, 1.0, 2.5])
+        assert not sub.vectors.flags.writeable
+
+    @pytest.mark.parametrize("rows, labels, match", [
+        ([5, 2, 9], [0.0, 2.0, 1.0], "increasing"),
+        ([5, 2], [0.0, 1.0, 2.0], "eigenvalues"),
+        ([5, 5, 9], [0.0, 1.0, 2.0], "distinct"),
+    ])
+    def test_subset_rejects_bad_rows_or_labels(self, spin20, rows, labels, match):
+        with pytest.raises(ValueError, match=match):
+            spin20.basis("x").subset(rows, labels)
 
 
 class TestEigensolverStress:

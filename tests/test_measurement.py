@@ -168,6 +168,20 @@ class TestJointDistribution:
         textbook = overlaps.T * amps[:, np.newaxis]
         assert np.max(np.abs(joint.table - textbook)) < 1e-10
 
+    def test_identity_intermediate_bitwise_equals_dense_formula(self, spin20, spin20_profile):
+        # The dense formula multiplies by the materialized identity; the
+        # identity path skips that product and must not move a bit.
+        a, _, _ = spin20_profile
+        z, y = spin20.basis("z"), spin20.basis("y")
+        ops = build_measurement(gaussian_kernel(z, 3.0), z)
+        weighted = ops.sqrt_table * expand(a, z)[np.newaxis, :]
+        dense_amp = weighted @ (y.vectors.conj() @ z.vectors.T).T
+        assert np.array_equal(np.conj(np.conj(weighted) @ y.vectors.T).view(float),
+                              dense_amp.view(float))
+        joint = joint_distribution(a, y, ops)
+        assert np.array_equal(joint.table, np.abs(dense_amp) ** 2)
+        assert np.array_equal(joint.baseline, np.abs(y.vectors.conj() @ a.amplitudes) ** 2)
+
     def test_weak_limit_monotone_disturbance(self, spin20, spin20_profile):
         a, b, prof = spin20_profile
         z = spin20.basis("z")
