@@ -10,12 +10,10 @@ the CSV tables.
 
 import argparse
 
-import numpy as np
-
 from actionlab.action import action_profile, stationary_points
 from actionlab.experiments import (
-    SPIN_PROFILE_SMOOTHING_SPACINGS,
     config_from_dict,
+    profile_smoothing_for,
     run_resolution_sweep,
 )
 from actionlab.models import spin_system
@@ -28,12 +26,18 @@ def main():
     parser.add_argument("--xb", type=float, default=10.0)
     args = parser.parse_args()
 
+    cfg, _ = config_from_dict({
+        "model": {"name": "spin", "j": args.j},
+        "a": {"basis": "x", "eigenvalue": args.xa},
+        "b": {"basis": "y", "eigenvalue": args.xb},
+        "intermediate": "z",
+        "seed": 20260808,
+    })
     system = spin_system(args.j)
     a = system.basis("x").state_at(args.xa)
     b = system.basis("y").state_at(args.xb)
     z = system.basis("z")
-    smoothing = SPIN_PROFILE_SMOOTHING_SPACINGS * float(np.median(z.spacing))
-    profile = action_profile(a, z, b, smoothing=smoothing)
+    profile = action_profile(a, z, b, smoothing=profile_smoothing_for(cfg, system, z))
     points = stationary_points(profile)
     oracle = system.classical_oracle.predict(args.xa, args.xb)
 
@@ -54,13 +58,6 @@ def main():
     if not points:
         return
 
-    cfg, _ = config_from_dict({
-        "model": {"name": "spin", "j": args.j},
-        "a": {"basis": "x", "eigenvalue": args.xa},
-        "b": {"basis": "y", "eigenvalue": args.xb},
-        "intermediate": "z",
-        "seed": 20260808,
-    })
     table = run_resolution_sweep(cfg)
     print("  resolution sweep (units of dx_m):")
     for i in range(table.n_rows):

@@ -60,6 +60,7 @@ from .measurement import (
 from .models import (
     ModelSystem,
     RingParameters,
+    angular_momentum_matrices,
     make_packet,
     positive_energy_basis,
     qubit_system,
@@ -782,6 +783,12 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
     spin50 = spin_system(50.0)
     ring = ring_system(RingParameters(256, 256.0, 1.0, 20.0))
     ring_big = ring_system(RingParameters(401, 401.0, 1.0, 20.0))
+    jx50, jy50, _ = angular_momentum_matrices(50.0)
+    if selected("action") or selected("measurement"):
+        # The branch-filtered spin-50 x -> y profile over z, shared by both sections.
+        prof50 = action_profile(spin50.basis("x").state_at(25.0), spin50.basis("z"),
+                                spin50.basis("y").state_at(25.0), smoothing=2.0)
+        pts50 = stationary_points(prof50)
 
     if selected("hilbert"):
         rng = philox_stream(seed, 1)
@@ -805,10 +812,7 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         psi = random_state(spin50.dimension, rng)
         record("hilbert.parseval.spin50",
                abs(np.sum(np.abs(expand(psi, spin50.basis("x"))) ** 2) - 1.0), 1e-12)
-        from .models import angular_momentum_matrices
-
-        jx, jy, _ = angular_momentum_matrices(50.0)
-        for label, mat, bname in (("jx", jx, "x"), ("jy", jy, "y")):
+        for label, mat, bname in (("jx", jx50, "x"), ("jy", jy50, "y")):
             basis = spin50.basis(bname)
             resid = np.max(np.abs(mat @ basis.vectors.T - basis.vectors.T * basis.eigenvalues))
             record(f"hilbert.eigen_residual.spin50_{label}", float(resid), 1e-9)
@@ -817,13 +821,10 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         for label, system in (("qubit", qubit), ("spin20", spin20),
                               ("spin50", spin50), ("ring256", ring)):
             record(f"models.orthonormality.{label}", system.change_of_basis_residual(), 1e-10)
-        from .models import angular_momentum_matrices
-
-        jx, _, _ = angular_momentum_matrices(50.0)
         bx = spin50.basis("x")
         rebuilt = (bx.vectors.T * bx.eigenvalues) @ bx.vectors.conj()
         record("models.tridiagonal_reconstruction.spin50",
-               float(np.max(np.abs(rebuilt - jx))), 1e-9)
+               float(np.max(np.abs(rebuilt - jx50))), 1e-9)
         mom = ring.basis("momentum")
         rng = philox_stream(seed, 4)
         psi = random_state(ring.dimension, rng)
@@ -872,11 +873,8 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
             for _ in range(1000)
         )
         record("action.triangle_maximality.spin10", best_random - achieved, 0.0, larger_fails=True)
-        prof50 = action_profile(spin50.basis("x").state_at(25.0), spin50.basis("z"),
-                                spin50.basis("y").state_at(25.0), smoothing=2.0)
-        sl = slice(*[(lo, hi) for lo, hi in
-                     [(int(np.where(prof50.segment_id == 0)[0][0]),
-                       int(np.where(prof50.segment_id == 0)[0][-1] + 1))]][0])
+        seg0 = np.flatnonzero(prof50.segment_id == 0)
+        sl = slice(int(seg0[0]), int(seg0[-1]) + 1)
         raw = prof50.s_raw[sl]
         twopi = 2.0 * np.pi * prof50.hbar
         anchor = int(np.argmax(prof50.magnitude[sl]))
@@ -887,8 +885,7 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
             other -= twopi * np.round((other[anchor] - raw[anchor]) / twopi)
             worst = max(worst, float(np.max(np.abs(other - base))))
         record("action.unwrap_anchor_independence.spin50", worst, 1e-12)
-        pts = stationary_points(prof50)
-        dom = pts[0]
+        dom = pts50[0]
         record("action.cross_route_dn_wv.spin50",
                abs(dom.delta_n * dom.weak_value_magnitude - 1.0), 0.1)
 
@@ -932,9 +929,6 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         record("measurement.selection_moderate.spin20",
                float(np.min(np.abs(np.array([p.x_star for p in pts]) - argmax))),
                2.0 * float(np.max(z20.spacing)), larger_fails=False)
-        prof50 = action_profile(spin50.basis("x").state_at(25.0), spin50.basis("z"),
-                                spin50.basis("y").state_at(25.0), smoothing=2.0)
-        pts50 = stationary_points(prof50)
         dom = [p for p in pts50 if p.x_star > 0][0]
         delta = 0.3 * dom.delta_x_m
         kern = gaussian_kernel(spin50.basis("z"), delta)

@@ -11,7 +11,8 @@ basis of the model).  A ``LabeledBasis`` is a set of orthonormal vectors
 expressed in that reference basis together with a strictly increasing grid
 of real eigenvalues x_m.  The reference basis itself is an identity basis
 that stores no matrix; every other basis holds its rows as a dense array.
-``expand`` and ``synthesize`` move amplitudes into and out of a basis.
+``expand`` and ``synthesize`` move amplitudes into and out of a basis;
+``change_basis`` carries coefficient rows from one basis to another.
 """
 
 from __future__ import annotations
@@ -291,6 +292,19 @@ def synthesize(coeffs: np.ndarray, basis: LabeledBasis) -> np.ndarray:
     if basis.is_identity:
         return coeffs
     return basis.vectors.T @ coeffs
+
+
+def change_basis(rows: np.ndarray, source: LabeledBasis, target: LabeledBasis) -> np.ndarray:
+    """Amplitudes in ``target`` of the vectors whose ``source`` coefficients are ``rows``.
+
+    Row i of the result holds <t_k|v_i> with |v_i> = sum_m rows[i, m] |s_m>.
+    A dense target takes conj(conj(R) T^T), bitwise R conj(T)^T without a
+    conjugate copy of T; identity bases skip their product altogether.
+    """
+    ref = rows if source.is_identity else rows @ source.vectors
+    if target.is_identity:
+        return ref
+    return np.conj(np.conj(ref) @ target.vectors.T)
 
 
 def apply_diagonal(unitary: DiagonalUnitary, psi: StateVector) -> StateVector:

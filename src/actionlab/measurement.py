@@ -5,10 +5,11 @@ conditional probabilities P(r|x_m) of obtaining outcome r when the system
 sits at x_m.  The minimal-decoherence implementation applies the diagonal
 operator with entries sqrt(P(r|x_m)); anything noisier adds decoherence the
 statistics do not require.  This module builds resolution kernels, the
-operator sets, exact joint outcome statistics, disturbance and factorization
-metrics, the slow-kernel (non-disturbance) condition, and the
-high-resolution regime where the measurement resolves the action gradient
-instead of the intermediate value.
+operator sets, exact joint outcome statistics (one P(r, b|a) table, with
+the disturbance and factorization metrics read off it once), the
+slow-kernel (non-disturbance) condition, and the high-resolution regime
+where the measurement resolves the action gradient instead of the
+intermediate value.
 """
 
 from __future__ import annotations
@@ -25,11 +26,16 @@ from .hilbert import (
     LabeledBasis,
     PhysicalConstants,
     StateVector,
+    change_basis,
     expand,
 )
 
 KERNEL_COMPLETENESS_TOLERANCE = 1e-12
 POVM_TOLERANCE = 1e-10
+# Slow-kernel condition: max |P''| / (S''/(2 pi hbar)) must stay below this.
+NONDISTURBANCE_THRESHOLD = 0.1
+# Least-action regime: 1/delta_x_r at least this factor below |S'|/hbar.
+REGIME_GUARD_BAND = 10.0
 
 
 class ResolutionKernel:
@@ -74,17 +80,6 @@ class ResolutionKernel:
     def n_states(self) -> int:
         return self.table.shape[1]
 
-    def to_columns(self) -> dict[str, np.ndarray]:
-        r_idx, m_idx = np.meshgrid(
-            np.arange(self.n_outcomes), np.arange(self.n_states), indexing="ij"
-        )
-        return {
-            "r_index": r_idx.ravel(),
-            "m_index": m_idx.ravel(),
-            "x_r": self.r_grid[r_idx.ravel()],
-            "P_r_given_m": self.table.ravel(),
-        }
-
 
 def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> ResolutionKernel:
     """Gaussian resolution kernel on the basis eigenvalue grid.
@@ -95,8 +90,8 @@ def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> ResolutionKernel:
     then renormalized so completeness holds exactly despite edge truncation.
     """
     raw = gaussian_kernel_raw(basis, delta_x_r)
-    table = raw / raw.sum(axis=0, keepdims=True)
-    return ResolutionKernel(basis.eigenvalues, table, resolution=delta_x_r)
+    raw /= raw.sum(axis=0, keepdims=True)
+    return ResolutionKernel(basis.eigenvalues, raw, resolution=delta_x_r)
 
 
 def gaussian_kernel_raw(basis: LabeledBasis, delta_x_r: float) -> np.ndarray:
@@ -120,7 +115,7 @@ def projective_kernel(basis: LabeledBasis) -> ResolutionKernel:
 class MeasurementOperatorSet:
     """Minimal-decoherence operators M(r), diagonal in the intermediate basis."""
 
-    __slots__ = ("basis", "kernel", "sqrt_table")
+    __slots__ = ("basis", "kernel", "sqrt_table", "_deviation")
 
     def __init__(self, basis: LabeledBasis, kernel: ResolutionKernel):
         if kernel.n_states != basis.n_states:
@@ -135,6 +130,7 @@ class MeasurementOperatorSet:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "sqrt_table", sqrt_table)
+        object.__setattr__(self, "_deviation", dev)
 
     def __setattr__(self, name, value):
         raise AttributeError("MeasurementOperatorSet is immutable")
@@ -145,7 +141,7 @@ class MeasurementOperatorSet:
 
     def completeness_deviation(self) -> float:
         """Max elementwise deviation of sum_r M(r)^dag M(r) from identity."""
-        return float(np.max(np.abs((self.sqrt_table**2).sum(axis=0) - 1.0)))
+        return self._deviation
 
     def amplitude(self, a: StateVector, b: StateVector) -> np.ndarray:
         """<b|M(r)|a> for every outcome r."""
@@ -163,23 +159,25 @@ def build_measurement(kernel: ResolutionKernel, basis: LabeledBasis) -> Measurem
 class JointDistribution:
     """Exact joint statistics P(r, b|a) of an intermediate-plus-final sequence.
 
-    ``disturbance_per_b`` holds |sum_r P(r,b|a) - P(b|a)| per final outcome;
-    ``total_variation`` is half their sum (the standard distance between the
-    r-marginalized final distribution and the undisturbed baseline).
-    ``factorization_residual`` measures how far the joint is from
-    P(r|a,b) P(b|a), the hallmark of a disturbance-free measurement.
+    ``table`` is the one d x d array; the per-b quantities derive from it.
+    ``total_variation`` is half the summed |sum_r P(r,b|a) - P(b|a)|, the
+    standard distance between the r-marginalized final distribution and the
+    undisturbed baseline.  ``factorization_residual`` measures how far the
+    joint is from P(r|a,b) P(b|a), the hallmark of a disturbance-free
+    measurement.
     """
 
     r_grid: np.ndarray
     b_grid: np.ndarray
     table: np.ndarray              # P(r, b | a)
     baseline: np.ndarray           # P(b | a) without measurement
-    marginal_b: np.ndarray         # sum_r P(r, b | a)
-    conditional: np.ndarray        # P(r | a, b)
-    factorized: np.ndarray         # P(r | a, b) P(b | a)
-    disturbance_per_b: np.ndarray
     total_variation: float
     factorization_residual: float
+
+    @property
+    def marginal_b(self) -> np.ndarray:
+        """sum_r P(r, b | a) per final outcome."""
+        return self.table.sum(axis=0)
 
     @property
     def total_probability(self) -> float:
@@ -187,58 +185,38 @@ class JointDistribution:
 
     def conditional_argmax(self, b_index: int) -> float:
         """Outcome x_r maximizing P(r|a,b) for one final outcome."""
-        return float(self.r_grid[int(np.argmax(self.conditional[:, b_index]))])
-
-    def to_columns(self) -> dict[str, np.ndarray]:
-        r_idx, b_idx = np.meshgrid(
-            np.arange(len(self.r_grid)), np.arange(len(self.b_grid)), indexing="ij"
-        )
-        rr, bb = r_idx.ravel(), b_idx.ravel()
-        return {
-            "x_r": self.r_grid[rr],
-            "x_b": self.b_grid[bb],
-            "P_rb": self.table[rr, bb],
-            "baseline": self.baseline[bb],
-            "factorized": self.factorized[rr, bb],
-            "residual": (self.table - self.factorized)[rr, bb],
-        }
+        norm = self.marginal_b[b_index]
+        col = self.table[:, b_index] / (norm if norm > 0.0 else 1.0)
+        return float(self.r_grid[int(np.argmax(col))])
 
 
 def joint_distribution(
     a: StateVector, final_basis: LabeledBasis, ops: MeasurementOperatorSet
 ) -> JointDistribution:
-    """P(r,b|a) = |<b|M(r)|a>|^2 over all outcomes and final states."""
+    """P(r,b|a) = |<b|M(r)|a>|^2 over all outcomes and final states.
+
+    Row r of sqrt(P(r|x_m)) <m|a> holds the intermediate coefficients of
+    M(r)|a>; ``change_basis`` carries them into the final basis.
+    """
     inter = ops.basis
     if a.dim != inter.dim or final_basis.dim != inter.dim:
         raise ValueError("dimension mismatch between state, bases and operators")
-    amps_a = expand(a, inter)
-    weighted = ops.sqrt_table * amps_a[np.newaxis, :]
-    if inter.is_identity:
-        # <b_k|m> is conj(F)[k, m]; conj(conj(Y) F^T) equals Y conj(F)^T bit
-        # for bit and skips the product with the identity.
-        amp = np.conj(np.conj(weighted) @ final_basis.vectors.T)
-    else:
-        # <b_k|m> = conj(<m|b_k>); rows b, columns m.
-        overlaps = final_basis.vectors.conj() @ inter.vectors.T
-        amp = weighted @ overlaps.T
-    table = np.abs(amp) ** 2
+    weighted = ops.sqrt_table * expand(a, inter)[np.newaxis, :]
+    table = np.abs(change_basis(weighted, inter, final_basis)) ** 2
     baseline = np.abs(expand(a, final_basis)) ** 2
     marginal_b = table.sum(axis=0)
     safe = np.where(marginal_b > 0.0, marginal_b, 1.0)
-    conditional = table / safe[np.newaxis, :]
-    factorized = conditional * baseline[np.newaxis, :]
-    disturbance = np.abs(marginal_b - baseline)
+    # P(r|a,b) P(b|a) - P(r,b|a), built in one temporary.
+    residual = table / safe[np.newaxis, :]
+    residual *= baseline[np.newaxis, :]
+    residual -= table
     return JointDistribution(
         r_grid=ops.kernel.r_grid.copy(),
         b_grid=final_basis.eigenvalues.copy(),
         table=table,
         baseline=baseline,
-        marginal_b=marginal_b,
-        conditional=conditional,
-        factorized=factorized,
-        disturbance_per_b=disturbance,
-        total_variation=0.5 * float(disturbance.sum()),
-        factorization_residual=float(np.max(np.abs(table - factorized))),
+        total_variation=0.5 * float(np.abs(marginal_b - baseline).sum()),
+        factorization_residual=float(np.max(np.abs(residual))),
     )
 
 
@@ -264,7 +242,6 @@ def nondisturbance_check(
     profile: ActionProfile,
     points: list[StationaryPoint],
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    threshold: float = 0.1,
 ) -> SlowKernelReport:
     """Evaluate the slow-kernel condition around the stationary regions.
 
@@ -272,7 +249,9 @@ def nondisturbance_check(
     one of the profile's stationary ``points`` (that is where contributions
     survive and the separation argument must hold), intersected with points
     of finite action curvature (all of them when ``points`` is empty).
-    Kernel curvature is differenced along x_m for every outcome row.
+    Kernel curvature is differenced along x_m for every outcome row, on the
+    support columns only; the edge columns take their neighbour's value.
+    The check passes when the ratio stays under NONDISTURBANCE_THRESHOLD.
     """
     x = profile.x_grid
     finite_curv = np.isfinite(profile.curvature)
@@ -285,22 +264,22 @@ def nondisturbance_check(
         support = finite_curv
     n_support = int(support.sum())
     if n_support == 0:
-        return SlowKernelReport(np.nan, threshold, False, 0)
+        return SlowKernelReport(np.nan, NONDISTURBANCE_THRESHOLD, False, 0)
     scurv = np.abs(profile.curvature[support]) / (2.0 * np.pi * constants.hbar)
     if not np.all(scurv):
         # A flat action (S'' = 0) gives no curvature scale to separate against.
-        return SlowKernelReport(np.inf, threshold, False, n_support)
-    # Second derivative of each kernel row along the eigenvalue grid.
-    table = kernel.table
-    pcurv = np.empty_like(table)
-    pcurv[:, 1:-1] = np.abs(np.diff(table, 2, axis=1)) / (
-        profile.spacing[1:-1] ** 2
+        return SlowKernelReport(np.inf, NONDISTURBANCE_THRESHOLD, False, n_support)
+    # Second difference of each kernel row at the support columns c, with
+    # the ufunc sequence of np.diff(table, 2, axis=1); the edge columns are
+    # clipped onto their neighbour.
+    t = kernel.table
+    c = np.clip(np.flatnonzero(support), 1, profile.dim - 2)
+    pcurv = np.abs((t[:, c + 1] - t[:, c]) - (t[:, c] - t[:, c - 1])) / (
+        profile.spacing[c] ** 2
     )
-    pcurv[:, 0] = pcurv[:, 1]
-    pcurv[:, -1] = pcurv[:, -2]
-    ratios = pcurv[:, support] / scurv[np.newaxis, :]
-    max_ratio = float(np.max(ratios))
-    return SlowKernelReport(max_ratio, threshold, bool(max_ratio < threshold), n_support)
+    max_ratio = float(np.max(pcurv / scurv[np.newaxis, :]))
+    passed = bool(max_ratio < NONDISTURBANCE_THRESHOLD)
+    return SlowKernelReport(max_ratio, NONDISTURBANCE_THRESHOLD, passed, n_support)
 
 
 class Regime(enum.Enum):
@@ -316,13 +295,12 @@ def regime_classifier(
     profile: ActionProfile,
     r_value: float,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    guard_band: float = 10.0,
 ) -> Regime:
     """Classify outcome r by comparing 1/delta_x_r with |dS/dx|/hbar there.
 
     Quantum regime when the resolution exceeds the gradient scale (the least
-    action approximation fails), least-action when it is at least a guard
-    band below it, boundary in between.  A projective kernel is always
+    action approximation fails), least-action when it is at least
+    REGIME_GUARD_BAND below it, boundary in between.  A projective kernel is always
     quantum.
     """
     if kernel.resolution <= 0.0:
@@ -331,7 +309,7 @@ def regime_classifier(
     inv_res = 1.0 / kernel.resolution
     if inv_res > grad_scale:
         return Regime.QUANTUM
-    if inv_res < grad_scale / guard_band:
+    if inv_res < grad_scale / REGIME_GUARD_BAND:
         return Regime.LEAST_ACTION
     return Regime.BOUNDARY
 

@@ -141,3 +141,27 @@ def loop_segments_of(valid) -> list[tuple[int, int]]:
     if start is not None:
         runs.append((start, len(valid)))
     return runs
+
+
+def dense_nondisturbance_ratio(kernel, profile, points) -> float:
+    """max |P''| / (|S''|/(2 pi)) at hbar = 1 from the full d x d second difference.
+
+    Reference for ``nondisturbance_check``, which differences only the
+    support columns: every column's |P''| is built with np.diff, the edge
+    columns copy their neighbour, and the support is sliced out afterwards.
+    """
+    x = profile.x_grid
+    support = np.isfinite(profile.curvature)
+    if points:
+        near = np.zeros(profile.dim, dtype=bool)
+        for pt in points:
+            near |= np.abs(x - pt.x_star) <= pt.delta_x_m
+        support &= near
+    scurv = np.abs(profile.curvature[support]) / (2.0 * np.pi)
+    table = kernel.table
+    pcurv = np.empty_like(table)
+    pcurv[:, 1:-1] = np.abs(np.diff(table, 2, axis=1)) / (profile.spacing[1:-1] ** 2)
+    pcurv[:, 0] = pcurv[:, 1]
+    pcurv[:, -1] = pcurv[:, -2]
+    with np.errstate(divide="ignore"):
+        return float(np.max(pcurv[:, support] / scurv[np.newaxis, :]))

@@ -10,6 +10,7 @@ from actionlab.hilbert import (
     PhysicalConstants,
     StateVector,
     apply_diagonal,
+    change_basis,
     eigh_hermitian,
     expand,
     frame_shift,
@@ -277,6 +278,20 @@ class TestStructuredBases:
         coeffs = rng.normal(size=basis.n_states) + 1j * rng.normal(size=basis.n_states)
         assert np.array_equal(synthesize(coeffs, basis).view(float),
                               (rows.T @ coeffs).view(float))
+
+    @pytest.mark.parametrize("source_name", ["x", "z"])
+    @pytest.mark.parametrize("target_name", ["y", "z"])
+    def test_change_basis_matches_dense_overlap_product(self, spin20, source_name, target_name):
+        # Oracle: R S T^dag with both bases dense (np.eye for the identity).
+        source, target = spin20.basis(source_name), spin20.basis(target_name)
+        rng = np.random.default_rng(10)
+        rows = rng.normal(size=(3, 41)) + 1j * rng.normal(size=(3, 41))
+        got = change_basis(rows, source, target)
+        assert np.max(np.abs(got - rows @ source.vectors @ target.vectors.conj().T)) < 1e-13
+        back = change_basis(got, target, source)
+        assert np.max(np.abs(back - rows)) < 1e-13
+        if source.is_identity and target.is_identity:
+            assert got is rows
 
     def test_identity_stores_no_matrix(self, spin20):
         z = spin20.basis("z")

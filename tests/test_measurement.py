@@ -18,6 +18,7 @@ from actionlab.measurement import (
     regime_classifier,
 )
 from actionlab.models import ring_arrival_state
+from conftest import dense_nondisturbance_ratio
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,13 @@ class TestBuildMeasurement:
             ops = build_measurement(gaussian_kernel(z, delta), z)
             assert ops.completeness_deviation() < 1e-10
 
+    def test_completeness_deviation_equals_recomputed_sum(self, spin20):
+        z = spin20.basis("z")
+        for delta in (0.5, 2.0, 10.0):
+            ops = build_measurement(gaussian_kernel(z, delta), z)
+            fresh = float(np.max(np.abs((ops.sqrt_table**2).sum(axis=0) - 1.0)))
+            assert ops.completeness_deviation() == fresh
+
     def test_qubit_binary_kernel_amplitude(self, qubit):
         # Hand arithmetic: <b|M(0)|a> = sqrt(1-q)/2 - i sqrt(q)/2.
         z = qubit.basis("z")
@@ -182,6 +190,37 @@ class TestJointDistribution:
         assert np.array_equal(joint.table, np.abs(dense_amp) ** 2)
         assert np.array_equal(joint.baseline, np.abs(y.vectors.conj() @ a.amplitudes) ** 2)
 
+    @pytest.mark.parametrize("inter_name, final_name", [("x", "y"), ("x", "z")])
+    def test_dense_intermediate_matches_textbook_sum(self, spin20, inter_name, final_name):
+        # |sum_m <b|m> sqrt(P(r|m)) <m|a>|^2 with every overlap formed explicitly.
+        inter, final = spin20.basis(inter_name), spin20.basis(final_name)
+        a = spin20.basis("z").state_at(7.0)
+        ops = build_measurement(gaussian_kernel(inter, 3.0), inter)
+        joint = joint_distribution(a, final, ops)
+        b_m = final.vectors.conj() @ inter.vectors.T
+        m_a = inter.vectors.conj() @ a.amplitudes
+        textbook = np.abs(np.einsum("bm,rm,m->rb", b_m, ops.sqrt_table, m_a)) ** 2
+        assert np.max(np.abs(joint.table - textbook)) <= 1e-15
+        assert np.max(np.abs(joint.baseline - np.abs(final.vectors.conj() @ a.amplitudes) ** 2)) <= 1e-15
+
+    def test_derived_quantities_equal_dense_formulas(self, spin20, spin20_profile):
+        # The d x d conditional and factorized arrays the distribution no
+        # longer stores, rebuilt here; every derived number is bitwise equal.
+        a, _, _ = spin20_profile
+        z, y = spin20.basis("z"), spin20.basis("y")
+        for delta in (0.5, 3.0, 30.0):
+            joint = joint_distribution(a, y, build_measurement(gaussian_kernel(z, delta), z))
+            marginal = joint.table.sum(axis=0)
+            safe = np.where(marginal > 0.0, marginal, 1.0)
+            conditional = joint.table / safe[np.newaxis, :]
+            factorized = conditional * joint.baseline[np.newaxis, :]
+            assert np.array_equal(joint.marginal_b, marginal)
+            assert joint.factorization_residual == float(np.max(np.abs(joint.table - factorized)))
+            assert joint.total_variation == 0.5 * float(np.abs(marginal - joint.baseline).sum())
+            for b_index in range(y.n_states):
+                expected = float(joint.r_grid[int(np.argmax(conditional[:, b_index]))])
+                assert joint.conditional_argmax(b_index) == expected
+
     def test_weak_limit_monotone_disturbance(self, spin20, spin20_profile):
         a, b, prof = spin20_profile
         z = spin20.basis("z")
@@ -225,6 +264,17 @@ class TestNondisturbanceCheck:
             for m in (1.0, 2.0, 4.0, 8.0)
         ]
         assert all(ratios[i] > ratios[i + 1] for i in range(3))
+
+    @pytest.mark.parametrize("size", ["spin20", "spin50"])
+    @pytest.mark.parametrize("mult", [0.25, 1.0, 4.0, 16.0])
+    def test_max_ratio_bitwise_equals_dense_second_difference(self, request, size, mult):
+        system = request.getfixturevalue(size)
+        _, _, prof = request.getfixturevalue(f"{size}_profile")
+        points = stationary_points(prof)
+        kern = gaussian_kernel(system.basis("z"), mult * points[0].delta_x_m)
+        for pts in (points, []):
+            report = nondisturbance_check(kern, prof, pts)
+            assert report.max_ratio == dense_nondisturbance_ratio(kern, prof, pts)
 
     def test_without_points_support_is_finite_curvature(self, spin20, spin20_profile):
         _, _, prof = spin20_profile
@@ -402,25 +452,6 @@ class TestGradientRecovery:
         z = spin50.basis("z")
         with pytest.raises(ValueError, match="Gaussian"):
             action_gradient_recovery(np.zeros(41), projective_kernel(z), prof)
-
-
-class TestSerializationSurfaces:
-    def test_kernel_columns_shape(self, spin20):
-        kern = gaussian_kernel(spin20.basis("z"), 2.0)
-        cols = kern.to_columns()
-        assert set(cols) == {"r_index", "m_index", "x_r", "P_r_given_m"}
-        assert all(len(v) == 41 * 41 for v in cols.values())
-        assert np.isclose(np.sum(cols["P_r_given_m"]), 41.0)
-
-    def test_joint_columns_shape(self, qubit):
-        z = qubit.basis("z")
-        joint = joint_distribution(
-            qubit.basis("x").state_at(0.5), qubit.basis("y"),
-            build_measurement(projective_kernel(z), z))
-        cols = joint.to_columns()
-        assert set(cols) == {"x_r", "x_b", "P_rb", "baseline", "factorized", "residual"}
-        assert all(len(v) == 4 for v in cols.values())
-        assert np.isclose(np.sum(cols["P_rb"]), 1.0)
 
 
 class TestEdgeFlags:

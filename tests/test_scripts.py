@@ -1,0 +1,47 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from actionlab import experiments
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestClassicalityReport:
+    def run(self, monkeypatch, capsys, *args: str):
+        report = load_script("classicality_report")
+        widths = []
+        profile = report.action_profile
+
+        def recording(*a, smoothing, **kw):
+            widths.append(smoothing)
+            return profile(*a, smoothing=smoothing, **kw)
+
+        monkeypatch.setattr(report, "action_profile", recording)
+        monkeypatch.setattr(sys, "argv", ["classicality_report.py", *args])
+        report.main()
+        return capsys.readouterr().out.splitlines(), widths
+
+    def test_spin20_prints_stationary_points_and_sweep(self, monkeypatch, capsys):
+        lines, widths = self.run(monkeypatch, capsys, "--j", "20", "--xa", "10", "--xb", "10")
+        found = [line for line in lines if line.lstrip().startswith("classical x*")]
+        assert len(found) == 2 and all("found" in line for line in found)
+        sweep = [line for line in lines if "dx_m: disturbance" in line]
+        assert len(sweep) == 4
+        assert [line.split()[0] for line in sweep] == ["0.25", "1", "4", "16"]
+        assert widths == [pytest.approx(experiments.SPIN_PROFILE_SMOOTHING_SPACINGS)]
+
+    def test_two_state_profile_stays_bare(self, monkeypatch, capsys):
+        # The CLI's policy (profile_smoothing_for) leaves j = 1/2 unfiltered.
+        lines, widths = self.run(monkeypatch, capsys, "--j", "0.5", "--xa", "0.5", "--xb", "0.5")
+        assert lines[0].startswith("spin j=0.5")
+        assert widths == [0.0]
