@@ -279,15 +279,27 @@ def action_profile(
     )
 
 
+def gaussian_matrix(x: np.ndarray, width: float) -> np.ndarray:
+    """Fresh symmetric d x d array exp(-(x_j - x_i)^2 / (2 width^2)) over a grid.
+
+    The one Gaussian of grid differences: the branch filter weights its
+    columns and sums its rows, the measurement kernel
+    (``measurement.gaussian_kernel``) weights its rows and sums its columns.
+    """
+    return np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * width**2))
+
+
 @lru_cache(maxsize=4)
 def _branch_filter(basis: LabeledBasis, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
     """Weighted Gaussian branch-filter kernel over the basis grid and its row sums.
 
-    Cached per (basis, width): an emergence scan filters every pair over the
-    same basis.  Holds at most four d x d kernels; the arrays are read-only.
+    The measurement kernel's Gaussian read along the other axis: entry (i, j)
+    is w_j exp(-(x_j - x_i)^2 / 2 smoothing^2), normalized per row i, so the
+    filter averages amplitudes over neighbouring states j.  Cached per
+    (basis, width): an emergence scan filters every pair over the same basis.
+    Holds at most four d x d kernels; the arrays are read-only.
     """
-    x = basis.eigenvalues
-    kern = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * smoothing**2))
+    kern = gaussian_matrix(basis.eigenvalues, smoothing)
     kern *= basis.spacing_per_state()[np.newaxis, :]
     norm = kern.sum(axis=1)
     kern.flags.writeable = False
@@ -419,10 +431,7 @@ def curvature_weak_value(
 
 
 def aligned_unitary(
-    a: StateVector,
-    basis: LabeledBasis,
-    b: StateVector,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+    a: StateVector, basis: LabeledBasis, b: StateVector
 ) -> tuple[DiagonalUnitary, float]:
     """Diagonal unitary whose phases cancel every contribution's action.
 
@@ -462,9 +471,7 @@ class OverlapEstimate:
 
 
 def stationary_phase_overlap(
-    profile: ActionProfile,
-    points: list[StationaryPoint],
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+    profile: ActionProfile, points: list[StationaryPoint]
 ) -> OverlapEstimate:
     """Estimate <b|a> from the neighborhoods of the stationary points.
 
@@ -473,11 +480,11 @@ def stationary_phase_overlap(
     sqrt(2 pi hbar / |S''|), with phase S(x*)/hbar + (pi/4) sign(S'').  The
     action is defined relative to the phase of <b|a>, so the reconstruction
     recovers the magnitude; the exact global phase is reattached for the
-    comparison.
+    comparison.  hbar is the profile's.
     """
     if not points:
         raise NotApplicableError("no stationary points; nothing to reconstruct")
-    hbar = constants.hbar
+    hbar = profile.hbar
     total = 0.0 + 0.0j
     for pt in points:
         i = pt.index_star

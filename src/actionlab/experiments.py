@@ -437,12 +437,7 @@ def _config_packet(basis: LabeledBasis, spec: StateSpec, role: str,
         raise ConfigError(str(err), field=f"{role}.packet_center") from err
 
 
-def build_state(
-    system: ModelSystem,
-    spec: StateSpec,
-    constants: PhysicalConstants,
-    role: str,
-) -> StateVector:
+def build_state(system: ModelSystem, spec: StateSpec, role: str) -> StateVector:
     """Instantiate a configured state.
 
     On the ring, final states ("b") given in the position basis are
@@ -461,7 +456,7 @@ def build_state(
                 field=f"{role}.eigenvalue",
             )
         if system.name.startswith("ring") and role == "b" and spec.basis == "position":
-            return ring_arrival_state(system, x, constants)
+            return ring_arrival_state(system, x)
         return basis.state(idx, label=f"{spec.basis}={basis.eigenvalues[idx]:g}")
     return _config_packet(basis, spec, role, label=f"{spec.basis}-packet@{spec.packet_center:g}")
 
@@ -483,8 +478,8 @@ def profile_smoothing_for(cfg: ExperimentConfig, system: ModelSystem, basis: Lab
 def _profile_for(cfg: ExperimentConfig):
     constants = cfg.constants
     system = build_system(cfg.model, constants)
-    a = build_state(system, cfg.a, constants, "a")
-    b = build_state(system, cfg.b, constants, "b")
+    a = build_state(system, cfg.a, "a")
+    b = build_state(system, cfg.b, "b")
     basis = _config_basis(system, cfg.intermediate, "intermediate")
     smoothing = profile_smoothing_for(cfg, system, basis)
     profile = action_profile(a, basis, b, constants, smoothing=smoothing)
@@ -510,7 +505,6 @@ def run_profile(cfg: ExperimentConfig) -> ResultTable:
 
 def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Disturbance and regime metrics per intermediate-measurement resolution."""
-    constants = cfg.constants
     system, a, b, basis, profile = _profile_for(cfg)
     points = stationary_points(profile)
     if cfg.sweep.units == "delta_x_m" and not points:
@@ -533,9 +527,9 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
         kernel = gaussian_kernel(basis, delta)
         ops = build_measurement(kernel, basis)
         joint = joint_distribution(a, final_basis, ops)
-        report = nondisturbance_check(kernel, profile, points, constants)
+        report = nondisturbance_check(kernel, profile, points)
         if points:
-            regime = regime_classifier(kernel, profile, dominant_x, constants).value
+            regime = regime_classifier(kernel, profile, dominant_x).value
             argmax = joint.conditional_argmax(b_index)
             offset = float(np.min(np.abs(stars - argmax)))
         else:
@@ -569,16 +563,14 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Stationary intermediate values against the classical oracle."""
     constants = cfg.constants
     system = build_system(cfg.model, constants)
-    if system.classical_oracle is None:
-        raise ConfigError("model has no classical oracle", field="model")
     basis = _config_basis(system, cfg.intermediate, "intermediate")
     pairs = cfg.emergence.pairs if cfg.emergence else _default_emergence_pairs(cfg, system)
     grid_step = float(np.median(basis.spacing))
     smoothing = profile_smoothing_for(cfg, system, basis)
     rows = []
     for x_a, x_b in pairs:
-        a = build_state(system, StateSpec(cfg.a.basis, eigenvalue=x_a), constants, "a")
-        b = build_state(system, StateSpec(cfg.b.basis, eigenvalue=x_b), constants, "b")
+        a = build_state(system, StateSpec(cfg.a.basis, eigenvalue=x_a), "a")
+        b = build_state(system, StateSpec(cfg.b.basis, eigenvalue=x_b), "b")
         profile = action_profile(a, basis, b, constants, smoothing=smoothing)
         points = stationary_points(profile)
         predicted = system.classical_oracle.predict(x_a, x_b)
@@ -610,8 +602,10 @@ def _default_emergence_pairs(cfg: ExperimentConfig, system: ModelSystem):
     if system.name.startswith("spin"):
         j = system.metadata["j"]
         # Values at 0.3, 0.4, 0.5 of j keep every stationary point well away
-        # from the spectral edge, where the semiclassical structure survives.
-        vals = sorted({round(f * j) for f in (0.3, 0.4, 0.5)})
+        # from the spectral edge, where the semiclassical structure survives;
+        # each is snapped onto the grid, which is half-integer for half-integer j.
+        offset = j % 1
+        vals = sorted({round(f * j - offset) + offset for f in (0.3, 0.4, 0.5)})
         return tuple((float(va), float(vb)) for va in vals for vb in vals)
     if system.name.startswith("ring"):
         if cfg.a.eigenvalue is None or cfg.b.eigenvalue is None:
@@ -649,8 +643,8 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
                 cfg.propagation, centers=(float(spec_a.packet_center),)))
     else:
         basis = _config_basis(system, cfg.intermediate, "intermediate")
-        a = build_state(system, cfg.a, constants, "a")
-        b = build_state(system, cfg.b, constants, "b")
+        a = build_state(system, cfg.a, "a")
+        b = build_state(system, cfg.b, "b")
     smoothing = profile_smoothing_for(cfg, system, basis)
     profile = action_profile(a, basis, b, constants, smoothing=smoothing)
     step = float(np.median(basis.spacing))

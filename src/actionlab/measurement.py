@@ -19,16 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import ActionProfile, StationaryPoint
+from .action import ActionProfile, StationaryPoint, gaussian_matrix
 from .errors import NotApplicableError
-from .hilbert import (
-    DEFAULT_CONSTANTS,
-    LabeledBasis,
-    PhysicalConstants,
-    StateVector,
-    change_basis,
-    expand,
-)
+from .hilbert import LabeledBasis, StateVector, change_basis, expand
 
 KERNEL_COMPLETENESS_TOLERANCE = 1e-12
 POVM_TOLERANCE = 1e-10
@@ -84,27 +77,18 @@ class ResolutionKernel:
 def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> ResolutionKernel:
     """Gaussian resolution kernel on the basis eigenvalue grid.
 
-    Raw entries are dx_r / (sqrt(2 pi) delta_x_r) * exp(-(x_m - x_r)^2 /
-    (2 delta_x_r^2)) with dx_r the local grid weight, i.e. the quadrature
-    rule whose continuum limit integrates to one per state; each column is
-    then renormalized so completeness holds exactly despite edge truncation.
+    The branch filter's Gaussian (``action.gaussian_matrix``) read along the
+    other axis: row r is weighted by dx_r / (sqrt(2 pi) delta_x_r), with dx_r
+    the local grid weight (the quadrature rule whose continuum limit
+    integrates to one per state), and each column is divided by its sum so
+    completeness holds exactly on the finite grid.
     """
-    raw = gaussian_kernel_raw(basis, delta_x_r)
-    raw /= raw.sum(axis=0, keepdims=True)
-    return ResolutionKernel(basis.eigenvalues, raw, resolution=delta_x_r)
-
-
-def gaussian_kernel_raw(basis: LabeledBasis, delta_x_r: float) -> np.ndarray:
-    """Pre-renormalization Gaussian kernel entries (edge-truncation visible)."""
     if not (delta_x_r > 0 and np.isfinite(delta_x_r)):
         raise ValueError(f"delta_x_r must be positive, got {delta_x_r}")
-    x = basis.eigenvalues
-    w = basis.spacing_per_state()
-    return (
-        w[:, np.newaxis]
-        / (np.sqrt(2.0 * np.pi) * delta_x_r)
-        * np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * delta_x_r**2))
-    )
+    table = gaussian_matrix(basis.eigenvalues, delta_x_r)
+    table *= (basis.spacing_per_state() / (np.sqrt(2.0 * np.pi) * delta_x_r))[:, np.newaxis]
+    table /= table.sum(axis=0, keepdims=True)
+    return ResolutionKernel(basis.eigenvalues, table, resolution=delta_x_r)
 
 
 def projective_kernel(basis: LabeledBasis) -> ResolutionKernel:
@@ -241,7 +225,6 @@ def nondisturbance_check(
     kernel: ResolutionKernel,
     profile: ActionProfile,
     points: list[StationaryPoint],
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> SlowKernelReport:
     """Evaluate the slow-kernel condition around the stationary regions.
 
@@ -252,6 +235,7 @@ def nondisturbance_check(
     Kernel curvature is differenced along x_m for every outcome row, on the
     support columns only; the edge columns take their neighbour's value.
     The check passes when the ratio stays under NONDISTURBANCE_THRESHOLD.
+    hbar is the profile's.
     """
     x = profile.x_grid
     finite_curv = np.isfinite(profile.curvature)
@@ -265,7 +249,7 @@ def nondisturbance_check(
     n_support = int(support.sum())
     if n_support == 0:
         return SlowKernelReport(np.nan, NONDISTURBANCE_THRESHOLD, False, 0)
-    scurv = np.abs(profile.curvature[support]) / (2.0 * np.pi * constants.hbar)
+    scurv = np.abs(profile.curvature[support]) / (2.0 * np.pi * profile.hbar)
     if not np.all(scurv):
         # A flat action (S'' = 0) gives no curvature scale to separate against.
         return SlowKernelReport(np.inf, NONDISTURBANCE_THRESHOLD, False, n_support)
@@ -290,12 +274,7 @@ class Regime(enum.Enum):
     BOUNDARY = "boundary"
 
 
-def regime_classifier(
-    kernel: ResolutionKernel,
-    profile: ActionProfile,
-    r_value: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> Regime:
+def regime_classifier(kernel: ResolutionKernel, profile: ActionProfile, r_value: float) -> Regime:
     """Classify outcome r by comparing 1/delta_x_r with |dS/dx|/hbar there.
 
     Quantum regime when the resolution exceeds the gradient scale (the least
@@ -305,7 +284,7 @@ def regime_classifier(
     """
     if kernel.resolution <= 0.0:
         return Regime.QUANTUM
-    grad_scale = abs(profile.gradient_at(r_value)) / constants.hbar
+    grad_scale = abs(profile.gradient_at(r_value)) / profile.hbar
     inv_res = 1.0 / kernel.resolution
     if inv_res > grad_scale:
         return Regime.QUANTUM
@@ -327,10 +306,7 @@ class HighResolutionAmplitude:
 
 
 def high_res_amplitude(
-    kernel: ResolutionKernel,
-    profile: ActionProfile,
-    r_value: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+    kernel: ResolutionKernel, profile: ActionProfile, r_value: float
 ) -> HighResolutionAmplitude:
     """Measurement amplitude in the high-resolution regime.
 
@@ -344,13 +320,13 @@ def high_res_amplitude(
     sum_m <b|m><m|a> sqrt(P(r|x_m)).  Outcomes classified least-action raise
     NotApplicableError; the expansion holds from the boundary regime up.
     """
-    regime = regime_classifier(kernel, profile, r_value, constants)
+    regime = regime_classifier(kernel, profile, r_value)
     if regime is Regime.LEAST_ACTION:
         raise NotApplicableError(
             "outcome sits in the least-action regime; the gradient expansion "
             "does not apply"
         )
-    hbar = constants.hbar
+    hbar = profile.hbar
     r_idx = int(np.argmin(np.abs(kernel.r_grid - r_value)))
     x_r = float(kernel.r_grid[r_idx])
     grad = profile.gradient_at(x_r)
@@ -396,7 +372,6 @@ def action_gradient_recovery(
     amplitudes: np.ndarray,
     kernel: ResolutionKernel,
     profile: ActionProfile,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> GradientRecovery:
     """Invert the Gaussian suppression factor into |dS/dx| per outcome.
 
@@ -410,7 +385,7 @@ def action_gradient_recovery(
     amp = np.asarray(amplitudes, dtype=complex)
     if amp.shape != (kernel.n_outcomes,):
         raise ValueError(f"need {kernel.n_outcomes} amplitudes, got {amp.shape}")
-    hbar = constants.hbar
+    hbar = profile.hbar
     w = profile.spacing
     prefactor = (8.0 * np.pi * kernel.resolution**2 / w**2) ** 0.25
     base = profile.magnitude * prefactor

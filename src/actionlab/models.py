@@ -67,12 +67,12 @@ class ClassicalOracle:
 
 @dataclass(frozen=True)
 class ModelSystem:
-    """A named model: dimension, labeled bases, optional classical oracle."""
+    """A named model: dimension, labeled bases, classical oracle."""
 
     name: str
     dimension: int
     bases: Mapping[str, LabeledBasis]
-    classical_oracle: ClassicalOracle | None = None
+    classical_oracle: ClassicalOracle
     metadata: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -237,17 +237,15 @@ def ring_energies(system: ModelSystem) -> np.ndarray:
     return p * p / (2.0 * system.metadata["mass"])
 
 
-def ring_arrival_state(
-    system: ModelSystem, x_b: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> StateVector:
+def ring_arrival_state(system: ModelSystem, x_b: float) -> StateVector:
     """Measurement state for arrival at x_b after the configured flight time.
 
     The position eigenstate at x_b is carried back to the reference time with
-    the free-Hamiltonian phases, so preparation and measurement states live
-    in a common frame.
+    the free-Hamiltonian phases (hbar is the one the ring was built with), so
+    preparation and measurement states live in a common frame.
     """
     target = system.basis("position").state_at(x_b, label=f"arrival@{x_b:g}")
-    phases = ring_energies(system) * system.metadata["flight_time"] / constants.hbar
+    phases = ring_energies(system) * system.metadata["flight_time"] / system.metadata["hbar"]
     return apply_diagonal(DiagonalUnitary(system.basis("momentum"), phases), target)
 
 

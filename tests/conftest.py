@@ -165,3 +165,19 @@ def dense_nondisturbance_ratio(kernel, profile, points) -> float:
     pcurv[:, -1] = pcurv[:, -2]
     with np.errstate(divide="ignore"):
         return float(np.max(pcurv[:, support] / scurv[np.newaxis, :]))
+
+
+def gaussian_kernel_raw(basis, delta_x_r: float) -> np.ndarray:
+    """Gaussian kernel entries before the column renormalization.
+
+    dx_r / (sqrt(2 pi) delta_x_r) * exp(-(x_m - x_r)^2 / (2 delta_x_r^2)) in
+    one expression, independent of ``action.gaussian_matrix``; divided by its
+    column sums it must equal ``gaussian_kernel``'s table bit for bit.
+    """
+    x = basis.eigenvalues
+    w = basis.spacing_per_state()
+    return (
+        w[:, np.newaxis]
+        / (np.sqrt(2.0 * np.pi) * delta_x_r)
+        * np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * delta_x_r**2))
+    )

@@ -169,6 +169,19 @@ class TestEmergence:
         assert all(table.column("found"))
         assert max(table.column("deviation_spacings")) <= 2.0
 
+    def test_half_integer_j_default_pairs_on_grid(self):
+        # The default pairs near 0.3/0.4/0.5 j must lie on the half-integer grid.
+        cfg = cfg_of({
+            "model": {"name": "spin", "j": 20.5},
+            "a": {"basis": "x", "eigenvalue": 10.5},
+            "b": {"basis": "y", "eigenvalue": 10.5},
+            "intermediate": "z",
+        })
+        table = run_emergence_experiment(cfg)
+        assert table.n_rows == 18  # 9 pairs, two branches each
+        assert all(table.column("found"))
+        assert sorted(set(table.column("x_a"))) == [6.5, 8.5, 10.5]
+
     def test_ring_within_one_spacing(self):
         table = run_emergence_experiment(cfg_of(RING_EMERGE))
         assert table.n_rows == 1

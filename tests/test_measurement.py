@@ -1,24 +1,23 @@
 import numpy as np
 import pytest
 
-from actionlab.action import action_profile, stationary_points
+from actionlab.action import action_profile, stationary_phase_overlap, stationary_points
 from actionlab.errors import NotApplicableError
-from actionlab.hilbert import expand, inner
+from actionlab.hilbert import PhysicalConstants, expand, inner
 from actionlab.measurement import (
     Regime,
     ResolutionKernel,
     action_gradient_recovery,
     build_measurement,
     gaussian_kernel,
-    gaussian_kernel_raw,
     high_res_amplitude,
     joint_distribution,
     nondisturbance_check,
     projective_kernel,
     regime_classifier,
 )
-from actionlab.models import ring_arrival_state
-from conftest import dense_nondisturbance_ratio
+from actionlab.models import ring_arrival_state, ring_system
+from conftest import RING_PARAMS, dense_nondisturbance_ratio, gaussian_kernel_raw
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +70,17 @@ class TestGaussianKernel:
                 fine,
             )
             assert np.max(np.abs(interior - oracle)) < 0.01
+
+    @pytest.mark.parametrize("size,name", [("spin20", "z"), ("spin20", "x"),
+                                           ("ring256", "momentum")])
+    @pytest.mark.parametrize("spacings", [0.5, 2.0, 8.0])
+    def test_table_bitwise_equals_raw_oracle_over_column_sums(self, request, size, name,
+                                                              spacings):
+        basis = request.getfixturevalue(size).basis(name)
+        delta = spacings * float(np.median(basis.spacing))
+        raw = gaussian_kernel_raw(basis, delta)
+        assert np.array_equal(gaussian_kernel(basis, delta).table,
+                              raw / raw.sum(axis=0, keepdims=True))
 
     def test_closed_form_prefactor_from_gaussian_integral(self):
         # Independent derivation of the (8 pi d^2/dx^2)^(1/4) prefactor: the
@@ -472,3 +482,64 @@ class TestEdgeFlags:
         edge_point = high_res_amplitude(kern, prof, 49.0)
         assert not inner_point.near_edge
         assert edge_point.near_edge
+
+
+class TestHbarFromProfile:
+    """Functions given a profile (or a ring) use its hbar, not a default of 1.
+
+    hbar = 2 doubles S, S' and S'' exactly, so every quantity below that is
+    measured in units of hbar is the same at hbar = 1 and hbar = 2.
+    """
+
+    @staticmethod
+    def _readings(spin20, hbar):
+        a = spin20.basis("x").state_at(10.0)
+        b = spin20.basis("y").state_at(10.0)
+        z = spin20.basis("z")
+        prof = action_profile(a, z, b, PhysicalConstants(hbar=hbar), smoothing=2.0)
+        points = stationary_points(prof)
+        pt = points[0]
+        coarse = gaussian_kernel(z, pt.delta_x_m)
+        narrow = gaussian_kernel(z, 0.3 * pt.delta_x_m)
+        high = high_res_amplitude(narrow, prof, pt.x_star + 2.0)
+        overlap = stationary_phase_overlap(prof, points)
+        ops = build_measurement(narrow, z)
+        recovered = action_gradient_recovery(ops.amplitude(a, b), narrow, prof).recovered
+        return {
+            "max_ratio": nondisturbance_check(coarse, prof, points).max_ratio,
+            "regime": regime_classifier(narrow, prof, pt.x_star + 2.0),
+            "fourier": high.fourier,
+            "closed_form": high.closed_form,
+            "suppression": high.suppression,
+            "relative_error": overlap.relative_error,
+            "phase_difference": overlap.phase_difference,
+            "recovered": recovered / prof.hbar,
+        }
+
+    def test_spin20_readings_invariant_under_hbar(self, spin20):
+        one = self._readings(spin20, 1.0)
+        two = self._readings(spin20, 2.0)
+        assert two["regime"] is one["regime"]
+        for key in ("max_ratio", "fourier", "closed_form", "suppression",
+                    "relative_error", "phase_difference"):
+            assert two[key] == pytest.approx(one[key], rel=1e-12, abs=0.0), key
+        ok = np.isfinite(one["recovered"])
+        assert ok.any()
+        assert np.array_equal(ok, np.isfinite(two["recovered"]))
+        np.testing.assert_allclose(two["recovered"][ok], one["recovered"][ok], rtol=1e-12)
+
+    def test_ring_arrival_state_uses_ring_hbar(self):
+        # S(p) = p dx - p^2 T / 2M in any unit of action: the stationary
+        # momentum M dx / T and the curvature -T/M do not depend on hbar.
+        constants = PhysicalConstants(hbar=2.0)
+        ring = ring_system(RING_PARAMS, constants)
+        a = ring.basis("position").state_at(100.0)
+        b = ring_arrival_state(ring, 120.0)
+        mom = ring.basis("momentum")
+        pts = stationary_points(action_profile(a, mom, b, constants))
+        assert len(pts) == 1
+        p_star = RING_PARAMS.mass * 20.0 / RING_PARAMS.flight_time
+        assert abs(pts[0].x_star - p_star) < float(mom.spacing[0])
+        assert pts[0].curvature_at == pytest.approx(-RING_PARAMS.flight_time
+                                                    / RING_PARAMS.mass, rel=1e-6)
+
