@@ -37,7 +37,8 @@ def main():
     a = system.basis("x").state_at(args.xa)
     b = system.basis("y").state_at(args.xb)
     z = system.basis("z")
-    profile = action_profile(a, z, b, smoothing=profile_smoothing_for(cfg, system, z))
+    profile = action_profile(a, z, b, cfg.constants,
+                             smoothing=profile_smoothing_for(cfg, system, z))
     points = stationary_points(profile)
     oracle = system.classical_oracle.predict(args.xa, args.xb)
 

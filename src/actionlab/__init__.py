@@ -8,16 +8,13 @@ classical causality emerges and where it fails.
 """
 
 from .hilbert import (
-    DEFAULT_CONSTANTS,
     DiagonalUnitary,
     LabeledBasis,
     PhysicalConstants,
     StateVector,
     apply_diagonal,
-    eigh_hermitian,
     expand,
     frame_shift,
-    hermitian_eigen,
     inner,
     orthonormality_deviation,
     random_state,
@@ -26,16 +23,13 @@ from .hilbert import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_CONSTANTS",
     "DiagonalUnitary",
     "LabeledBasis",
     "PhysicalConstants",
     "StateVector",
     "apply_diagonal",
-    "eigh_hermitian",
     "expand",
     "frame_shift",
-    "hermitian_eigen",
     "inner",
     "orthonormality_deviation",
     "random_state",

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import NotApplicableError, ProfileTooSparseError, UndefinedPhaseError
 from .hilbert import (
-    DEFAULT_CONSTANTS,
     DiagonalUnitary,
     LabeledBasis,
     PhysicalConstants,
@@ -42,7 +41,7 @@ def action_phase(
     a: StateVector,
     m: StateVector,
     b: StateVector,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+    constants: PhysicalConstants,
 ) -> float:
     """Action of one intermediate contribution, in (-pi*hbar, pi*hbar]."""
     triple = inner(b, m) * inner(m, a) * inner(a, b)
@@ -182,7 +181,7 @@ def action_profile(
     a: StateVector,
     basis: LabeledBasis,
     b: StateVector,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+    constants: PhysicalConstants,
     smoothing: float = 0.0,
 ) -> ActionProfile:
     """Action, densities and derivatives of the a -> b transition over a basis.
@@ -209,15 +208,19 @@ def action_profile(
     weights = basis.spacing_per_state()
     if smoothing < 0 or not np.isfinite(smoothing):
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    rho_a_vals = np.abs(amps_a) ** 2 / weights
+    rho_b_vals = np.abs(amps_b) ** 2 / weights
+    amp_product = bare_product
     if smoothing > 0.0:
+        # One real product filters all four real columns; the real kernel
+        # is never upcast to complex.
         kern, norm = _branch_filter(basis, smoothing)
-        amp_product = (kern @ bare_product) / norm
-        rho_a_vals = (kern @ (np.abs(amps_a) ** 2 / weights)) / norm
-        rho_b_vals = (kern @ (np.abs(amps_b) ** 2 / weights)) / norm
-    else:
-        amp_product = bare_product
-        rho_a_vals = np.abs(amps_a) ** 2 / weights
-        rho_b_vals = np.abs(amps_b) ** 2 / weights
+        filtered = kern @ np.column_stack(
+            [bare_product.real, bare_product.imag, rho_a_vals, rho_b_vals])
+        filtered /= norm[:, np.newaxis]
+        amp_product = filtered[:, 0] + 1j * filtered[:, 1]
+        rho_a_vals = filtered[:, 2]
+        rho_b_vals = filtered[:, 3]
     magnitude = np.abs(amp_product)
     peak = float(np.max(magnitude))
     if peak <= 0.0:
@@ -405,29 +408,6 @@ def stationary_points(profile: ActionProfile) -> list[StationaryPoint]:
             continue
         kept.append(pt)
     return kept
-
-
-def curvature_weak_value(
-    a: StateVector,
-    m: StateVector,
-    b: StateVector,
-    delta_x_m: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
-    """Action curvature predicted from inner products alone.
-
-    At a stationary point the curvature equals
-    (2 pi hbar / dx^2) |<b|m><m|a> / <b|a>|^2 with dx the local grid spacing;
-    the squared factor is the weak-value magnitude of |m><m|.  The identity
-    is semiclassical: it sharpens as the system grows.
-    """
-    if not (delta_x_m > 0 and np.isfinite(delta_x_m)):
-        raise ValueError(f"delta_x_m must be positive, got {delta_x_m}")
-    ab = inner(b, a)
-    if abs(ab) < MAGNITUDE_FLOOR_ABSOLUTE:
-        raise UndefinedPhaseError("<b|a> vanishes; weak value undefined")
-    wv = abs(inner(b, m) * inner(m, a) / ab)
-    return 2.0 * np.pi * constants.hbar / (delta_x_m * delta_x_m) * wv * wv
 
 
 def aligned_unitary(

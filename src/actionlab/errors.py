@@ -5,10 +5,6 @@ class EigensolverError(RuntimeError):
     """Eigensolver failed to converge or produced out-of-tolerance residuals."""
 
 
-class DegenerateSpectrumError(ValueError):
-    """Eigenvalues too close to label a strictly increasing basis grid."""
-
-
 class UndefinedPhaseError(ValueError):
     """Triple-product magnitude below the phase-validity threshold."""
 

@@ -775,13 +775,15 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
     qubit = qubit_system()
     spin20 = spin_system(20.0)
     spin50 = spin_system(50.0)
-    ring = ring_system(RingParameters(256, 256.0, 1.0, 20.0))
-    ring_big = ring_system(RingParameters(401, 401.0, 1.0, 20.0))
+    # The suite works in units of hbar = 1 (its provenance records that).
+    unit = PhysicalConstants(hbar=1.0)
+    ring = ring_system(RingParameters(256, 256.0, 1.0, 20.0), unit)
+    ring_big = ring_system(RingParameters(401, 401.0, 1.0, 20.0), unit)
     jx50, jy50, _ = angular_momentum_matrices(50.0)
     if selected("action") or selected("measurement"):
         # The branch-filtered spin-50 x -> y profile over z, shared by both sections.
         prof50 = action_profile(spin50.basis("x").state_at(25.0), spin50.basis("z"),
-                                spin50.basis("y").state_at(25.0), smoothing=2.0)
+                                spin50.basis("y").state_at(25.0), unit, smoothing=2.0)
         pts50 = stationary_points(prof50)
 
     if selected("hilbert"):
@@ -839,18 +841,18 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         z = spin20.basis("z")
         a = spin20.basis("x").state_at(10.0)
         b = spin20.basis("y").state_at(10.0)
-        s_ref = action_phase(a, z.state_at(5.0), b)
+        s_ref = action_phase(a, z.state_at(5.0), b, unit)
         worst = 0.0
         for _ in range(50):
             phases = rng.uniform(0, 2 * np.pi, size=3)
             a2 = StateVector(a.amplitudes * np.exp(1j * phases[0]))
             b2 = StateVector(b.amplitudes * np.exp(1j * phases[1]))
             m2 = StateVector(z.state_at(5.0).amplitudes * np.exp(1j * phases[2]))
-            worst = max(worst, abs(action_phase(a2, m2, b2) - s_ref))
+            worst = max(worst, abs(action_phase(a2, m2, b2, unit) - s_ref))
         record("action.gauge_invariance.spin20", worst, 1e-12)
         two_pi = 2.0 * np.pi
-        fwd = action_phase(a, z.state_at(5.0), b)
-        rev = action_phase(b, z.state_at(5.0), a)
+        fwd = action_phase(a, z.state_at(5.0), b, unit)
+        rev = action_phase(b, z.state_at(5.0), a, unit)
         wrapped = abs((fwd + rev + np.pi) % two_pi - np.pi)
         record("action.antisymmetry.spin20", wrapped, 1e-12)
         spin10 = spin_system(10.0)
@@ -888,7 +890,7 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         a = spin20.basis("x").state_at(10.0)
         y20 = spin20.basis("y")
         b = y20.state_at(10.0)
-        prof = action_profile(a, z20, b, smoothing=2.0)
+        prof = action_profile(a, z20, b, unit, smoothing=2.0)
         pts = stationary_points(prof)
         dxm = pts[0].delta_x_m
         worst_povm = worst_prob = 0.0

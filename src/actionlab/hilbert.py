@@ -10,9 +10,13 @@ All amplitudes are stored in a fixed reference basis (the computational
 basis of the model).  A ``LabeledBasis`` is a set of orthonormal vectors
 expressed in that reference basis together with a strictly increasing grid
 of real eigenvalues x_m.  The reference basis itself is an identity basis
-that stores no matrix; every other basis holds its rows as a dense array.
-``expand`` and ``synthesize`` move amplitudes into and out of a basis;
-``change_basis`` carries coefficient rows from one basis to another.
+that stores no matrix.  Every other basis holds its rows as a dense array,
+either complex or real; a real-row basis may also carry one unit phase per
+state and one per reference component, so that a second basis differing
+from it only by such phases shares its rows.  ``expand`` and ``synthesize``
+move amplitudes into and out of a basis; ``change_basis`` carries
+coefficient rows from one basis to another.  Products with real rows are
+real products on the stacked real and imaginary parts of the other factor.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, EigensolverError
+from .errors import EigensolverError
 
 # Construction-time gates.  States deviating from unit norm by more than
 # NORM_TOLERANCE are rejected rather than silently renormalized: a badly
@@ -41,9 +45,6 @@ class PhysicalConstants:
     def __post_init__(self):
         if not (self.hbar > 0.0 and np.isfinite(self.hbar)):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
 
 
 class StateVector:
@@ -92,13 +93,14 @@ class LabeledBasis:
     degenerate spectrum) is also allowed and spans a proper subspace, so
     expansions in it are not complete.
 
-    The constructor takes arbitrary rows and checks their Gram matrix.
-    ``identity``, ``fourier`` and ``subset`` build bases that are orthonormal
-    by construction and skip that O(n^2 d) check; an identity basis stores
-    no matrix at all.
+    The constructor takes arbitrary rows, stores them complex and checks
+    their Gram matrix.  ``identity``, ``fourier``, ``subset``, ``rephased``
+    and the package's own builders make bases that are orthonormal by
+    construction and skip that O(n^2 d) check; an identity basis stores no
+    matrix at all, and a rephased one shares the real rows it came from.
     """
 
-    __slots__ = ("_rows", "eigenvalues", "spacing", "dim")
+    __slots__ = ("_rows", "_state_phases", "_site_phases", "eigenvalues", "spacing", "dim")
 
     def __init__(self, vectors, eigenvalues):
         mat = np.asarray(vectors, dtype=complex)
@@ -151,19 +153,44 @@ class LabeledBasis:
             raise ValueError("subset rows must be distinct indices")
         return type(self)._orthonormal(self.vectors[idx], eigenvalues, self.dim)
 
+    def rephased(self, state_phases, site_phases) -> LabeledBasis:
+        """The states c_k D_m X[k, m] of this real-row basis X, same labels.
+
+        ``state_phases`` holds one unit phase c_k per state and
+        ``site_phases`` one D_m per reference component.  Unit phases keep
+        orthonormal rows orthonormal, so there is no Gram check, and the new
+        basis shares X: it stores no d x d array of its own.
+        """
+        if self._rows is None or self._rows.dtype.kind != "f" or self._state_phases is not None:
+            raise ValueError("only a real-row basis without phases can be rephased")
+        c = np.array(state_phases, dtype=complex)
+        sites = np.array(site_phases, dtype=complex)
+        if c.shape != (self.n_states,) or sites.shape != (self.dim,):
+            raise ValueError(f"need {self.n_states} state and {self.dim} site phases, "
+                             f"got shapes {c.shape} and {sites.shape}")
+        if max(np.max(np.abs(np.abs(c) - 1.0)), np.max(np.abs(np.abs(sites) - 1.0))) > NORM_TOLERANCE:
+            raise ValueError("phases must have unit modulus")
+        basis = object.__new__(type(self))
+        basis._freeze(self._rows, self.eigenvalues, self.spacing, self.dim, c, sites)
+        return basis
+
     @classmethod
     def _orthonormal(cls, rows, eigenvalues, dim: int) -> LabeledBasis:
         """A basis on rows that are orthonormal by construction (None: the
-        identity); the labels are checked, the Gram matrix is not."""
+        identity; complex or real); the labels are checked, the Gram matrix
+        is not.  The rows are taken over, not copied."""
         ev, spacing = _labels(eigenvalues, dim if rows is None else rows.shape[0])
         basis = object.__new__(cls)
         basis._freeze(rows, ev, spacing, dim)
         return basis
 
-    def _freeze(self, rows, ev, spacing, dim):
-        if rows is not None:
-            rows.flags.writeable = False
+    def _freeze(self, rows, ev, spacing, dim, state_phases=None, site_phases=None):
+        for arr in (rows, state_phases, site_phases):
+            if arr is not None:
+                arr.flags.writeable = False
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_state_phases", state_phases)
+        object.__setattr__(self, "_site_phases", site_phases)
         object.__setattr__(self, "eigenvalues", ev)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "dim", dim)
@@ -178,12 +205,19 @@ class LabeledBasis:
 
     @property
     def vectors(self) -> np.ndarray:
-        """Dense (n_states, dim) rows; an identity basis builds np.eye on each call."""
-        if self._rows is not None:
+        """Dense (n_states, dim) rows.
+
+        The stored rows where they are the vectors; an identity basis builds
+        np.eye and a rephased one its complex rows on each call.
+        """
+        if self._rows is None:
+            dense = np.eye(self.dim, dtype=complex)
+        elif self._state_phases is None:
             return self._rows
-        eye = np.eye(self.dim, dtype=complex)
-        eye.flags.writeable = False
-        return eye
+        else:
+            dense = self._state_phases[:, np.newaxis] * self._rows * self._site_phases
+        dense.flags.writeable = False
+        return dense
 
     @property
     def n_states(self) -> int:
@@ -196,11 +230,13 @@ class LabeledBasis:
 
     def state(self, k: int, label: str | None = None) -> StateVector:
         """Basis vector k as a StateVector."""
-        if self._rows is not None:
+        if self._rows is None:
+            unit = np.zeros(self.dim, dtype=complex)
+            unit[k] = 1.0
+            return StateVector(unit, label=label)
+        if self._state_phases is None:
             return StateVector(self._rows[k], label=label)
-        unit = np.zeros(self.dim, dtype=complex)
-        unit[k] = 1.0
-        return StateVector(unit, label=label)
+        return StateVector(self._state_phases[k] * self._rows[k] * self._site_phases, label=label)
 
     def state_at(self, x: float, label: str | None = None) -> StateVector:
         """Basis vector whose eigenvalue is closest to x."""
@@ -269,21 +305,69 @@ def inner(psi: StateVector, phi: StateVector) -> complex:
 
 
 def orthonormality_deviation(vectors) -> float:
-    """Max |V V^dag - I| over the rows of V; zero for orthonormal rows."""
+    """Max |V V^dag - I| over the rows of V; zero for orthonormal rows.
+
+    Real rows take the real Gram product V V^T.
+    """
     v = np.asarray(vectors)
-    return float(np.max(np.abs(v.conj() @ v.T - np.eye(v.shape[0]))))
+    gram = v.conj() @ v.T if v.dtype.kind == "c" else v @ v.T
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
+def _real_product(z: np.ndarray, pre, real: np.ndarray, post) -> np.ndarray:
+    """((z * pre) @ real^T) * post for complex rows z, with ``real`` never upcast.
+
+    numpy would copy a real matrix to complex for a mixed product.  Here
+    (z * pre)^T is formed C-contiguous (one pass, one array), so its float
+    view interleaves real and imaginary parts and ``real @ view`` is one
+    real product whose float result is again a complex view.  ``pre`` and
+    ``post`` are phase vectors or None; z may be one row or a matrix, and a
+    matrix result is returned as a transposed (Fortran-order) view.
+    """
+    rows = z.reshape(-1, z.shape[-1])
+    zt = np.empty(rows.shape[::-1], dtype=complex)
+    if pre is None:
+        zt[...] = rows.T
+    else:
+        np.multiply(rows.T, pre[:, np.newaxis], out=zt)
+    out = (real @ zt.view(float)).view(complex)
+    if post is not None:
+        out *= post[:, np.newaxis]
+    return out.T.reshape(z.shape[:-1] + (real.shape[0],))
+
+
+def _analyze(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
+    """z @ conj(V)^T for a real-row basis V[k, m] = c_k D_m X[k, m]:
+    conj(c) times (z conj(D)) X^T."""
+    if basis._state_phases is None:
+        return _real_product(z, None, basis._rows, None)
+    return _real_product(z, np.conj(basis._site_phases), basis._rows,
+                         np.conj(basis._state_phases))
+
+
+def _synthesize(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
+    """z @ V for a real-row basis V[k, m] = c_k D_m X[k, m]: D times (z c) X."""
+    return _real_product(z, basis._state_phases, basis._rows.T, basis._site_phases)
+
+
+def _real_rows(basis: LabeledBasis) -> bool:
+    return basis._rows.dtype.kind == "f"
 
 
 def expand(psi: StateVector, basis: LabeledBasis) -> np.ndarray:
     """Amplitudes <m|psi> ordered by the basis eigenvalues.
 
-    Dense bases compute conj(V conj(psi)), which equals conj(V) psi bit for
-    bit without a d x d conjugate copy of V.
+    Complex-row bases compute conj(V conj(psi)), which equals conj(V) psi
+    bit for bit without a d x d conjugate copy of V; real-row bases take a
+    real product.
     """
     if psi.dim != basis.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {basis.dim}")
     if basis.is_identity:
         return psi.amplitudes.copy()
+    if _real_rows(basis):
+        return _analyze(psi.amplitudes, basis)
     return np.conj(basis.vectors @ np.conj(psi.amplitudes))
 
 
@@ -291,6 +375,8 @@ def synthesize(coeffs: np.ndarray, basis: LabeledBasis) -> np.ndarray:
     """Reference-basis amplitudes of sum_m coeffs[m] |m>; the inverse of ``expand``."""
     if basis.is_identity:
         return coeffs
+    if _real_rows(basis):
+        return _synthesize(np.asarray(coeffs), basis)
     return basis.vectors.T @ coeffs
 
 
@@ -298,12 +384,20 @@ def change_basis(rows: np.ndarray, source: LabeledBasis, target: LabeledBasis) -
     """Amplitudes in ``target`` of the vectors whose ``source`` coefficients are ``rows``.
 
     Row i of the result holds <t_k|v_i> with |v_i> = sum_m rows[i, m] |s_m>.
-    A dense target takes conj(conj(R) T^T), bitwise R conj(T)^T without a
-    conjugate copy of T; identity bases skip their product altogether.
+    A complex-row target takes conj(conj(R) T^T), bitwise R conj(T)^T
+    without a conjugate copy of T; real-row bases take real products and
+    identity bases skip their product altogether.
     """
-    ref = rows if source.is_identity else rows @ source.vectors
+    if source.is_identity:
+        ref = rows
+    elif _real_rows(source):
+        ref = _synthesize(rows, source)
+    else:
+        ref = rows @ source.vectors
     if target.is_identity:
         return ref
+    if _real_rows(target):
+        return _analyze(ref, target)
     return np.conj(np.conj(ref) @ target.vectors.T)
 
 
@@ -341,6 +435,9 @@ def random_state(dim: int, rng: np.random.Generator, label: str | None = None) -
 # convention on top.  LAPACK fixes neither the order of vectors inside a
 # degenerate cluster nor the global phase of each vector; both are pinned
 # here so that every run and every BLAS returns the same basis up to roundoff.
+# No model diagonalizes with it (the spin bases come from the Jx recurrence
+# in ``models``); it serves general Hermitian matrices, and
+# ``perfbench/tracing.py`` binds it by name.
 # ---------------------------------------------------------------------------
 
 
@@ -416,21 +513,3 @@ def eigh_hermitian(H) -> tuple[np.ndarray, np.ndarray]:
     V = _canonical_phases(V)
     _check_residual(A, w, V)
     return w, V
-
-
-def hermitian_eigen(H) -> LabeledBasis:
-    """Diagonalize a Hermitian matrix into a LabeledBasis.
-
-    The eigenvalues become the basis labels, so they must be simple: a
-    LabeledBasis requires a strictly increasing grid.  Degenerate spectra
-    raise DegenerateSpectrumError; use eigh_hermitian directly when labels
-    are not needed.
-    """
-    w, V = eigh_hermitian(H)
-    span = max(float(w[-1] - w[0]), 1.0)
-    if np.any(np.diff(w) <= 1e-9 * span):
-        raise DegenerateSpectrumError(
-            "spectrum has (near-)degenerate eigenvalues; cannot build a "
-            "strictly increasing eigenvalue grid"
-        )
-    return LabeledBasis(V.T, w)

@@ -29,6 +29,8 @@ POVM_TOLERANCE = 1e-10
 NONDISTURBANCE_THRESHOLD = 0.1
 # Least-action regime: 1/delta_x_r at least this factor below |S'|/hbar.
 REGIME_GUARD_BAND = 10.0
+# Conditional probabilities within this relative distance of the maximum tie.
+ARGMAX_TIE_RELATIVE = 1e-12
 
 
 class ResolutionKernel:
@@ -44,6 +46,17 @@ class ResolutionKernel:
     def __init__(self, r_grid, table, resolution: float = 0.0):
         grid = np.asarray(r_grid, dtype=float)
         tab = np.asarray(table, dtype=float)
+        self._freeze(grid.copy(), tab.copy(), resolution)
+
+    @classmethod
+    def _owning(cls, r_grid: np.ndarray, table: np.ndarray, resolution: float) -> ResolutionKernel:
+        """A kernel that takes over a fresh float table (and a grid nobody
+        writes) instead of copying them; the checks are the constructor's."""
+        kernel = object.__new__(cls)
+        kernel._freeze(r_grid, table, resolution)
+        return kernel
+
+    def _freeze(self, grid: np.ndarray, tab: np.ndarray, resolution: float):
         if tab.ndim != 2 or tab.shape[0] != grid.shape[0]:
             raise ValueError(f"table shape {tab.shape} does not match {grid.shape[0]} outcomes")
         if np.any(tab < 0.0):
@@ -54,9 +67,7 @@ class ResolutionKernel:
             raise ValueError(
                 f"kernel incomplete: max |sum_r P(r|x_m) - 1| = {dev:.3e}"
             )
-        tab = tab.copy()
         tab.flags.writeable = False
-        grid = grid.copy()
         grid.flags.writeable = False
         object.__setattr__(self, "r_grid", grid)
         object.__setattr__(self, "table", tab)
@@ -88,12 +99,12 @@ def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> ResolutionKernel:
     table = gaussian_matrix(basis.eigenvalues, delta_x_r)
     table *= (basis.spacing_per_state() / (np.sqrt(2.0 * np.pi) * delta_x_r))[:, np.newaxis]
     table /= table.sum(axis=0, keepdims=True)
-    return ResolutionKernel(basis.eigenvalues, table, resolution=delta_x_r)
+    return ResolutionKernel._owning(basis.eigenvalues, table, delta_x_r)
 
 
 def projective_kernel(basis: LabeledBasis) -> ResolutionKernel:
     """Perfect-resolution kernel: outcome r == m with certainty."""
-    return ResolutionKernel(basis.eigenvalues, np.eye(basis.n_states), resolution=0.0)
+    return ResolutionKernel._owning(basis.eigenvalues, np.eye(basis.n_states), 0.0)
 
 
 class MeasurementOperatorSet:
@@ -107,7 +118,8 @@ class MeasurementOperatorSet:
                 f"kernel covers {kernel.n_states} states, basis has {basis.n_states}"
             )
         sqrt_table = np.sqrt(kernel.table)
-        dev = float(np.max(np.abs((sqrt_table**2).sum(axis=0) - 1.0)))
+        # sum_r M(r)^2 per state, measured on the operators without a d x d square.
+        dev = float(np.max(np.abs(np.einsum("rm,rm->m", sqrt_table, sqrt_table) - 1.0)))
         if dev > POVM_TOLERANCE:
             raise ValueError(f"operator completeness violated: {dev:.3e}")
         sqrt_table.flags.writeable = False
@@ -168,10 +180,16 @@ class JointDistribution:
         return float(self.table.sum())
 
     def conditional_argmax(self, b_index: int) -> float:
-        """Outcome x_r maximizing P(r|a,b) for one final outcome."""
+        """Outcome x_r maximizing P(r|a,b) for one final outcome.
+
+        Outcomes within ARGMAX_TIE_RELATIVE of the maximum tie, and the
+        largest tied x_r wins.  The +-r symmetry of transverse spin states
+        makes exact ties, which a plain argmax would let roundoff break.
+        """
         norm = self.marginal_b[b_index]
         col = self.table[:, b_index] / (norm if norm > 0.0 else 1.0)
-        return float(self.r_grid[int(np.argmax(col))])
+        tied = np.flatnonzero(col >= (1.0 - ARGMAX_TIE_RELATIVE) * np.max(col))
+        return float(self.r_grid[tied[-1]])
 
 
 def joint_distribution(

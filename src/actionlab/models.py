@@ -5,8 +5,9 @@ basis:
 
 * ``qubit_system`` — hand-checkable two-level system with mutually unbiased
   x, y, z bases (eigenvalues ±1/2).
-* ``spin_system(j)`` — angular momentum j: canonical z basis, x basis from
-  diagonalizing the standard tridiagonal Jx, y basis rotated from x about z.
+* ``spin_system(j)`` — angular momentum j: canonical z basis, real x basis
+  from the three-term recurrence of the tridiagonal Jx, y basis rotated from
+  x about z (the x rows with two phase vectors).
 * ``ring_system(params)`` — free particle on a discrete ring: position basis
   and discrete-Fourier momentum basis with signed, centered momenta.
 
@@ -25,19 +26,27 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import EigensolverError
 from .hilbert import (
-    DEFAULT_CONSTANTS,
+    EIGEN_RESIDUAL_TOLERANCE,
+    ORTHONORMALITY_TOLERANCE,
     DiagonalUnitary,
     LabeledBasis,
     PhysicalConstants,
     StateVector,
-    _canonical_phases,
-    _check_residual,
+    _lead_index,
     apply_diagonal,
-    hermitian_eigen,
     orthonormality_deviation,
     synthesize,
 )
+
+# Column rescaling bound of the Jx recurrence: a column passing RESCALE_ABOVE
+# is divided by it, which keeps every entry and every squared norm finite.
+RESCALE_ABOVE = 1e150
+# i^n and (-i)^n by n mod 4, exact.
+I_POWERS = np.array([1, 1j, -1, -1j])
+MINUS_I_POWERS = np.conj(I_POWERS)
+
 
 @dataclass(frozen=True)
 class ClassicalOracle:
@@ -131,10 +140,10 @@ def qubit_system() -> ModelSystem:
 
 
 def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jx, Jy, Jz in the ascending-m canonical basis (index 0 is m = -j)."""
+    """Dense Jx, Jy, Jz in the ascending-m canonical basis (index 0 is m = -j)."""
     d = _dimension_for(j)
     m = -j + np.arange(d)
-    c = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))  # <m+1|J+|m>
+    c = _ladder(j, d)
     jx = np.zeros((d, d), dtype=complex)
     jy = np.zeros((d, d), dtype=complex)
     idx = np.arange(d - 1)
@@ -153,34 +162,118 @@ def _dimension_for(j: float) -> int:
     return int(round(two_j)) + 1
 
 
+def _ladder(j: float, d: int) -> np.ndarray:
+    """c_m = <m+1|J+|m> = sqrt(j(j+1) - m(m+1)) for m = -j..j-1."""
+    m = -j + np.arange(d - 1)
+    return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+
+
+def _jx_eigenvectors(j: float, d: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized eigenvectors of Jx as the columns of a real d x d array,
+    and the row index of each column's leading component.
+
+    Column k (eigenvalue k = -j..j) solves the three-term recurrence
+    (c_m / 2) v_{m+1} + (c_{m-1} / 2) v_{m-1} = k v_m from v_{-j} = 1, for
+    all k at once.  It runs from m = -j, inside the classically forbidden
+    zone, inward to the middle, the direction in which it is stable
+    (Schulten & Gordon, J. Math. Phys. 16, 1961 (1975)); a column is scaled
+    down whenever it passes RESCALE_ABOVE.  The other half follows from the
+    parity v_{-m} = (-1)^(j-k) v_m.  Columns are normalized and get the sign
+    rule of ``hilbert._canonical_phases``: the leading component
+    (``_lead_index``) is positive.  These are the columns of the Wigner
+    matrix d^j(pi/2), also known as Krawtchouk functions.
+    """
+    two_k = 2.0 * (-j + np.arange(d))
+    half = (d + 1) // 2
+    v = np.empty((d, d))
+    v[0] = 1.0
+    for i in range(half - 1):
+        np.multiply(two_k, v[i], out=v[i + 1])
+        if i > 0:
+            v[i + 1] -= c[i - 1] * v[i - 1]
+        v[i + 1] /= c[i]
+        big = np.abs(v[i + 1]) > RESCALE_ABOVE
+        if big.any():
+            v[: i + 2, big] /= RESCALE_ABOVE
+    v[:half] /= np.max(np.abs(v[:half]), axis=0)
+    np.multiply(v[d - half - 1 :: -1], _jx_parity(d), out=v[half:])
+    v /= np.sqrt(np.einsum("mk,mk->k", v, v))
+    lead = _lead_index(v)
+    v *= np.sign(v[lead, np.arange(d)])
+    return v, lead
+
+
+def _jx_parity(d: int) -> np.ndarray:
+    """(-1)^(j-k) per Jx eigenvalue k = -j..j, the sign of v_{-m} / v_m."""
+    return np.where(np.arange(d - 1, -1, -1) % 2, -1.0, 1.0)
+
+
+def _check_jx_gram(v: np.ndarray) -> None:
+    """Raise EigensolverError unless the columns of V are orthonormal.
+
+    Columns of opposite parity are orthogonal by the mirror, so the Gram
+    matrix is block diagonal, and each parity block folds onto the rows
+    above the middle (weighted sqrt 2) plus the middle row of an odd d: two
+    real Gram products of a quarter of the full one's work.
+    """
+    d = v.shape[0]
+    fold = np.sqrt(2.0) * v[: d // 2]
+    if d % 2:
+        fold = np.vstack([fold, v[d // 2]])
+    parity = _jx_parity(d)
+    dev = max(orthonormality_deviation(fold[:, parity == sign].T) for sign in (1.0, -1.0))
+    if dev > ORTHONORMALITY_TOLERANCE:
+        raise EigensolverError(f"Jx eigenvectors not orthonormal: max Gram deviation {dev:.3e}")
+
+
+def _check_jx_residual(v: np.ndarray, c: np.ndarray, k: np.ndarray) -> None:
+    """Raise EigensolverError unless ||Jx V - V k||_inf is within tolerance.
+
+    Jx V is two shifted copies of V scaled by c / 2, so the check is O(d^2).
+    """
+    half_c = (c / 2.0)[:, np.newaxis]
+    resid = v * k
+    resid[1:] -= half_c * v[:-1]
+    resid[:-1] -= half_c * v[1:]
+    worst = float(np.max(np.abs(resid)))
+    scale = max(float(np.max(half_c, initial=0.0)), 1.0)
+    if worst > EIGEN_RESIDUAL_TOLERANCE * scale:
+        raise EigensolverError(
+            f"Jx eigenpair residual {worst:.3e} exceeds "
+            f"{EIGEN_RESIDUAL_TOLERANCE} * scale {scale:.3e}"
+        )
+
+
 @lru_cache(maxsize=16)
 def spin_system(j: float) -> ModelSystem:
-    """Angular momentum j: z canonical, x diagonalized, y rotated from x.
+    """Angular momentum j: z canonical, x from the Jx recurrence, y rotated from x.
 
-    Eigenvalues run -j..+j in unit steps for all three bases.  Systems are
-    cached: construction costs one dense diagonalization, of Jx.  The y basis
-    follows from it because R_z(pi/2) = exp(-i pi Jz / 2) maps Jx to Jy, so
-    |y_k> is |x_k> times the diagonal phases exp(-i pi m / 2); it gets the
-    same canonical phases and residual gate as a diagonalized basis.
+    Eigenvalues are exactly -j..+j in unit steps for all three bases.  The
+    x basis stores the real recurrence eigenvectors as its rows, gated by
+    the O(d^2) Jx residual and a real Gram check.  R_z(pi/2) =
+    exp(-i pi Jz / 2) maps Jx to Jy, so y_k[m] = c_k (-i)^(m+j) x_k[m]; c_k
+    = i^p with p the reference index of x_k's leading component gives y the
+    canonical phases of a diagonalized basis.  Both phase vectors are exact
+    powers of i, and y shares x's rows.  Systems are cached.
     """
     j = float(j)
     d = _dimension_for(j)
-    jx, jy, _ = angular_momentum_matrices(j)
-    mgrid = -j + np.arange(d)
-    z = LabeledBasis.identity(mgrid)
-    x = hermitian_eigen(jx)
-    vy = _canonical_phases((x.vectors * np.exp(-0.5j * np.pi * mgrid)).T)
-    _check_residual(jy, x.eigenvalues, vy)
-    y = LabeledBasis(vy.T, x.eigenvalues)
+    c = _ladder(j, d)
+    k = -j + np.arange(d)
+    v, lead = _jx_eigenvectors(j, d, c)
+    _check_jx_residual(v, c, k)
+    _check_jx_gram(v)
+    # Rows C-contiguous: the products with X run fastest in that layout.
+    x = LabeledBasis._orthonormal(np.ascontiguousarray(v.T), k, d)
+    y = x.rephased(I_POWERS[lead % 4], MINUS_I_POWERS[np.arange(d) % 4])
+    z = LabeledBasis.identity(k)
     oracle = ClassicalOracle("spin_cone", (("j", j),))
     return ModelSystem(f"spin{j:g}", d, {"x": x, "y": y, "z": z}, classical_oracle=oracle,
                        metadata={"j": j})
 
 
 @lru_cache(maxsize=16)
-def ring_system(
-    params: RingParameters, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> ModelSystem:
+def ring_system(params: RingParameters, constants: PhysicalConstants) -> ModelSystem:
     """Free particle on a discrete ring.
 
     Position basis sits at x_n = n L / N.  The momentum basis is the discrete

@@ -3,11 +3,13 @@ import copy
 import numpy as np
 import pytest
 
-from actionlab.errors import EigensolverError
-from actionlab.hilbert import _canonical_phases
+from actionlab.action import MAGNITUDE_FLOOR_ABSOLUTE
+from actionlab.errors import EigensolverError, UndefinedPhaseError
+from actionlab.hilbert import LabeledBasis, PhysicalConstants, _canonical_phases, eigh_hermitian, inner
 from actionlab.models import RingParameters, qubit_system, ring_system, spin_system
 
 RING_PARAMS = RingParameters(sites=256, circumference=256.0, mass=1.0, flight_time=20.0)
+UNIT = PhysicalConstants(hbar=1.0)
 DELETE = object()
 
 
@@ -44,7 +46,7 @@ def spin50():
 
 @pytest.fixture(scope="session")
 def ring256():
-    return ring_system(RING_PARAMS)
+    return ring_system(RING_PARAMS, UNIT)
 
 
 def haar_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,6 +115,60 @@ def jacobi_eigh(H, tol: float = 1e-14, max_sweeps: int = 40) -> tuple[np.ndarray
     w = np.real(np.diag(A))
     order = np.argsort(w, kind="stable")
     return w[order], _canonical_phases(V[:, order])
+
+
+class DegenerateSpectrumError(ValueError):
+    """Eigenvalues too close to label a strictly increasing basis grid."""
+
+
+def hermitian_eigen(H) -> LabeledBasis:
+    """LAPACK oracle: diagonalize a Hermitian matrix into a LabeledBasis.
+
+    The eigenvalues become the basis labels, so they must be simple: a
+    LabeledBasis requires a strictly increasing grid.  Degenerate spectra
+    raise DegenerateSpectrumError.
+    """
+    w, V = eigh_hermitian(H)
+    span = max(float(w[-1] - w[0]), 1.0)
+    if np.any(np.diff(w) <= 1e-9 * span):
+        raise DegenerateSpectrumError(
+            "spectrum has (near-)degenerate eigenvalues; cannot build a "
+            "strictly increasing eigenvalue grid"
+        )
+    return LabeledBasis(V.T, w)
+
+
+def lapack_spin_bases(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK oracle for the spin x and y bases, as columns.
+
+    Jx is built here as the dense real symmetric tridiagonal matrix and
+    diagonalized by numpy's eigh; the x columns get the canonical phases,
+    and the y columns are x rotated by exp(-i pi m / 2) with canonical
+    phases.  Returns (eigenvalues, x columns, y columns).
+    """
+    d = int(round(2.0 * j)) + 1
+    m = -j + np.arange(d)
+    c = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
+    w, v = np.linalg.eigh(np.diag(c / 2.0, 1) + np.diag(c / 2.0, -1))
+    vx = _canonical_phases(v)
+    return w, vx, _canonical_phases(vx * np.exp(-0.5j * np.pi * m)[:, np.newaxis])
+
+
+def curvature_weak_value(a, m, b, delta_x_m: float, constants: PhysicalConstants) -> float:
+    """Action curvature predicted from inner products alone.
+
+    At a stationary point the curvature equals
+    (2 pi hbar / dx^2) |<b|m><m|a> / <b|a>|^2 with dx the local grid spacing;
+    the squared factor is the weak-value magnitude of |m><m|.  The identity
+    is semiclassical: it sharpens as the system grows.
+    """
+    if not (delta_x_m > 0 and np.isfinite(delta_x_m)):
+        raise ValueError(f"delta_x_m must be positive, got {delta_x_m}")
+    ab = inner(b, a)
+    if abs(ab) < MAGNITUDE_FLOOR_ABSOLUTE:
+        raise UndefinedPhaseError("<b|a> vanishes; weak value undefined")
+    wv = abs(inner(b, m) * inner(m, a) / ab)
+    return 2.0 * np.pi * constants.hbar / (delta_x_m * delta_x_m) * wv * wv
 
 
 def loop_unwrap_segment(raw: np.ndarray, two_pi: float, anchor: int = 0) -> np.ndarray:

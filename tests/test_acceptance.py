@@ -46,7 +46,7 @@ from actionlab.measurement import (
     projective_kernel,
 )
 from actionlab.models import qubit_system, ring_arrival_state, ring_system, spin_system
-from tests.conftest import RING_PARAMS
+from tests.conftest import RING_PARAMS, UNIT
 
 # Frozen acceptance geometries (oracle-validated):
 #   spin j=50 pair (25, 25): stationary points well inside the spectrum,
@@ -92,7 +92,7 @@ def test_criterion_1_exact_identities():
     system, a, b, _ = spin_profile(200.0, *J200_PAIR)
     z = system.basis("z")
     m = z.state_at(50.0)
-    s_ref = action_phase(a, m, b)
+    s_ref = action_phase(a, m, b, UNIT)
     worst_gauge = 0.0
     for _ in range(20):
         ph = rng.uniform(0, 2 * np.pi, size=3)
@@ -100,12 +100,13 @@ def test_criterion_1_exact_identities():
             StateVector(a.amplitudes * np.exp(1j * ph[0])),
             StateVector(m.amplitudes * np.exp(1j * ph[2])),
             StateVector(b.amplitudes * np.exp(1j * ph[1])),
+            UNIT,
         )
         worst_gauge = max(worst_gauge, abs(s2 - s_ref))
     assert worst_gauge < 1e-12
 
-    fwd = action_phase(a, m, b)
-    rev = action_phase(b, m, a)
+    fwd = action_phase(a, m, b, UNIT)
+    rev = action_phase(b, m, a, UNIT)
     anti = abs((fwd + rev + np.pi) % (2 * np.pi) - np.pi)
     assert anti < 1e-12
 
@@ -138,8 +139,8 @@ def test_criterion_2_qubit_golden_values():
     a = qubit.basis("x").state_at(0.5)
     b = qubit.basis("y").state_at(0.5)
     z = qubit.basis("z")
-    s_up = action_phase(a, z.state_at(0.5), b)
-    s_dn = action_phase(a, z.state_at(-0.5), b)
+    s_up = action_phase(a, z.state_at(0.5), b, UNIT)
+    s_dn = action_phase(a, z.state_at(-0.5), b, UNIT)
     assert abs(s_up - np.pi / 4) < 1e-12
     assert abs(s_dn + np.pi / 4) < 1e-12
     p_ba = abs(inner(b, a)) ** 2
@@ -266,7 +267,7 @@ def test_criterion_6_curvature_weak_value_cross_route():
     # separation available.
     s4 = spin_system(4.0)
     prof4 = action_profile(
-        s4.basis("x").state_at(2.0), s4.basis("z"), s4.basis("y").state_at(2.0),
+        s4.basis("x").state_at(2.0), s4.basis("z"), s4.basis("y").state_at(2.0), UNIT,
         smoothing=1.0,
     )
     pts4 = stationary_points(prof4)
@@ -370,11 +371,11 @@ def test_criterion_7_gradient_recovery_window(spin50_highres):
 
 def test_criterion_7_ring_gradient_slope():
     """Recovered gradient slope vs the analytic flight-time/mass ratio."""
-    ring = ring_system(RING_PARAMS)
+    ring = ring_system(RING_PARAMS, UNIT)
     a = ring.basis("position").state_at(100.0)
     b = ring_arrival_state(ring, 120.0)
     mom = ring.basis("momentum")
-    prof = action_profile(a, mom, b)
+    prof = action_profile(a, mom, b, UNIT)
     pt = stationary_points(prof)[0]
     delta = 4.0 * float(mom.spacing[0])
     kern = gaussian_kernel(mom, delta)

@@ -11,7 +11,6 @@ from actionlab.action import (
     action_phase,
     action_profile,
     aligned_unitary,
-    curvature_weak_value,
     propagation_time,
     stationary_phase_overlap,
     stationary_points,
@@ -29,8 +28,14 @@ from actionlab.hilbert import (
     expand,
     inner,
 )
-from actionlab.models import make_packet, ring_arrival_state
-from tests.conftest import RING_PARAMS, loop_segments_of, loop_unwrap_segment
+from actionlab.models import make_packet, ring_arrival_state, ring_system
+from tests.conftest import (
+    RING_PARAMS,
+    UNIT,
+    curvature_weak_value,
+    loop_segments_of,
+    loop_unwrap_segment,
+)
 
 
 def spin_pair(system, x_a, x_b):
@@ -50,8 +55,8 @@ class TestActionPhase:
     def test_qubit_golden_values(self, qubit):
         a, b = spin_pair(qubit, 0.5, 0.5)
         z = qubit.basis("z")
-        assert action_phase(a, z.state_at(0.5), b) == pytest.approx(np.pi / 4, abs=1e-14)
-        assert action_phase(a, z.state_at(-0.5), b) == pytest.approx(-np.pi / 4, abs=1e-14)
+        assert action_phase(a, z.state_at(0.5), b, UNIT) == pytest.approx(np.pi / 4, abs=1e-14)
+        assert action_phase(a, z.state_at(-0.5), b, UNIT) == pytest.approx(-np.pi / 4, abs=1e-14)
 
     def test_hbar_scales_action(self, qubit):
         a, b = spin_pair(qubit, 0.5, 0.5)
@@ -63,7 +68,7 @@ class TestActionPhase:
         z = spin20.basis("z")
         a = z.state_at(3.0)
         b = spin20.basis("y").state_at(7.0)
-        assert action_phase(a, z.state_at(3.0), b) == pytest.approx(0.0, abs=1e-13)
+        assert action_phase(a, z.state_at(3.0), b, UNIT) == pytest.approx(0.0, abs=1e-13)
 
     @given(st.tuples(*[st.floats(0, 2 * np.pi) for _ in range(3)]))
     @settings(max_examples=30, deadline=None)
@@ -73,18 +78,18 @@ class TestActionPhase:
         system = spin_system(20.0)
         a, b = spin_pair(system, 10.0, 10.0)
         m = system.basis("z").state_at(5.0)
-        ref = action_phase(a, m, b)
+        ref = action_phase(a, m, b, UNIT)
         a2 = StateVector(a.amplitudes * np.exp(1j * phases[0]))
         b2 = StateVector(b.amplitudes * np.exp(1j * phases[1]))
         m2 = StateVector(m.amplitudes * np.exp(1j * phases[2]))
-        assert action_phase(a2, m2, b2) == pytest.approx(ref, abs=1e-12)
+        assert action_phase(a2, m2, b2, UNIT) == pytest.approx(ref, abs=1e-12)
 
     def test_antisymmetry(self, spin20):
         a, b = spin_pair(spin20, 10.0, 5.0)
         for m_val in (-7.0, 0.0, 7.0):
             m = spin20.basis("z").state_at(m_val)
-            fwd = action_phase(a, m, b)
-            rev = action_phase(b, m, a)
+            fwd = action_phase(a, m, b, UNIT)
+            rev = action_phase(b, m, a, UNIT)
             wrapped = abs((fwd + rev + np.pi) % (2 * np.pi) - np.pi)
             assert wrapped < 1e-12
 
@@ -92,34 +97,34 @@ class TestActionPhase:
         a = StateVector([1.0, 0.0])
         m = StateVector([0.0, 1.0])
         with pytest.raises(UndefinedPhaseError):
-            action_phase(a, m, a)
+            action_phase(a, m, a, UNIT)
 
 
 class TestActionProfile:
     def test_qubit_profile(self, qubit):
         a, b = spin_pair(qubit, 0.5, 0.5)
-        prof = action_profile(a, qubit.basis("z"), b)
+        prof = action_profile(a, qubit.basis("z"), b, UNIT)
         assert np.allclose(prof.s_raw, [-np.pi / 4, np.pi / 4], atol=1e-14)
         assert np.all(prof.valid)
         assert np.isnan(prof.gradient).all()  # no 3-point stencil on 2 points
 
     def test_density_normalization(self, spin50):
         a, b = spin_pair(spin50, 25.0, 25.0)
-        prof = action_profile(a, spin50.basis("z"), b)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT)
         assert np.sum(prof.rho_a * prof.spacing) == pytest.approx(1.0, abs=1e-12)
         assert np.sum(prof.rho_b * prof.spacing) == pytest.approx(1.0, abs=1e-12)
 
     def test_reconstruction_through_profile(self, spin50):
         a, b = spin_pair(spin50, 25.0, 25.0)
-        prof = action_profile(a, spin50.basis("z"), b)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT)
         assert abs(np.sum(prof.amp_product_bare) - inner(b, a)) < 1e-14
 
     def test_branch_filter_cached_with_unchanged_profiles(self, spin20):
         a, b = spin_pair(spin20, 10.0, 10.0)
         z = spin20.basis("z")
-        first = action_profile(a, z, b, smoothing=2.0)
+        first = action_profile(a, z, b, UNIT, smoothing=2.0)
         hits = _branch_filter.cache_info().hits
-        second = action_profile(a, z, b, smoothing=2.0)
+        second = action_profile(a, z, b, UNIT, smoothing=2.0)
         assert _branch_filter.cache_info().hits == hits + 1
         for f in dataclasses.fields(first):
             one, two = getattr(first, f.name), getattr(second, f.name)
@@ -127,16 +132,27 @@ class TestActionProfile:
                 assert np.array_equal(one, two, equal_nan=True), f.name
             else:
                 assert one == two, f.name
-        # Oracle: the kernel built inline, as before it was cached.
+        # Oracle: the kernel built inline, as before it was cached, applied
+        # to the same real stack (Re, Im, rho_a, rho_b) bit for bit, and to
+        # the complex product within roundoff.
         x = z.eigenvalues
+        w = z.spacing_per_state()
         kern = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * 2.0**2))
-        kern *= z.spacing_per_state()[np.newaxis, :]
-        assert np.array_equal(first.amp_product, (kern @ first.amp_product_bare) / kern.sum(axis=1))
+        kern *= w[np.newaxis, :]
+        norm = kern.sum(axis=1)
+        bare = first.amp_product_bare
+        stack = np.column_stack([bare.real, bare.imag, np.abs(expand(a, z)) ** 2 / w,
+                                 np.abs(expand(b, z)) ** 2 / w])
+        filtered = (kern @ stack) / norm[:, np.newaxis]
+        assert np.array_equal(first.amp_product, filtered[:, 0] + 1j * filtered[:, 1])
+        assert np.array_equal(first.rho_a, filtered[:, 2])
+        assert np.array_equal(first.rho_b, filtered[:, 3])
+        assert np.max(np.abs(first.amp_product - (kern @ bare) / norm)) < 1e-15
 
     def test_spin50_gradient_sign_change_near_oracle(self, spin50):
         # Brute-force profile against the classical cone-intersection oracle.
         a, b = spin_pair(spin50, 25.0, 25.0)
-        prof = action_profile(a, spin50.basis("z"), b, smoothing=2.0)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT, smoothing=2.0)
         oracle = np.sqrt(50 * 51 - 625.0 - 625.0)
         g = prof.gradient
         x = prof.x_grid
@@ -151,14 +167,14 @@ class TestActionProfile:
 
     def test_unwrap_offsets_are_2pi_multiples(self, spin50):
         a, b = spin_pair(spin50, 25.0, 20.0)
-        prof = action_profile(a, spin50.basis("z"), b, smoothing=2.0)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT, smoothing=2.0)
         ok = prof.valid & np.isfinite(prof.s_unwrapped)
         k = (prof.s_unwrapped[ok] - prof.s_raw[ok]) / (2 * np.pi)
         assert np.max(np.abs(k - np.round(k))) < 1e-10
 
     def test_s_raw_principal_range(self, spin20):
         a, b = spin_pair(spin20, 10.0, 5.0)
-        prof = action_profile(a, spin20.basis("z"), b)
+        prof = action_profile(a, spin20.basis("z"), b, UNIT)
         vals = prof.s_raw[prof.valid]
         assert np.all(vals <= np.pi + 1e-15)
         assert np.all(vals > -np.pi - 1e-15)
@@ -172,11 +188,11 @@ class TestActionProfile:
 
         basis = LabeledBasis(basis_vectors, np.arange(4.0))
         with pytest.raises(ProfileTooSparseError):
-            action_profile(a, basis, b)
+            action_profile(a, basis, b, UNIT)
 
     def test_anchor_independence(self, spin50):
         a, b = spin_pair(spin50, 25.0, 25.0)
-        prof = action_profile(a, spin50.basis("z"), b, smoothing=2.0)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT, smoothing=2.0)
         seg = np.where(prof.segment_id == 0)[0]
         raw = prof.s_raw[seg[0] : seg[-1] + 1]
         two_pi = 2 * np.pi
@@ -191,7 +207,7 @@ class TestActionProfile:
 class TestStationaryPoints:
     def test_spin50_matches_classical_oracle(self, spin50):
         a, b = spin_pair(spin50, 25.0, 25.0)
-        prof = action_profile(a, spin50.basis("z"), b, smoothing=2.0)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT, smoothing=2.0)
         pts = stationary_points(prof)
         assert len(pts) == 2
         oracle = np.sqrt(50 * 51 - 1250.0)
@@ -201,7 +217,7 @@ class TestStationaryPoints:
     def test_ring_matches_free_particle_oracle(self, ring256):
         a = ring256.basis("position").state_at(100.0)
         b = ring_arrival_state(ring256, 120.0)
-        prof = action_profile(a, ring256.basis("momentum"), b)
+        prof = action_profile(a, ring256.basis("momentum"), b, UNIT)
         pts = stationary_points(prof)
         assert len(pts) == 1
         p_star = RING_PARAMS.mass * 20.0 / RING_PARAMS.flight_time
@@ -219,12 +235,12 @@ class TestStationaryPoints:
             ),
             a,
         )
-        prof = action_profile(a, z, shifted)
+        prof = action_profile(a, z, shifted, UNIT)
         assert stationary_points(prof) == []
 
     def test_resolution_limits_populated(self, spin50):
         a, b = spin_pair(spin50, 25.0, 25.0)
-        prof = action_profile(a, spin50.basis("z"), b, smoothing=2.0)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT, smoothing=2.0)
         pt = stationary_points(prof)[0]
         assert pt.delta_x_m == pytest.approx(np.sqrt(2 * np.pi / abs(pt.curvature_at)))
         assert pt.delta_n == pytest.approx(pt.delta_x_m)  # unit grid spacing
@@ -232,22 +248,27 @@ class TestStationaryPoints:
 
 
 class TestCurvatureWeakValue:
-    def test_ring_identity_at_stationary_point(self, ring256):
-        # The bare identity holds on the running-wave ring to ~10%.
-        a = ring256.basis("position").state_at(100.0)
-        b = ring_arrival_state(ring256, 120.0)
-        mom = ring256.basis("momentum")
-        prof = action_profile(a, mom, b)
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    def test_ring_identity_at_stationary_point(self, hbar):
+        # The bare identity holds on the running-wave ring to ~10%, in any
+        # unit of action: |S''| = T/M = 20 at hbar = 1 and at hbar = 2.
+        constants = PhysicalConstants(hbar=hbar)
+        ring = ring_system(RING_PARAMS, constants)
+        a = ring.basis("position").state_at(100.0)
+        b = ring_arrival_state(ring, 120.0)
+        mom = ring.basis("momentum")
+        prof = action_profile(a, mom, b, constants)
         pt = stationary_points(prof)[0]
+        assert abs(pt.curvature_at) == pytest.approx(20.0, rel=1e-6)
         spacing = float(mom.spacing[0])
-        predicted = curvature_weak_value(a, mom.state(pt.index_star), b, spacing)
+        predicted = curvature_weak_value(a, mom.state(pt.index_star), b, spacing, constants)
         assert predicted == pytest.approx(abs(pt.curvature_at), rel=0.10)
 
     def test_spin50_branch_identity(self, spin50):
         # Standing-wave states need the branch-filtered amplitude; compare the
         # profile's weak value route against the fitted curvature.
         a, b = spin_pair(spin50, 25.0, 25.0)
-        prof = action_profile(a, spin50.basis("z"), b, smoothing=2.0)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT, smoothing=2.0)
         pt = stationary_points(prof)[0]
         eq17 = 2 * np.pi * pt.weak_value_magnitude**2  # unit spacing, hbar=1
         assert eq17 == pytest.approx(abs(pt.curvature_at), rel=0.10)
@@ -258,7 +279,7 @@ class TestCurvatureWeakValue:
 
         s4 = spin_system(4.0)
         a, b = spin_pair(s4, 2.0, 2.0)
-        prof = action_profile(a, s4.basis("z"), b, smoothing=2.0)
+        prof = action_profile(a, s4.basis("z"), b, UNIT, smoothing=2.0)
         pts = stationary_points(prof)
         if pts:
             eq17 = 2 * np.pi * pts[0].weak_value_magnitude**2
@@ -272,17 +293,17 @@ class TestCurvatureWeakValue:
         mom = ring256.basis("momentum")
         m = mom.state(140)
         spacing = float(mom.spacing[0])
-        ref = curvature_weak_value(a, m, b, spacing)
+        ref = curvature_weak_value(a, m, b, spacing, UNIT)
         a2 = StateVector(a.amplitudes * np.exp(0.7j))
         b2 = StateVector(b.amplitudes * np.exp(-1.1j))
-        assert curvature_weak_value(a2, m, b2, spacing) == pytest.approx(ref, rel=1e-12)
+        assert curvature_weak_value(a2, m, b2, spacing, UNIT) == pytest.approx(ref, rel=1e-12)
 
     def test_vanishing_overlap_guarded(self):
         a = StateVector([1, 0])
         b = StateVector([0, 1])
         m = StateVector([1 / np.sqrt(2), 1 / np.sqrt(2)])
         with pytest.raises(UndefinedPhaseError):
-            curvature_weak_value(a, m, b, 1.0)
+            curvature_weak_value(a, m, b, 1.0, UNIT)
 
 
 class TestAlignedUnitary:
@@ -316,7 +337,7 @@ class TestAlignedUnitary:
 class TestStationaryPhaseOverlap:
     def test_spin50_two_branch_estimate(self, spin50):
         a, b = spin_pair(spin50, 25.0, 25.0)
-        prof = action_profile(a, spin50.basis("z"), b, smoothing=2.0)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT, smoothing=2.0)
         est = stationary_phase_overlap(prof, stationary_points(prof))
         ratio = abs(est.estimate) / abs(est.exact)
         assert 0.8 <= ratio <= 1.2
@@ -334,7 +355,7 @@ class TestStationaryPhaseOverlap:
         exact = inner(b, a)
         analytic = (1 + (alpha * w**2) ** 2) ** -0.25
         assert abs(exact) == pytest.approx(analytic, rel=0.01)
-        prof = action_profile(a, z, b)
+        prof = action_profile(a, z, b, UNIT)
         pts = stationary_points(prof)
         assert len(pts) == 1
         est = stationary_phase_overlap(prof, pts)
@@ -349,7 +370,7 @@ class TestStationaryPhaseOverlap:
         from actionlab.hilbert import DiagonalUnitary
 
         shifted = apply_diagonal(DiagonalUnitary(z, -0.3 * z.eigenvalues), a)
-        prof = action_profile(a, z, shifted)
+        prof = action_profile(a, z, shifted, UNIT)
         with pytest.raises(NotApplicableError):
             stationary_phase_overlap(prof, [])
 
@@ -358,7 +379,7 @@ class TestPropagationTime:
     def test_ring_zero_at_stationary_point(self, ring256):
         a = ring256.basis("position").state_at(100.0)
         b = ring_arrival_state(ring256, 120.0)
-        prof = action_profile(a, ring256.basis("momentum"), b)
+        prof = action_profile(a, ring256.basis("momentum"), b, UNIT)
         pt = stationary_points(prof)[0]
         assert abs(propagation_time(prof, pt.x_star)) < 1e-9
 
@@ -366,7 +387,7 @@ class TestPropagationTime:
         # dS/dp = dx - p T / M exactly for the free ring.
         a = ring256.basis("position").state_at(100.0)
         b = ring_arrival_state(ring256, 120.0)
-        prof = action_profile(a, ring256.basis("momentum"), b)
+        prof = action_profile(a, ring256.basis("momentum"), b, UNIT)
         for p_val in (0.5, 1.0, 1.5):
             assert propagation_time(prof, p_val) == pytest.approx(
                 20.0 - 20.0 * p_val, abs=1e-8
@@ -376,8 +397,8 @@ class TestPropagationTime:
         a = ring256.basis("position").state_at(100.0)
         b = ring_arrival_state(ring256, 120.0)
         mom = ring256.basis("momentum")
-        fwd = action_profile(a, mom, b)
-        rev = action_profile(b, mom, a)
+        fwd = action_profile(a, mom, b, UNIT)
+        rev = action_profile(b, mom, a, UNIT)
         assert propagation_time(rev, 0.5) == pytest.approx(
             -propagation_time(fwd, 0.5), abs=1e-9
         )
@@ -385,7 +406,7 @@ class TestPropagationTime:
     def test_outside_support_rejected(self, ring256):
         a = ring256.basis("position").state_at(100.0)
         b = ring_arrival_state(ring256, 120.0)
-        prof = action_profile(a, ring256.basis("momentum"), b)
+        prof = action_profile(a, ring256.basis("momentum"), b, UNIT)
         with pytest.raises(ValueError, match="outside"):
             propagation_time(prof, 99.0)
 
@@ -403,7 +424,7 @@ class TestErrorPaths:
     def test_profile_dimension_mismatch(self, spin20, qubit):
         a = qubit.basis("x").state_at(0.5)
         with pytest.raises(ValueError, match="mismatch"):
-            action_profile(a, spin20.basis("z"), a)
+            action_profile(a, spin20.basis("z"), a, UNIT)
 
     def test_vanishing_overlap_rejected(self):
         from actionlab.hilbert import LabeledBasis
@@ -412,7 +433,7 @@ class TestErrorPaths:
         b = StateVector([0, 1])
         basis = LabeledBasis(np.eye(2), [0.0, 1.0])
         with pytest.raises(UndefinedPhaseError, match="vanishes"):
-            action_profile(a, basis, b)
+            action_profile(a, basis, b, UNIT)
 
 
 class TestStationaryPointInvariants:
@@ -420,13 +441,13 @@ class TestStationaryPointInvariants:
         # Ring (bare profile): machine-level zero at the refined point.
         a = ring256.basis("position").state_at(100.0)
         b = ring_arrival_state(ring256, 120.0)
-        prof = action_profile(a, ring256.basis("momentum"), b)
+        prof = action_profile(a, ring256.basis("momentum"), b, UNIT)
         pt = stationary_points(prof)[0]
         assert abs(prof.gradient_at(pt.x_star)) < 1e-9
         # Spin (filtered profile): small against the gradient scale.
         a = spin50.basis("x").state_at(25.0)
         b = spin50.basis("y").state_at(25.0)
-        prof = action_profile(a, spin50.basis("z"), b, smoothing=2.0)
+        prof = action_profile(a, spin50.basis("z"), b, UNIT, smoothing=2.0)
         for pt in stationary_points(prof):
             scale = np.nanmax(np.abs(prof.gradient))
             assert abs(prof.gradient_at(pt.x_star)) < 0.05 * scale

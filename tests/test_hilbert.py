@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actionlab.errors import DegenerateSpectrumError, EigensolverError
+from actionlab.errors import EigensolverError
 from actionlab.hilbert import (
     DiagonalUnitary,
     LabeledBasis,
@@ -14,14 +14,13 @@ from actionlab.hilbert import (
     eigh_hermitian,
     expand,
     frame_shift,
-    hermitian_eigen,
     inner,
     orthonormality_deviation,
     random_state,
     synthesize,
 )
 from actionlab.models import positive_energy_basis
-from conftest import haar_basis, jacobi_eigh
+from conftest import DegenerateSpectrumError, haar_basis, hermitian_eigen, jacobi_eigh
 
 SQRT2 = np.sqrt(2.0)
 
@@ -251,6 +250,66 @@ class TestLabeledBasis:
         assert PhysicalConstants(hbar=2.0).hbar == 2.0
 
 
+def real_rows(basis) -> bool:
+    """True for a basis that stores real rows (the spin x and y bases)."""
+    return not basis.is_identity and basis._rows.dtype == np.float64
+
+
+def assert_same(got, want, real: bool):
+    """Bitwise equality, or agreement to 1e-15 when a real-row product stands in."""
+    if real:
+        assert np.max(np.abs(got - want)) <= 1e-15
+    else:
+        assert np.array_equal(got.view(float), want.view(float))
+
+
+class TestPhasedBasis:
+    """The spin y basis: the x rows X with phases, y_k[m] = c_k D_m X[k, m]."""
+
+    @pytest.fixture(params=[20.0, 20.5, 200.0])
+    def system(self, request):
+        from actionlab.models import spin_system
+
+        return spin_system(request.param)
+
+    def test_stores_real_rows_and_no_matrix_of_its_own(self, system):
+        x, y = system.basis("x"), system.basis("y")
+        assert x.vectors.dtype == np.float64 and x._rows.dtype == np.float64
+        assert y._rows is x._rows
+        assert y._state_phases.shape == y._site_phases.shape == (system.dimension,)
+        assert y.vectors.dtype == complex and not y.vectors.flags.writeable
+        # Both phase vectors are exact powers of i.
+        for phases in (y._state_phases, y._site_phases):
+            assert np.all(np.isin(phases, [1, 1j, -1, -1j]))
+
+    def test_products_match_dense_rows(self, system):
+        y, x, z = system.basis("y"), system.basis("x"), system.basis("z")
+        dense = y.vectors
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            psi = random_state(system.dimension, rng)
+            assert np.max(np.abs(expand(psi, y) - dense.conj() @ psi.amplitudes)) <= 1e-15
+            coeffs = expand(psi, y)
+            assert np.max(np.abs(synthesize(coeffs, y) - dense.T @ coeffs)) <= 1e-15
+        for k in (0, system.dimension // 3, system.dimension - 1):
+            assert np.max(np.abs(y.state(k).amplitudes - dense[k])) <= 1e-15
+        rows = rng.normal(size=(4, system.dimension)) + 1j * rng.normal(size=(4, system.dimension))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        for source, target in ((z, y), (y, z), (x, y), (y, x)):
+            want = rows @ source.vectors @ target.vectors.conj().T
+            assert np.max(np.abs(change_basis(rows, source, target) - want)) <= 1e-15
+
+    def test_rephased_rejects_bad_input(self, system):
+        x, y = system.basis("x"), system.basis("y")
+        d = system.dimension
+        with pytest.raises(ValueError, match="real-row"):
+            y.rephased(np.ones(d), np.ones(d))
+        with pytest.raises(ValueError, match="unit modulus"):
+            x.rephased(2.0 * np.ones(d), np.ones(d))
+        with pytest.raises(ValueError, match="phases"):
+            x.rephased(np.ones(d - 1), np.ones(d))
+
+
 class TestStructuredBases:
     """Identity, DFT and subset bases skip work the dense constructor does;
     these oracles redo it."""
@@ -264,20 +323,19 @@ class TestStructuredBases:
         return {"spin20": spin20, "qubit": qubit, "ring256": ring256}[system].basis(name)
 
     def test_expand_bitwise_equals_conjugate_product(self, basis):
-        # Identity bases are checked against np.eye, dense ones against their rows.
+        # Identity bases are checked against np.eye, dense ones against their
+        # rows: complex rows bit for bit, real (spin x, phased y) ones to 1e-15.
         rows = np.eye(basis.dim, dtype=complex) if basis.is_identity else basis.vectors
         rng = np.random.default_rng(8)
         for _ in range(3):
             psi = random_state(basis.dim, rng)
-            got = expand(psi, basis)
-            assert np.array_equal(got.view(float), (rows.conj() @ psi.amplitudes).view(float))
+            assert_same(expand(psi, basis), rows.conj() @ psi.amplitudes, real_rows(basis))
 
     def test_synthesis_bitwise_equals_transpose_product(self, basis):
         rows = np.eye(basis.dim, dtype=complex) if basis.is_identity else basis.vectors
         rng = np.random.default_rng(9)
         coeffs = rng.normal(size=basis.n_states) + 1j * rng.normal(size=basis.n_states)
-        assert np.array_equal(synthesize(coeffs, basis).view(float),
-                              (rows.T @ coeffs).view(float))
+        assert_same(synthesize(coeffs, basis), rows.T @ coeffs, real_rows(basis))
 
     @pytest.mark.parametrize("source_name", ["x", "z"])
     @pytest.mark.parametrize("target_name", ["y", "z"])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from actionlab import models
+from actionlab.errors import EigensolverError
 from actionlab.hilbert import expand, inner
 from actionlab.models import (
     RingParameters,
@@ -14,7 +16,18 @@ from actionlab.models import (
     spin_system,
     wrap_displacement,
 )
-from conftest import jacobi_eigh
+from conftest import jacobi_eigh, lapack_spin_bases
+
+
+def assert_matches_lapack(system, j: float):
+    """x and y equal the LAPACK oracle column for column within 1e-12; labels are exact."""
+    w, vx, vy = lapack_spin_bases(j)
+    x, y = system.basis("x"), system.basis("y")
+    assert np.array_equal(x.eigenvalues, -j + np.arange(system.dimension))
+    assert np.array_equal(y.eigenvalues, x.eigenvalues)
+    assert np.max(np.abs(x.eigenvalues - w)) < 1e-9
+    assert np.max(np.abs(x.vectors.T - vx)) < 1e-12
+    assert np.max(np.abs(y.vectors.T - vy)) < 1e-12
 
 
 class TestQubit:
@@ -72,6 +85,32 @@ class TestSpin:
             basis = spin20.basis(name)
             assert np.max(np.abs(basis.eigenvalues - w)) < 1e-10
             assert np.max(np.abs(basis.vectors.T - v)) < 1e-10
+
+    @pytest.mark.parametrize("j", [0.5, 1.0, 20.0, 20.5, 200.0])
+    def test_recurrence_bases_match_lapack_oracle(self, j):
+        assert_matches_lapack(spin_system(j), j)
+
+    def test_recurrence_bases_match_lapack_oracle_at_j1000(self):
+        # Built uncached, so the d = 2001 system is not kept for the session.
+        assert_matches_lapack(spin_system.__wrapped__(1000.0), 1000.0)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda v: v.__setitem__(7, 1.001 * v[7]), "residual"),
+        (lambda v: v.__setitem__((slice(None), 5), 1.01 * v[:, 5]), "orthonormal"),
+    ])
+    def test_gates_reject_corrupted_recurrence(self, monkeypatch, corrupt, match):
+        # A scaled row breaks Jx v = k v; a scaled column is still an
+        # eigenvector but no longer normalized, which only the Gram check sees.
+        original = models._jx_eigenvectors
+
+        def corrupted(j, d, c):
+            v, lead = original(j, d, c)
+            corrupt(v)
+            return v, lead
+
+        monkeypatch.setattr(models, "_jx_eigenvectors", corrupted)
+        with pytest.raises(EigensolverError, match=match):
+            spin_system.__wrapped__(20.0)
 
     def test_invalid_j(self):
         with pytest.raises(ValueError):
