@@ -41,7 +41,6 @@ from .experiments import (
     run_propagation_time_experiment,
     run_resolution_sweep,
 )
-from .hilbert import orthonormality_deviation
 
 OUTPUT_ENV_VAR = "ACTIONLAB_OUT"
 
@@ -229,7 +228,7 @@ def _run_models(args, cfg: ExperimentConfig | None) -> int:
     bases = {
         name: {
             "eigenvalues": [float(x) for x in basis.eigenvalues],
-            "orthonormality_deviation": orthonormality_deviation(basis.vectors),
+            "orthonormality_deviation": basis.orthonormality_deviation(),
         }
         for name, basis in sorted(system.bases.items())
     }

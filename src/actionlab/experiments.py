@@ -64,6 +64,7 @@ from .models import (
     make_packet,
     positive_energy_basis,
     qubit_system,
+    ring_arrival_basis,
     ring_arrival_state,
     ring_system,
     spin_system,
@@ -437,12 +438,16 @@ def _config_packet(basis: LabeledBasis, spec: StateSpec, role: str,
         raise ConfigError(str(err), field=f"{role}.packet_center") from err
 
 
+def _is_arrival(system: ModelSystem, spec: StateSpec, role: str) -> bool:
+    """On the ring, a final state ("b") in the position basis is an arrival event."""
+    return system.name.startswith("ring") and role == "b" and spec.basis == "position"
+
+
 def build_state(system: ModelSystem, spec: StateSpec, role: str) -> StateVector:
     """Instantiate a configured state.
 
-    On the ring, final states ("b") given in the position basis are
-    interpreted as arrival events and carried back to the reference time over
-    the configured flight time.
+    Arrival events (``_is_arrival``) are carried back to the reference time
+    over the configured flight time.
     """
     basis = _config_basis(system, spec.basis, f"{role}.basis")
     if spec.eigenvalue is not None:
@@ -455,7 +460,7 @@ def build_state(system: ModelSystem, spec: StateSpec, role: str) -> StateVector:
                 f"(nearest is {basis.eigenvalues[idx]})",
                 field=f"{role}.eigenvalue",
             )
-        if system.name.startswith("ring") and role == "b" and spec.basis == "position":
+        if _is_arrival(system, spec, role):
             return ring_arrival_state(system, x)
         return basis.state(idx, label=f"{spec.basis}={basis.eigenvalues[idx]:g}")
     return _config_packet(basis, spec, role, label=f"{spec.basis}-packet@{spec.packet_center:g}")
@@ -515,6 +520,9 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
     final_basis = _config_basis(system, cfg.b.basis, "b.basis")
     if cfg.b.eigenvalue is None:
         raise ConfigError("resolution sweep needs an eigenstate b", field="b")
+    if _is_arrival(system, cfg.b, "b"):
+        # b is an arrival event, so every final outcome is read on arrival.
+        final_basis = ring_arrival_basis(system)
     b_index = final_basis.index_at(float(cfg.b.eigenvalue))
     unit = points[0].delta_x_m if cfg.sweep.units == "delta_x_m" else 1.0
     stars = np.array([p.x_star for p in points]) if points else np.array([])
@@ -779,7 +787,7 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
     unit = PhysicalConstants(hbar=1.0)
     ring = ring_system(RingParameters(256, 256.0, 1.0, 20.0), unit)
     ring_big = ring_system(RingParameters(401, 401.0, 1.0, 20.0), unit)
-    jx50, jy50, _ = angular_momentum_matrices(50.0)
+    jx50, jy50 = angular_momentum_matrices(50.0)
     if selected("action") or selected("measurement"):
         # The branch-filtered spin-50 x -> y profile over z, shared by both sections.
         prof50 = action_profile(spin50.basis("x").state_at(25.0), spin50.basis("z"),

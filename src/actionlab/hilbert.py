@@ -13,10 +13,11 @@ of real eigenvalues x_m.  The reference basis itself is an identity basis
 that stores no matrix.  Every other basis holds its rows as a dense array,
 either complex or real; a real-row basis may also carry one unit phase per
 state and one per reference component, so that a second basis differing
-from it only by such phases shares its rows.  ``expand`` and ``synthesize``
-move amplitudes into and out of a basis; ``change_basis`` carries
-coefficient rows from one basis to another.  Products with real rows are
-real products on the stacked real and imaginary parts of the other factor.
+from it only by such phases shares its rows.  ``_to_reference`` (z V) and
+``_from_reference`` (z conj(V)^T) are the only products that read the
+storage form; ``expand``, ``synthesize`` and ``change_basis`` are built on
+them.  Products with real rows are real products on the stacked real and
+imaginary parts of the other factor.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class LabeledBasis:
     degenerate spectrum) is also allowed and spans a proper subspace, so
     expansions in it are not complete.
 
-    The constructor takes arbitrary rows, stores them complex and checks
+    The constructor takes arbitrary rows, stores a complex copy and checks
     their Gram matrix.  ``identity``, ``fourier``, ``subset``, ``rephased``
     and the package's own builders make bases that are orthonormal by
     construction and skip that O(n^2 d) check; an identity basis stores no
@@ -103,7 +104,7 @@ class LabeledBasis:
     __slots__ = ("_rows", "_state_phases", "_site_phases", "eigenvalues", "spacing", "dim")
 
     def __init__(self, vectors, eigenvalues):
-        mat = np.asarray(vectors, dtype=complex)
+        mat = np.array(vectors, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] > mat.shape[1]:
             raise ValueError(
                 f"need n <= dim orthonormal row vectors, got shape {mat.shape}"
@@ -115,7 +116,7 @@ class LabeledBasis:
                 f"basis vectors not orthonormal: max Gram deviation {dev:.3e} "
                 f"exceeds {ORTHONORMALITY_TOLERANCE}"
             )
-        self._freeze(mat.copy(), ev, spacing, mat.shape[1])
+        self._freeze(mat, ev, spacing, mat.shape[1])
 
     @classmethod
     def identity(cls, eigenvalues) -> LabeledBasis:
@@ -218,6 +219,18 @@ class LabeledBasis:
             dense = self._state_phases[:, np.newaxis] * self._rows * self._site_phases
         dense.flags.writeable = False
         return dense
+
+    def orthonormality_deviation(self) -> float:
+        """Max |V V^dag - I| from the stored form, without dense rows.  Phased
+        rows c_k D_m X[k, m] take the real Gram of |c_k| |D_m| X[k, m]: the
+        same moduli, so a phase of the wrong modulus still shows."""
+        if self._rows is None:
+            return 0.0
+        if self._state_phases is None:
+            return orthonormality_deviation(self._rows)
+        moduli = np.abs(self._state_phases)[:, np.newaxis] * self._rows
+        moduli *= np.abs(self._site_phases)
+        return orthonormality_deviation(moduli)
 
     @property
     def n_states(self) -> int:
@@ -337,68 +350,53 @@ def _real_product(z: np.ndarray, pre, real: np.ndarray, post) -> np.ndarray:
     return out.T.reshape(z.shape[:-1] + (real.shape[0],))
 
 
-def _analyze(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
-    """z @ conj(V)^T for a real-row basis V[k, m] = c_k D_m X[k, m]:
-    conj(c) times (z conj(D)) X^T."""
-    if basis._state_phases is None:
-        return _real_product(z, None, basis._rows, None)
-    return _real_product(z, np.conj(basis._site_phases), basis._rows,
-                         np.conj(basis._state_phases))
+def _to_reference(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
+    """z V: the reference amplitudes of ``basis`` coefficients z (one row or
+    a matrix of rows).  Real rows V[k, m] = c_k D_m X[k, m] take D times
+    (z c) X as one real product."""
+    rows = basis._rows
+    if rows is None:
+        return z
+    if rows.dtype.kind == "f":
+        return _real_product(z, basis._state_phases, rows.T, basis._site_phases)
+    return z @ rows
 
 
-def _synthesize(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
-    """z @ V for a real-row basis V[k, m] = c_k D_m X[k, m]: D times (z c) X."""
-    return _real_product(z, basis._state_phases, basis._rows.T, basis._site_phases)
-
-
-def _real_rows(basis: LabeledBasis) -> bool:
-    return basis._rows.dtype.kind == "f"
+def _from_reference(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
+    """z conj(V)^T: the ``basis`` coefficients of reference amplitudes z.
+    Real rows take conj(c) times (z conj(D)) X^T; complex rows take
+    conj(conj(z) V^T), bitwise z conj(V)^T without a conjugate copy of V."""
+    rows = basis._rows
+    if rows is None:
+        return z
+    if rows.dtype.kind == "f":
+        state, site = basis._state_phases, basis._site_phases
+        if state is not None:
+            state, site = np.conj(state), np.conj(site)
+        return _real_product(z, site, rows, state)
+    return np.conj(np.conj(z) @ rows.T)
 
 
 def expand(psi: StateVector, basis: LabeledBasis) -> np.ndarray:
-    """Amplitudes <m|psi> ordered by the basis eigenvalues.
-
-    Complex-row bases compute conj(V conj(psi)), which equals conj(V) psi
-    bit for bit without a d x d conjugate copy of V; real-row bases take a
-    real product.
-    """
+    """Amplitudes <m|psi> ordered by the basis eigenvalues, in a new array."""
     if psi.dim != basis.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {basis.dim}")
-    if basis.is_identity:
-        return psi.amplitudes.copy()
-    if _real_rows(basis):
-        return _analyze(psi.amplitudes, basis)
-    return np.conj(basis.vectors @ np.conj(psi.amplitudes))
+    coeffs = _from_reference(psi.amplitudes, basis)
+    return coeffs.copy() if coeffs is psi.amplitudes else coeffs
 
 
 def synthesize(coeffs: np.ndarray, basis: LabeledBasis) -> np.ndarray:
     """Reference-basis amplitudes of sum_m coeffs[m] |m>; the inverse of ``expand``."""
-    if basis.is_identity:
-        return coeffs
-    if _real_rows(basis):
-        return _synthesize(np.asarray(coeffs), basis)
-    return basis.vectors.T @ coeffs
+    return _to_reference(np.asarray(coeffs), basis)
 
 
 def change_basis(rows: np.ndarray, source: LabeledBasis, target: LabeledBasis) -> np.ndarray:
     """Amplitudes in ``target`` of the vectors whose ``source`` coefficients are ``rows``.
 
-    Row i of the result holds <t_k|v_i> with |v_i> = sum_m rows[i, m] |s_m>.
-    A complex-row target takes conj(conj(R) T^T), bitwise R conj(T)^T
-    without a conjugate copy of T; real-row bases take real products and
-    identity bases skip their product altogether.
+    Row i of the result holds <t_k|v_i> with |v_i> = sum_m rows[i, m] |s_m>,
+    that is rows S conj(T)^T; an identity basis skips its product.
     """
-    if source.is_identity:
-        ref = rows
-    elif _real_rows(source):
-        ref = _synthesize(rows, source)
-    else:
-        ref = rows @ source.vectors
-    if target.is_identity:
-        return ref
-    if _real_rows(target):
-        return _analyze(ref, target)
-    return np.conj(np.conj(ref) @ target.vectors.T)
+    return _from_reference(_to_reference(rows, source), target)
 
 
 def apply_diagonal(unitary: DiagonalUnitary, psi: StateVector) -> StateVector:

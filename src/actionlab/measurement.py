@@ -44,9 +44,7 @@ class ResolutionKernel:
     __slots__ = ("r_grid", "table", "resolution")
 
     def __init__(self, r_grid, table, resolution: float = 0.0):
-        grid = np.asarray(r_grid, dtype=float)
-        tab = np.asarray(table, dtype=float)
-        self._freeze(grid.copy(), tab.copy(), resolution)
+        self._freeze(np.array(r_grid, dtype=float), np.array(table, dtype=float), resolution)
 
     @classmethod
     def _owning(cls, r_grid: np.ndarray, table: np.ndarray, resolution: float) -> ResolutionKernel:
@@ -185,9 +183,10 @@ class JointDistribution:
         Outcomes within ARGMAX_TIE_RELATIVE of the maximum tie, and the
         largest tied x_r wins.  The +-r symmetry of transverse spin states
         makes exact ties, which a plain argmax would let roundoff break.
+        P(r|a,b) is column ``b_index`` of the table over its sum, and that
+        positive scale cannot change the ties, so the column is read as is.
         """
-        norm = self.marginal_b[b_index]
-        col = self.table[:, b_index] / (norm if norm > 0.0 else 1.0)
+        col = self.table[:, b_index]
         tied = np.flatnonzero(col >= (1.0 - ARGMAX_TIE_RELATIVE) * np.max(col))
         return float(self.r_grid[tied[-1]])
 

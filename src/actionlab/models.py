@@ -98,8 +98,8 @@ class ModelSystem:
             ) from None
 
     def change_of_basis_residual(self) -> float:
-        """Max unitarity defect across bases, recomputed from the stored vectors."""
-        return max(orthonormality_deviation(b.vectors) for b in self.bases.values())
+        """Max unitarity defect across bases, recomputed from their stored forms."""
+        return max(b.orthonormality_deviation() for b in self.bases.values())
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,10 @@ def qubit_system() -> ModelSystem:
     return ModelSystem("qubit", 2, {"x": x, "y": y, "z": z}, classical_oracle=oracle)
 
 
-def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense Jx, Jy, Jz in the ascending-m canonical basis (index 0 is m = -j)."""
+def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense Jx and Jy in the ascending-m canonical basis (index 0 is m = -j);
+    Jz is diag(m)."""
     d = _dimension_for(j)
-    m = -j + np.arange(d)
     c = _ladder(j, d)
     jx = np.zeros((d, d), dtype=complex)
     jy = np.zeros((d, d), dtype=complex)
@@ -151,8 +151,7 @@ def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     jx[idx, idx + 1] = c / 2.0
     jy[idx + 1, idx] = -0.5j * c
     jy[idx, idx + 1] = 0.5j * c
-    jz = np.diag(m.astype(complex))
-    return jx, jy, jz
+    return jx, jy
 
 
 def _dimension_for(j: float) -> int:
@@ -340,6 +339,23 @@ def ring_arrival_state(system: ModelSystem, x_b: float) -> StateVector:
     target = system.basis("position").state_at(x_b, label=f"arrival@{x_b:g}")
     phases = ring_energies(system) * system.metadata["flight_time"] / system.metadata["hbar"]
     return apply_diagonal(DiagonalUnitary(system.basis("momentum"), phases), target)
+
+
+def ring_arrival_basis(system: ModelSystem) -> LabeledBasis:
+    """Arrival states at every site, labeled by the position grid.
+
+    Row b is ``ring_arrival_state`` at x_b.  The free flight commutes with
+    translations, so it is row 0 shifted by b sites.  The rows are a unitary
+    image of the position basis, so there is no Gram check.  Reading final
+    outcomes in this basis reads them on arrival: <x_b|U(T)|v> for each b.
+    """
+    position = system.basis("position")
+    n = system.dimension
+    first = ring_arrival_state(system, position.eigenvalues[0]).amplitudes
+    rows = np.empty((n, n), dtype=complex)
+    for b in range(n):
+        rows[b] = np.roll(first, b)
+    return LabeledBasis._orthonormal(rows, position.eigenvalues, n)
 
 
 def positive_energy_basis(system: ModelSystem) -> LabeledBasis:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from actionlab.cli import dispatch, dump_config, load_config
+from actionlab.hilbert import LabeledBasis
 from conftest import DELETE, mutated
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -272,6 +273,18 @@ class TestConfigRoundtrip:
         payload = json.loads((out / "spin20.model.json").read_text())
         assert payload["dimension"] == 41
         assert payload["bases"]["z"]["eigenvalues"][0] == -20.0
+        assert payload["change_of_basis_residual"] < 1e-10
+
+    def test_models_dump_reads_stored_forms(self, spin_config, tmp_path, monkeypatch):
+        def no_dense_rows(self):
+            raise AssertionError("dense rows built")
+
+        monkeypatch.setattr(LabeledBasis, "vectors", property(no_dense_rows))
+        out = tmp_path / "m"
+        assert dispatch(["models", "--config", str(spin_config),
+                         "--out", str(out), "--quiet"]) == 0
+        payload = json.loads((out / "spin20.model.json").read_text())
+        assert payload["bases"]["z"]["orthonormality_deviation"] == 0.0
         assert payload["change_of_basis_residual"] < 1e-10
 
     def test_seed_override_changes_hash(self, spin_config, tmp_path, capsys):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from actionlab.errors import ConfigError, ScanBoundaryError
-from actionlab.hilbert import orthonormality_deviation
+from actionlab.hilbert import DiagonalUnitary, apply_diagonal, orthonormality_deviation
+from actionlab.measurement import build_measurement, gaussian_kernel, joint_distribution
+from actionlab.models import ring_energies
 from actionlab.experiments import (
     MAX_J,
     MAX_SCAN_POINTS,
@@ -154,6 +156,33 @@ class TestResolutionSweep:
     def test_projective_like_row_most_disturbing(self, table):
         tv = table.column("tv_disturbance")
         assert tv[0] == max(tv)
+
+
+class TestRingResolutionSweep:
+    """A ring b in position is an arrival event, so the sweep reads P(r, b|a)
+    = |<x_b|U(T) M(r)|a>|^2, on arrival."""
+
+    CFG = dict(RING_EMERGE, b={"basis": "position", "eigenvalue": 110.0},
+               sweep={"values": [0.25, 1.0, 4.0], "units": "delta_x_m"})
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return run_resolution_sweep(cfg_of(self.CFG))
+
+    def test_argmax_at_classical_momentum(self, table):
+        # p* = M dx / T = 10 / 20; within one momentum spacing 2 pi / L.
+        for argmax in table.column("argmax_r")[:2]:
+            assert abs(argmax - 0.5) <= 2.0 * np.pi / 256.0
+
+    def test_momentum_intermediate_equals_flight_before_measurement(self, table, ring256):
+        # M(r) commutes with the free flight, so the arrival-frame table is
+        # that of the evolved preparation U(T)|a> read in plain position.
+        mom, pos = ring256.basis("momentum"), ring256.basis("position")
+        a = pos.state_at(100.0)
+        moved = apply_diagonal(DiagonalUnitary(mom, -ring_energies(ring256) * 20.0), a)
+        for delta, tv in zip(table.column("delta_x_r"), table.column("tv_disturbance")):
+            ops = build_measurement(gaussian_kernel(mom, delta), mom)
+            assert abs(joint_distribution(moved, pos, ops).total_variation - tv) < 1e-12
 
 
 class TestEmergence:

@@ -392,6 +392,51 @@ class TestStructuredBases:
             spin20.basis("x").subset(rows, labels)
 
 
+class TestStoredOrthonormality:
+    """``LabeledBasis.orthonormality_deviation`` reads the stored form; the
+    array function on the dense rows is its oracle."""
+
+    @pytest.fixture(params=["identity", "real-x", "phased-y", "fourier", "subset",
+                            "constructor"])
+    def basis(self, request, spin20, ring256):
+        if request.param == "subset":
+            return positive_energy_basis(ring256)
+        if request.param == "constructor":
+            return LabeledBasis(haar_basis(12, np.random.default_rng(41)), np.arange(12.0))
+        system, name = {"identity": (spin20, "z"), "real-x": (spin20, "x"),
+                        "phased-y": (spin20, "y"), "fourier": (ring256, "momentum")}[request.param]
+        return system.basis(name)
+
+    def test_agrees_with_dense_gram(self, basis):
+        dense = orthonormality_deviation(basis.vectors)
+        assert abs(basis.orthonormality_deviation() - dense) <= 1e-15
+
+    def test_phase_of_wrong_modulus_shows(self, spin20):
+        # 1e-7 off unit modulus passes rephased's 1e-6 gate, and the Gram
+        # diagonal of state 0 is then (1 + 1e-7)^2 = 1 + 2e-7.
+        x = spin20.basis("x")
+        c = np.ones(x.n_states, dtype=complex)
+        c[0] = 1.0 + 1e-7
+        y = x.rephased(c, np.ones(x.dim))
+        assert y.orthonormality_deviation() == pytest.approx(2e-7, rel=1e-6)
+        assert orthonormality_deviation(y.vectors) == pytest.approx(2e-7, rel=1e-6)
+
+
+def test_only_hilbert_reads_basis_storage():
+    # The storage forms are private to hilbert: every other module goes
+    # through its products and methods.
+    import pathlib
+    import re
+
+    import actionlab
+
+    private = re.compile(r"\._rows\b|\._state_phases\b|\._site_phases\b")
+    package = pathlib.Path(actionlab.__file__).parent
+    readers = sorted(path.name for path in package.glob("*.py")
+                     if private.search(path.read_text()))
+    assert readers == ["hilbert.py"]
+
+
 class TestEigensolverStress:
     def test_dense_d101_residual_orthonormality_trace_norm(self):
         # Dense complex Hermitian at d = 101: small residuals, orthonormal

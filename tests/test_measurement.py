@@ -16,7 +16,7 @@ from actionlab.measurement import (
     projective_kernel,
     regime_classifier,
 )
-from actionlab.models import ring_arrival_state, ring_system
+from actionlab.models import ring_arrival_basis, ring_arrival_state, ring_energies, ring_system
 from conftest import RING_PARAMS, UNIT, dense_nondisturbance_ratio, gaussian_kernel_raw
 
 
@@ -236,6 +236,18 @@ class TestJointDistribution:
                 col = conditional[:, b_index]
                 tied = np.flatnonzero(col >= (1.0 - 1e-12) * col.max())
                 assert joint.conditional_argmax(b_index) == float(joint.r_grid[tied[-1]])
+
+    def test_arrival_basis_reads_outcomes_after_the_flight(self, ring256):
+        # Position intermediate: M(r) does not commute with the flight, and
+        # the table is |<x_b|U(T) M(r)|a>|^2 with U(T) formed densely.
+        pos, mom = ring256.basis("position"), ring256.basis("momentum")
+        flight = (mom.vectors.T * np.exp(-1j * ring_energies(ring256) * 20.0)) @ mom.vectors.conj()
+        a = ring_arrival_state(ring256, 90.0)
+        ops = build_measurement(gaussian_kernel(pos, 3.0), pos)
+        joint = joint_distribution(a, ring_arrival_basis(ring256), ops)
+        weighted = ops.sqrt_table * a.amplitudes[np.newaxis, :]
+        assert np.max(np.abs(joint.table - np.abs(weighted @ flight.T) ** 2)) < 1e-13
+        assert np.max(np.abs(joint.baseline - np.abs(flight @ a.amplitudes) ** 2)) < 1e-13
 
     def test_weak_limit_monotone_disturbance(self, spin20, spin20_profile):
         a, b, prof = spin20_profile

@@ -3,13 +3,14 @@ import pytest
 
 from actionlab import models
 from actionlab.errors import EigensolverError
-from actionlab.hilbert import expand, inner
+from actionlab.hilbert import LabeledBasis, expand, inner, orthonormality_deviation
 from actionlab.models import (
     RingParameters,
     angular_momentum_matrices,
     make_packet,
     positive_energy_basis,
     qubit_system,
+    ring_arrival_basis,
     ring_arrival_state,
     ring_energies,
     ring_system,
@@ -28,6 +29,19 @@ def assert_matches_lapack(system, j: float):
     assert np.max(np.abs(x.eigenvalues - w)) < 1e-9
     assert np.max(np.abs(x.vectors.T - vx)) < 1e-12
     assert np.max(np.abs(y.vectors.T - vy)) < 1e-12
+
+
+def test_change_of_basis_residual_reads_stored_forms(monkeypatch):
+    # The residual equals the dense Gram deviation without building any
+    # dense rows: y's d x d complex rows are never formed.
+    spin20 = spin_system(20.0)
+    dense = max(orthonormality_deviation(b.vectors) for b in spin20.bases.values())
+
+    def no_dense_rows(self):
+        raise AssertionError("dense rows built")
+
+    monkeypatch.setattr(LabeledBasis, "vectors", property(no_dense_rows))
+    assert abs(spin20.change_of_basis_residual() - dense) <= 1e-15
 
 
 class TestQubit:
@@ -70,7 +84,7 @@ class TestSpin:
             assert np.allclose(ev, -ev[::-1], atol=1e-10)
 
     def test_tridiagonal_reconstruction(self, spin50):
-        jx, jy, _ = angular_momentum_matrices(50.0)
+        jx, jy = angular_momentum_matrices(50.0)
         for mat, name in ((jx, "x"), (jy, "y")):
             basis = spin50.basis(name)
             rebuilt = (basis.vectors.T * basis.eigenvalues) @ basis.vectors.conj()
@@ -79,7 +93,7 @@ class TestSpin:
     def test_bases_match_jacobi_oracle_column_for_column(self, spin20):
         # Jx eigenvectors have |c_m| = |c_-m|, so the canonical phase must
         # break an exact magnitude tie the same way for any correct solver.
-        jx, jy, _ = angular_momentum_matrices(20.0)
+        jx, jy = angular_momentum_matrices(20.0)
         for mat, name in ((jx, "x"), (jy, "y")):
             w, v = jacobi_eigh(mat)
             basis = spin20.basis(name)
@@ -165,6 +179,15 @@ class TestRing:
         forward = mom.vectors.T @ coeffs
         target = ring256.basis("position").state_at(120.0)
         assert np.max(np.abs(forward - target.amplitudes)) < 1e-10
+
+    def test_arrival_basis_rows_are_arrival_states(self, ring256):
+        arrival = ring_arrival_basis(ring256)
+        position = ring256.basis("position")
+        assert np.array_equal(arrival.eigenvalues, position.eigenvalues)
+        for x_b in (0.0, 17.0, 120.0, 255.0):
+            row = arrival.state_at(x_b).amplitudes
+            assert np.max(np.abs(row - ring_arrival_state(ring256, x_b).amplitudes)) < 1e-13
+        assert orthonormality_deviation(arrival.vectors) < 1e-12
 
     def test_positive_energy_branch(self, ring256):
         sub = positive_energy_basis(ring256)
