@@ -40,7 +40,7 @@ def main():
     profile = action_profile(a, z, b, cfg.constants,
                              smoothing=profile_smoothing_for(cfg, system, z))
     points = stationary_points(profile)
-    oracle = system.classical_oracle.predict(args.xa, args.xb)
+    oracle = system.classical_oracle(args.xa, args.xb)
 
     print(f"spin j={args.j:g}, x_a={args.xa:g} (x basis), x_b={args.xb:g} (y basis)")
     if not oracle:

@@ -479,14 +479,3 @@ def stationary_phase_overlap(
     dphi = float(np.angle(estimate * np.conj(exact)))
     return OverlapEstimate(estimate=estimate, exact=exact,
                            relative_error=float(rel), phase_difference=dphi)
-
-
-def propagation_time(profile: ActionProfile, x_m: float) -> float:
-    """Propagation parameter of a narrow-band packet at x_m: dS/dx there.
-
-    For an energy-like intermediate basis this is the flight time the phase
-    evolution exp(-i x_m t / hbar) needs to carry the prepared packet onto
-    the measured one; it vanishes at a stationary point, where the two
-    states are already related at the reference time.
-    """
-    return profile.gradient_at(x_m)

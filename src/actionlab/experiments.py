@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -64,8 +64,8 @@ from .models import (
     make_packet,
     positive_energy_basis,
     qubit_system,
+    ring_arrival,
     ring_arrival_basis,
-    ring_arrival_state,
     ring_system,
     spin_system,
 )
@@ -428,12 +428,10 @@ def _config_basis(system: ModelSystem, name: str, field: str) -> LabeledBasis:
     return system.bases[name]
 
 
-def _config_packet(basis: LabeledBasis, spec: StateSpec, role: str,
-                   label: str | None = None) -> StateVector:
+def _config_packet(basis: LabeledBasis, spec: StateSpec, role: str) -> StateVector:
     """``make_packet`` for a configured packet; a centre off the spectrum is a ConfigError."""
     try:
-        return make_packet(basis, float(spec.packet_center), float(spec.packet_width),
-                           label=label)
+        return make_packet(basis, float(spec.packet_center), float(spec.packet_width))
     except ValueError as err:
         raise ConfigError(str(err), field=f"{role}.packet_center") from err
 
@@ -444,10 +442,10 @@ def _is_arrival(system: ModelSystem, spec: StateSpec, role: str) -> bool:
 
 
 def build_state(system: ModelSystem, spec: StateSpec, role: str) -> StateVector:
-    """Instantiate a configured state.
+    """Instantiate a configured state, a basis eigenstate or a packet.
 
-    Arrival events (``_is_arrival``) are carried back to the reference time
-    over the configured flight time.
+    Arrival events (``_is_arrival``), eigenstates and packets alike, are
+    carried back to the reference time over the configured flight time.
     """
     basis = _config_basis(system, spec.basis, f"{role}.basis")
     if spec.eigenvalue is not None:
@@ -460,10 +458,10 @@ def build_state(system: ModelSystem, spec: StateSpec, role: str) -> StateVector:
                 f"(nearest is {basis.eigenvalues[idx]})",
                 field=f"{role}.eigenvalue",
             )
-        if _is_arrival(system, spec, role):
-            return ring_arrival_state(system, x)
-        return basis.state(idx, label=f"{spec.basis}={basis.eigenvalues[idx]:g}")
-    return _config_packet(basis, spec, role, label=f"{spec.basis}-packet@{spec.packet_center:g}")
+        state = basis.state(idx)
+    else:
+        state = _config_packet(basis, spec, role)
+    return ring_arrival(system, state) if _is_arrival(system, spec, role) else state
 
 
 def profile_smoothing_for(cfg: ExperimentConfig, system: ModelSystem, basis: LabeledBasis) -> float:
@@ -581,7 +579,7 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
         b = build_state(system, StateSpec(cfg.b.basis, eigenvalue=x_b), "b")
         profile = action_profile(a, basis, b, constants, smoothing=smoothing)
         points = stationary_points(profile)
-        predicted = system.classical_oracle.predict(x_a, x_b)
+        predicted = system.classical_oracle(x_a, x_b)
         template = dict.fromkeys(EMERGENCE_COLUMNS, float(np.nan))
         template.update(x_a=x_a, x_b=x_b, found=False, classically_allowed=bool(predicted))
         if not predicted:
@@ -634,6 +632,7 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
     constants = cfg.constants
     system = build_system(cfg.model, constants)
     hbar = constants.hbar
+    centers = cfg.propagation.centers
     if system.name.startswith("ring"):
         basis = positive_energy_basis(system)
         spec_a = cfg.a
@@ -646,9 +645,8 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
         tau = cfg.propagation.tau
         evolved = DiagonalUnitary(basis, -basis.eigenvalues * tau / hbar)
         b = apply_diagonal(evolved, a)
-        if cfg.propagation.centers is None:
-            cfg = replace(cfg, propagation=replace(
-                cfg.propagation, centers=(float(spec_a.packet_center),)))
+        if centers is None:
+            centers = (float(spec_a.packet_center),)
     else:
         basis = _config_basis(system, cfg.intermediate, "intermediate")
         a = build_state(system, cfg.a, "a")
@@ -659,7 +657,6 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
     window = cfg.propagation.window_width
     if window is None:
         window = 4.0 * step
-    centers = cfg.propagation.centers
     if centers is None:
         pts = stationary_points(profile)
         centers = []
@@ -676,8 +673,13 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
             centers = [float(profile.x_grid[profile.dim // 2])]
         centers = tuple(centers)
     rows = []
-    for center in centers:
-        expected = profile.gradient_at(float(center))
+    for i, center in enumerate(centers):
+        try:
+            expected = profile.gradient_at(float(center))
+        except ValueError as err:
+            if cfg.propagation.centers is None:  # defaulted centres name no field
+                raise
+            raise ConfigError(str(err), field=f"propagation.centers[{i}]") from err
         gauss = np.exp(-((basis.eigenvalues - center) ** 2) / (4.0 * window * window))
         # Window the (branch-filtered) contribution amplitudes: the scan is
         # then the windowed Fourier transform of one smooth action branch.
@@ -741,14 +743,6 @@ PROPAGATION_COLUMNS = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantCheck:
-    name: str
-    metric: float
-    threshold: float
-    passed: bool
-
-
 def _reconstruction_metric(system: ModelSystem, rng: np.random.Generator, n: int = 10) -> float:
     worst = 0.0
     names = sorted(system.bases)
@@ -771,11 +765,12 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
     to a nonzero exit status.
     """
     wanted = None if scope == "all" else set([scope] if isinstance(scope, str) else scope)
-    checks: list[InvariantCheck] = []
+    rows: list[dict] = []
 
     def record(name: str, metric: float, threshold: float, larger_fails: bool = True):
         passed = metric < threshold if larger_fails else metric <= threshold
-        checks.append(InvariantCheck(name, float(metric), float(threshold), bool(passed)))
+        rows.append({"check": name, "metric": float(metric), "threshold": float(threshold),
+                     "passed": bool(passed)})
 
     def selected(module: str) -> bool:
         return wanted is None or module in wanted
@@ -946,11 +941,6 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
             worst = max(worst, abs(abs(h.fourier) - abs(h.closed_form)) / abs(h.closed_form))
         record("measurement.highres_fourier_vs_closed.spin50", worst, 0.02)
 
-    rows = [
-        {"check": c.name, "metric": c.metric, "threshold": c.threshold,
-         "passed": c.passed}
-        for c in checks
-    ]
     scope_tag = scope if isinstance(scope, str) else ",".join(scope)
     fake_cfg_hash = hashlib.sha256(f"invariants:{scope_tag}:{seed}".encode()).hexdigest()[:16]
     return ResultTable(

@@ -51,9 +51,9 @@ class PhysicalConstants:
 class StateVector:
     """Normalized complex amplitude vector in the reference basis."""
 
-    __slots__ = ("amplitudes", "label")
+    __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, label: str | None = None):
+    def __init__(self, amplitudes):
         amp = np.asarray(amplitudes, dtype=complex)
         if amp.ndim != 1:
             raise ValueError(f"amplitudes must be one-dimensional, got shape {amp.shape}")
@@ -70,7 +70,6 @@ class StateVector:
         amp = amp / norm
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
@@ -80,8 +79,7 @@ class StateVector:
         return self.amplitudes.shape[0]
 
     def __repr__(self):
-        tag = f" {self.label!r}" if self.label else ""
-        return f"<StateVector{tag} dim={self.dim}>"
+        return f"<StateVector dim={self.dim}>"
 
 
 class LabeledBasis:
@@ -241,19 +239,19 @@ class LabeledBasis:
     def is_complete(self) -> bool:
         return self.n_states == self.dim
 
-    def state(self, k: int, label: str | None = None) -> StateVector:
+    def state(self, k: int) -> StateVector:
         """Basis vector k as a StateVector."""
         if self._rows is None:
             unit = np.zeros(self.dim, dtype=complex)
             unit[k] = 1.0
-            return StateVector(unit, label=label)
+            return StateVector(unit)
         if self._state_phases is None:
-            return StateVector(self._rows[k], label=label)
-        return StateVector(self._state_phases[k] * self._rows[k] * self._site_phases, label=label)
+            return StateVector(self._rows[k])
+        return StateVector(self._state_phases[k] * self._rows[k] * self._site_phases)
 
-    def state_at(self, x: float, label: str | None = None) -> StateVector:
+    def state_at(self, x: float) -> StateVector:
         """Basis vector whose eigenvalue is closest to x."""
-        return self.state(self.index_at(x), label=label)
+        return self.state(self.index_at(x))
 
     def index_at(self, x: float) -> int:
         """Grid index of the eigenvalue closest to x."""
@@ -405,7 +403,7 @@ def apply_diagonal(unitary: DiagonalUnitary, psi: StateVector) -> StateVector:
     if psi.dim != basis.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {basis.dim}")
     coeffs = expand(psi, basis) * np.exp(1j * unitary.phases)
-    return StateVector(synthesize(coeffs, basis), label=psi.label)
+    return StateVector(synthesize(coeffs, basis))
 
 
 def frame_shift(
@@ -422,10 +420,10 @@ def frame_shift(
     return apply_diagonal(scaled, a), apply_diagonal(scaled, b)
 
 
-def random_state(dim: int, rng: np.random.Generator, label: str | None = None) -> StateVector:
+def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-ish random state: complex normal amplitudes, normalized."""
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(z / np.linalg.norm(z), label=label)
+    return StateVector(z / np.linalg.norm(z))
 
 
 # ---------------------------------------------------------------------------

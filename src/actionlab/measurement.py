@@ -39,22 +39,17 @@ class ResolutionKernel:
     ``table[r, m]`` is the probability of outcome r given the intermediate
     value x_m; every column sums to one.  ``resolution`` records the Gaussian
     standard deviation for kernels that have one (0 for projective).
+
+    The float arrays given are validated and then frozen in place, not
+    copied: the kernel takes them over, and the caller must not write to
+    them afterwards.
     """
 
     __slots__ = ("r_grid", "table", "resolution")
 
-    def __init__(self, r_grid, table, resolution: float = 0.0):
-        self._freeze(np.array(r_grid, dtype=float), np.array(table, dtype=float), resolution)
-
-    @classmethod
-    def _owning(cls, r_grid: np.ndarray, table: np.ndarray, resolution: float) -> ResolutionKernel:
-        """A kernel that takes over a fresh float table (and a grid nobody
-        writes) instead of copying them; the checks are the constructor's."""
-        kernel = object.__new__(cls)
-        kernel._freeze(r_grid, table, resolution)
-        return kernel
-
-    def _freeze(self, grid: np.ndarray, tab: np.ndarray, resolution: float):
+    def __init__(self, r_grid: np.ndarray, table: np.ndarray, resolution: float = 0.0):
+        grid = np.asarray(r_grid, dtype=float)
+        tab = np.asarray(table, dtype=float)
         if tab.ndim != 2 or tab.shape[0] != grid.shape[0]:
             raise ValueError(f"table shape {tab.shape} does not match {grid.shape[0]} outcomes")
         if np.any(tab < 0.0):
@@ -97,12 +92,12 @@ def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> ResolutionKernel:
     table = gaussian_matrix(basis.eigenvalues, delta_x_r)
     table *= (basis.spacing_per_state() / (np.sqrt(2.0 * np.pi) * delta_x_r))[:, np.newaxis]
     table /= table.sum(axis=0, keepdims=True)
-    return ResolutionKernel._owning(basis.eigenvalues, table, delta_x_r)
+    return ResolutionKernel(basis.eigenvalues, table, delta_x_r)
 
 
 def projective_kernel(basis: LabeledBasis) -> ResolutionKernel:
     """Perfect-resolution kernel: outcome r == m with certainty."""
-    return ResolutionKernel._owning(basis.eigenvalues, np.eye(basis.n_states), 0.0)
+    return ResolutionKernel(basis.eigenvalues, np.eye(basis.n_states), 0.0)
 
 
 class MeasurementOperatorSet:
@@ -128,10 +123,6 @@ class MeasurementOperatorSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("MeasurementOperatorSet is immutable")
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.kernel.n_outcomes
 
     def completeness_deviation(self) -> float:
         """Max elementwise deviation of sum_r M(r)^dag M(r) from identity."""
@@ -161,8 +152,7 @@ class JointDistribution:
     measurement.
     """
 
-    r_grid: np.ndarray
-    b_grid: np.ndarray
+    r_grid: np.ndarray             # the kernel's read-only outcome grid
     table: np.ndarray              # P(r, b | a)
     baseline: np.ndarray           # P(b | a) without measurement
     total_variation: float
@@ -212,8 +202,7 @@ def joint_distribution(
     residual *= baseline[np.newaxis, :]
     residual -= table
     return JointDistribution(
-        r_grid=ops.kernel.r_grid.copy(),
-        b_grid=final_basis.eigenvalues.copy(),
+        r_grid=ops.kernel.r_grid,
         table=table,
         baseline=baseline,
         total_variation=0.5 * float(np.abs(marginal_b - baseline).sum()),
@@ -229,11 +218,10 @@ class SlowKernelReport:
     P(r|x_m) curves much less than S''(x_m)/(2 pi hbar) across the stationary
     region.  ``max_ratio`` is the worst |P''| / (S''/(2 pi hbar)) over the
     support (inf where S'' vanishes on it); the check passes when it stays
-    under ``threshold``.
+    under NONDISTURBANCE_THRESHOLD.
     """
 
     max_ratio: float
-    threshold: float
     passed: bool
     n_support: int
 
@@ -265,11 +253,11 @@ def nondisturbance_check(
         support = finite_curv
     n_support = int(support.sum())
     if n_support == 0:
-        return SlowKernelReport(np.nan, NONDISTURBANCE_THRESHOLD, False, 0)
+        return SlowKernelReport(np.nan, False, 0)
     scurv = np.abs(profile.curvature[support]) / (2.0 * np.pi * profile.hbar)
     if not np.all(scurv):
         # A flat action (S'' = 0) gives no curvature scale to separate against.
-        return SlowKernelReport(np.inf, NONDISTURBANCE_THRESHOLD, False, n_support)
+        return SlowKernelReport(np.inf, False, n_support)
     # Second difference of each kernel row at the support columns c, with
     # the ufunc sequence of np.diff(table, 2, axis=1); the edge columns are
     # clipped onto their neighbour.
@@ -280,7 +268,7 @@ def nondisturbance_check(
     )
     max_ratio = float(np.max(pcurv / scurv[np.newaxis, :]))
     passed = bool(max_ratio < NONDISTURBANCE_THRESHOLD)
-    return SlowKernelReport(max_ratio, NONDISTURBANCE_THRESHOLD, passed, n_support)
+    return SlowKernelReport(max_ratio, passed, n_support)
 
 
 class Regime(enum.Enum):

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Mapping
+from functools import lru_cache, partial
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -49,39 +49,18 @@ MINUS_I_POWERS = np.conj(I_POWERS)
 
 
 @dataclass(frozen=True)
-class ClassicalOracle:
-    """Closed-form prediction for the least-action intermediate value."""
-
-    kind: str
-    parameters: tuple[tuple[str, float], ...]
-
-    def params(self) -> dict[str, float]:
-        return dict(self.parameters)
-
-    def predict(self, x_a: float, x_b: float) -> tuple[float, ...]:
-        """Predicted stationary intermediate values; empty if forbidden."""
-        p = self.params()
-        if self.kind == "spin_cone":
-            j = p["j"]
-            rsq = j * (j + 1.0) - x_a * x_a - x_b * x_b
-            if rsq <= 0.0:
-                return ()
-            root = float(np.sqrt(rsq))
-            return (-root, root)
-        if self.kind == "free_momentum":
-            dx = wrap_displacement(x_b - x_a, p["circumference"], int(p.get("winding", 0)))
-            return (p["mass"] * dx / p["flight_time"],)
-        raise ValueError(f"unknown oracle kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class ModelSystem:
-    """A named model: dimension, labeled bases, classical oracle."""
+    """A named model: dimension, labeled bases, classical oracle.
+
+    ``classical_oracle(x_a, x_b)`` returns the closed-form stationary
+    intermediate values of the boundary pair, an empty tuple if it is
+    classically forbidden.
+    """
 
     name: str
     dimension: int
     bases: Mapping[str, LabeledBasis]
-    classical_oracle: ClassicalOracle
+    classical_oracle: Callable[[float, float], tuple[float, ...]]
     metadata: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -127,6 +106,22 @@ def wrap_displacement(dx: float, circumference: float, winding: int = 0) -> floa
     return base + winding * circumference
 
 
+def spin_cone(j: float, x_a: float, x_b: float) -> tuple[float, ...]:
+    """Intermediate values +-sqrt(j(j+1) - x_a^2 - x_b^2) where the three
+    angular-momentum cones meet; empty outside the cone."""
+    rsq = j * (j + 1.0) - x_a * x_a - x_b * x_b
+    if rsq <= 0.0:
+        return ()
+    root = float(np.sqrt(rsq))
+    return (-root, root)
+
+
+def free_flight(params: RingParameters, x_a: float, x_b: float) -> tuple[float, ...]:
+    """The one momentum M dx / T that carries x_a to x_b in the flight time."""
+    dx = wrap_displacement(x_b - x_a, params.circumference, params.winding)
+    return (params.mass * dx / params.flight_time,)
+
+
 @lru_cache(maxsize=1)
 def qubit_system() -> ModelSystem:
     """Two-level system with hand-built mutually unbiased x, y, z bases (cached)."""
@@ -135,8 +130,8 @@ def qubit_system() -> ModelSystem:
     z = LabeledBasis.identity(ev)
     x = LabeledBasis(np.array([[s, -s], [s, s]]), ev)
     y = LabeledBasis(np.array([[s, 1j * s], [1j * s, s]]), ev)
-    oracle = ClassicalOracle("spin_cone", (("j", 0.5),))
-    return ModelSystem("qubit", 2, {"x": x, "y": y, "z": z}, classical_oracle=oracle)
+    return ModelSystem("qubit", 2, {"x": x, "y": y, "z": z},
+                       classical_oracle=partial(spin_cone, 0.5))
 
 
 def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +261,8 @@ def spin_system(j: float) -> ModelSystem:
     x = LabeledBasis._orthonormal(np.ascontiguousarray(v.T), k, d)
     y = x.rephased(I_POWERS[lead % 4], MINUS_I_POWERS[np.arange(d) % 4])
     z = LabeledBasis.identity(k)
-    oracle = ClassicalOracle("spin_cone", (("j", j),))
-    return ModelSystem(f"spin{j:g}", d, {"x": x, "y": y, "z": z}, classical_oracle=oracle,
-                       metadata={"j": j})
+    return ModelSystem(f"spin{j:g}", d, {"x": x, "y": y, "z": z},
+                       classical_oracle=partial(spin_cone, j), metadata={"j": j})
 
 
 @lru_cache(maxsize=16)
@@ -292,20 +286,11 @@ def ring_system(params: RingParameters, constants: PhysicalConstants) -> ModelSy
     p_k = 2.0 * np.pi * hbar * k / length
     # |p_k> amplitudes at site n: exp(i p_k x_n / hbar) / sqrt(N)
     momentum = LabeledBasis.fourier(k, p_k)
-    oracle = ClassicalOracle(
-        "free_momentum",
-        (
-            ("mass", params.mass),
-            ("flight_time", params.flight_time),
-            ("circumference", length),
-            ("winding", float(params.winding)),
-        ),
-    )
     return ModelSystem(
         f"ring{n}",
         n,
         {"position": position, "momentum": momentum},
-        classical_oracle=oracle,
+        classical_oracle=partial(free_flight, params),
         metadata={
             "sites": float(n),
             "circumference": length,
@@ -329,16 +314,20 @@ def ring_energies(system: ModelSystem) -> np.ndarray:
     return p * p / (2.0 * system.metadata["mass"])
 
 
-def ring_arrival_state(system: ModelSystem, x_b: float) -> StateVector:
-    """Measurement state for arrival at x_b after the configured flight time.
+def ring_arrival(system: ModelSystem, state: StateVector) -> StateVector:
+    """Measurement state for arrival in ``state`` after the configured flight time.
 
-    The position eigenstate at x_b is carried back to the reference time with
-    the free-Hamiltonian phases (hbar is the one the ring was built with), so
-    preparation and measurement states live in a common frame.
+    The state is carried back to the reference time with the free-Hamiltonian
+    phases (hbar is the one the ring was built with), so preparation and
+    measurement states live in a common frame.
     """
-    target = system.basis("position").state_at(x_b, label=f"arrival@{x_b:g}")
     phases = ring_energies(system) * system.metadata["flight_time"] / system.metadata["hbar"]
-    return apply_diagonal(DiagonalUnitary(system.basis("momentum"), phases), target)
+    return apply_diagonal(DiagonalUnitary(system.basis("momentum"), phases), state)
+
+
+def ring_arrival_state(system: ModelSystem, x_b: float) -> StateVector:
+    """``ring_arrival`` of the position eigenstate at x_b."""
+    return ring_arrival(system, system.basis("position").state_at(x_b))
 
 
 def ring_arrival_basis(system: ModelSystem) -> LabeledBasis:
@@ -376,9 +365,7 @@ def positive_energy_basis(system: ModelSystem) -> LabeledBasis:
     return momentum.subset(np.flatnonzero(keep)[order], energies[keep][order])
 
 
-def make_packet(
-    basis: LabeledBasis, center: float, width: float, label: str | None = None
-) -> StateVector:
+def make_packet(basis: LabeledBasis, center: float, width: float) -> StateVector:
     """Gaussian packet over a labeled basis.
 
     ``width`` is the standard deviation of the sampled probability profile
@@ -409,4 +396,4 @@ def make_packet(
     expo = -((ev - center) ** 2) / (4.0 * width * width)
     amp = np.exp(expo - np.max(expo))
     amp /= np.linalg.norm(amp)
-    return StateVector(synthesize(amp.astype(complex), basis), label=label)
+    return StateVector(synthesize(amp.astype(complex), basis))

@@ -11,7 +11,6 @@ from actionlab.action import (
     action_phase,
     action_profile,
     aligned_unitary,
-    propagation_time,
     stationary_phase_overlap,
     stationary_points,
     unwrap_segment,
@@ -381,7 +380,7 @@ class TestPropagationTime:
         b = ring_arrival_state(ring256, 120.0)
         prof = action_profile(a, ring256.basis("momentum"), b, UNIT)
         pt = stationary_points(prof)[0]
-        assert abs(propagation_time(prof, pt.x_star)) < 1e-9
+        assert abs(prof.gradient_at(pt.x_star)) < 1e-9
 
     def test_ring_linear_transformation_distance(self, ring256):
         # dS/dp = dx - p T / M exactly for the free ring.
@@ -389,7 +388,7 @@ class TestPropagationTime:
         b = ring_arrival_state(ring256, 120.0)
         prof = action_profile(a, ring256.basis("momentum"), b, UNIT)
         for p_val in (0.5, 1.0, 1.5):
-            assert propagation_time(prof, p_val) == pytest.approx(
+            assert prof.gradient_at(p_val) == pytest.approx(
                 20.0 - 20.0 * p_val, abs=1e-8
             )
 
@@ -399,8 +398,8 @@ class TestPropagationTime:
         mom = ring256.basis("momentum")
         fwd = action_profile(a, mom, b, UNIT)
         rev = action_profile(b, mom, a, UNIT)
-        assert propagation_time(rev, 0.5) == pytest.approx(
-            -propagation_time(fwd, 0.5), abs=1e-9
+        assert rev.gradient_at(0.5) == pytest.approx(
+            -fwd.gradient_at(0.5), abs=1e-9
         )
 
     def test_outside_support_rejected(self, ring256):
@@ -408,7 +407,7 @@ class TestPropagationTime:
         b = ring_arrival_state(ring256, 120.0)
         prof = action_profile(a, ring256.basis("momentum"), b, UNIT)
         with pytest.raises(ValueError, match="outside"):
-            propagation_time(prof, 99.0)
+            prof.gradient_at(99.0)
 
 
 class TestErrorPaths:

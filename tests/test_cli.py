@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from actionlab.cli import dispatch, dump_config, load_config
+from actionlab.experiments import config_from_dict
 from actionlab.hilbert import LabeledBasis
 from conftest import DELETE, mutated
 
@@ -108,6 +109,8 @@ class TestExitCodes:
         (RING_PROPAGATION_CFG, "propagation.scan_points", 20.5, "propagation.scan_points"),
         (RING_PROPAGATION_CFG, "propagation.window_width", "x", "propagation.window_width"),
         (RING_PROPAGATION_CFG, "propagation.centers", [float("nan")], "propagation.centers[0]"),
+        # A valid number outside the action gradient's support.
+        (RING_PROPAGATION_CFG, "propagation.centers", [0.5, 25.0], "propagation.centers[1]"),
         (RING_PROPAGATION_CFG, "propagation.scan_halfwidth", 2, "propagation.scan_halfwidth"),
         (SPIN_CFG, "model.j", "20", "model.j"),
         (SPIN_CFG, "model.j", True, "model.j"),
@@ -317,6 +320,24 @@ BUNDLED = {  # bundled config -> the command it is written for
     "spin20_sweep": "sweep",
     "spin50_emergence": "emerge",
 }
+
+
+@pytest.mark.parametrize("stem", sorted(BUNDLED))
+def test_table_hashes_the_config_its_manifest_records(tmp_path, stem):
+    # Every table-writing command that runs on the config, defaults included.
+    ran = 0
+    for command in ("profile", "sweep", "emerge", "propagate"):
+        out = tmp_path / command
+        if dispatch([command, "--config", str(CONFIGS / f"{stem}.json"), "--out", str(out),
+                     "--quiet"]) != 0:
+            continue
+        (path,) = out.glob("*.manifest.json")
+        manifest = json.loads(path.read_text())
+        recorded, _ = config_from_dict(manifest["config"])
+        assert manifest["provenance"]["config_hash"] == recorded.config_hash(), command
+        ran += 1
+    assert ran
+
 FIELD_PATHS = (
     "model", "model.name", "model.j", "model.sites", "model.circumference",
     "model.mass", "model.flight_time", "model.winding",

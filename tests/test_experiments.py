@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from actionlab.action import action_profile, stationary_points
 from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, orthonormality_deviation
 from actionlab.measurement import build_measurement, gaussian_kernel, joint_distribution
@@ -16,6 +17,7 @@ from actionlab.experiments import (
     ModelConfig,
     PropagationConfig,
     StateSpec,
+    build_state,
     build_system,
     config_from_dict,
     philox_stream,
@@ -183,6 +185,19 @@ class TestRingResolutionSweep:
         for delta, tv in zip(table.column("delta_x_r"), table.column("tv_disturbance")):
             ops = build_measurement(gaussian_kernel(mom, delta), mom)
             assert abs(joint_distribution(moved, pos, ops).total_variation - tv) < 1e-12
+
+
+def test_ring_position_packet_b_is_carried_to_arrival():
+    # Like an eigenstate b, a position packet b is an arrival event: dS/dp =
+    # dx - p T / M, so p* = M dx / T = 1 and S'' = -T / M.
+    cfg = cfg_of(dict(RING_EMERGE, b={"basis": "position", "packet_center": 120.0,
+                                      "packet_width": 3.0}))
+    system = build_system(cfg.model, cfg.constants)
+    a, b = build_state(system, cfg.a, "a"), build_state(system, cfg.b, "b")
+    points = stationary_points(action_profile(a, system.basis("momentum"), b, cfg.constants))
+    assert points
+    assert abs(points[0].x_star - 1.0) <= 2.0 * np.pi / 256.0
+    assert abs(abs(points[0].curvature_at) - 20.0) < 1e-6
 
 
 class TestEmergence:

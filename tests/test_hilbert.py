@@ -52,7 +52,7 @@ class TestStateVector:
     def test_immutable(self):
         psi = StateVector([1.0, 0.0])
         with pytest.raises(AttributeError):
-            psi.label = "x"
+            psi.amplitudes = np.zeros(2)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 2.0
 

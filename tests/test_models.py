@@ -62,7 +62,7 @@ class TestQubit:
 
     def test_oracle_branches(self, qubit):
         # j(j+1) = 3/4, so the cone intersection sits exactly at +-1/2.
-        lo, hi = qubit.classical_oracle.predict(0.5, 0.5)
+        lo, hi = qubit.classical_oracle(0.5, 0.5)
         assert (lo, hi) == (-0.5, 0.5)
 
 
@@ -133,10 +133,10 @@ class TestSpin:
             spin_system(0.0)
 
     def test_classical_oracle_branches(self, spin20):
-        lo, hi = spin20.classical_oracle.predict(10.0, 10.0)
+        lo, hi = spin20.classical_oracle(10.0, 10.0)
         assert hi == pytest.approx(np.sqrt(20 * 21 - 200))
         assert lo == -hi
-        assert spin20.classical_oracle.predict(15.0, 15.0) == ()
+        assert spin20.classical_oracle(15.0, 15.0) == ()
 
 
 class TestRing:
