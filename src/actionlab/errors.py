@@ -22,6 +22,7 @@ class ConfigError(ValueError):
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}" if field else message)
 
 

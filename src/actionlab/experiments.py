@@ -49,7 +49,6 @@ from .hilbert import (
     random_state,
 )
 from .measurement import (
-    build_measurement,
     gaussian_kernel,
     joint_distribution,
     high_res_amplitude,
@@ -531,8 +530,7 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
     def one(value: float) -> dict:
         delta = value * unit
         kernel = gaussian_kernel(basis, delta)
-        ops = build_measurement(kernel, basis)
-        joint = joint_distribution(a, final_basis, ops)
+        joint = joint_distribution(a, final_basis, kernel)
         report = nondisturbance_check(kernel, profile, points)
         if points:
             regime = regime_classifier(kernel, profile, dominant_x).value
@@ -552,7 +550,7 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
             "regime_at_star": regime,
             "argmax_r": argmax,
             "argmax_offset": offset,
-            "povm_deviation": ops.completeness_deviation(),
+            "povm_deviation": kernel.completeness_deviation(),
             "total_probability": joint.total_probability,
             "delta_x_m": points[0].delta_x_m if points else float(np.nan),
             "delta_n": points[0].delta_n if points else float(np.nan),
@@ -574,9 +572,15 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
     grid_step = float(np.median(basis.spacing))
     smoothing = profile_smoothing_for(cfg, system, basis)
     rows = []
-    for x_a, x_b in pairs:
-        a = build_state(system, StateSpec(cfg.a.basis, eigenvalue=x_a), "a")
-        b = build_state(system, StateSpec(cfg.b.basis, eigenvalue=x_b), "b")
+    for i, (x_a, x_b) in enumerate(pairs):
+        try:
+            a = build_state(system, StateSpec(cfg.a.basis, eigenvalue=x_a), "a")
+            b = build_state(system, StateSpec(cfg.b.basis, eigenvalue=x_b), "b")
+        except ConfigError as err:
+            # Defaulted pairs are on the grid or are a's and b's own eigenvalues.
+            if cfg.emergence is None or not err.field.endswith(".eigenvalue"):
+                raise
+            raise ConfigError(err.message, field=f"emergence.pairs[{i}]") from err
         profile = action_profile(a, basis, b, constants, smoothing=smoothing)
         points = stationary_points(profile)
         predicted = system.classical_oracle(x_a, x_b)
@@ -653,6 +657,9 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
         b = build_state(system, cfg.b, "b")
     smoothing = profile_smoothing_for(cfg, system, basis)
     profile = action_profile(a, basis, b, constants, smoothing=smoothing)
+    if not np.any(np.isfinite(profile.gradient)):
+        raise ConfigError("the action profile has no finite gradient; it needs three "
+                          "contiguous phase-valid points", field="intermediate")
     step = float(np.median(basis.spacing))
     window = cfg.propagation.window_width
     if window is None:
@@ -900,7 +907,7 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         tvs = []
         resid_last = 0.0
         for mult in (0.25, 1.0, 4.0, 16.0):
-            ops = build_measurement(gaussian_kernel(z20, mult * dxm), z20)
+            ops = gaussian_kernel(z20, mult * dxm)
             joint = joint_distribution(a, y20, ops)
             worst_povm = max(worst_povm, ops.completeness_deviation())
             worst_prob = max(worst_prob, abs(joint.total_probability - 1.0))
@@ -911,19 +918,17 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         record("measurement.weak_limit_monotone.spin20",
                max(tvs[i + 1] - tvs[i] for i in range(3)), 0.0, larger_fails=True)
         record("measurement.factorization_decay.spin20", resid_last, 0.01)
-        proj = build_measurement(projective_kernel(z20), z20)
-        joint = joint_distribution(a, y20, proj)
+        joint = joint_distribution(a, y20, projective_kernel(z20))
         amps_a = np.abs(expand(a, z20)) ** 2
         overlaps = np.abs(y20.vectors.conj() @ z20.vectors.T) ** 2
         textbook = overlaps.T * amps_a[:, np.newaxis]
         record("measurement.projective_limit.spin20",
                float(np.max(np.abs(joint.table - textbook))), 1e-10)
-        narrow = build_measurement(gaussian_kernel(z20, float(np.min(z20.spacing)) / 100.0), z20)
+        narrow = gaussian_kernel(z20, float(np.min(z20.spacing)) / 100.0)
         joint_n = joint_distribution(a, y20, narrow)
         record("measurement.projective_narrow_kernel.spin20",
                float(np.max(np.abs(joint_n.table - textbook))), 1e-10)
-        ops_mid = build_measurement(gaussian_kernel(z20, dxm), z20)
-        joint_mid = joint_distribution(a, y20, ops_mid)
+        joint_mid = joint_distribution(a, y20, gaussian_kernel(z20, dxm))
         argmax = joint_mid.conditional_argmax(y20.index_at(10.0))
         record("measurement.selection_moderate.spin20",
                float(np.min(np.abs(np.array([p.x_star for p in pts]) - argmax))),

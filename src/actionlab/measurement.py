@@ -4,12 +4,12 @@ A measurement of the intermediate observable is specified entirely by the
 conditional probabilities P(r|x_m) of obtaining outcome r when the system
 sits at x_m.  The minimal-decoherence implementation applies the diagonal
 operator with entries sqrt(P(r|x_m)); anything noisier adds decoherence the
-statistics do not require.  This module builds resolution kernels, the
-operator sets, exact joint outcome statistics (one P(r, b|a) table, with
-the disturbance and factorization metrics read off it once), the
-slow-kernel (non-disturbance) condition, and the high-resolution regime
-where the measurement resolves the action gradient instead of the
-intermediate value.
+statistics do not require.  This module builds one ``Measurement`` per
+kernel (its basis, P and sqrt(P) together), exact joint outcome statistics
+(one P(r, b|a) table, with the disturbance and factorization metrics read
+off it once), the slow-kernel (non-disturbance) condition, and the
+high-resolution regime where the measurement resolves the action gradient
+instead of the intermediate value.
 """
 
 from __future__ import annotations
@@ -33,52 +33,65 @@ REGIME_GUARD_BAND = 10.0
 ARGMAX_TIE_RELATIVE = 1e-12
 
 
-class ResolutionKernel:
-    """Conditional outcome probabilities P(r|x_m) on an outcome grid.
+@dataclass(frozen=True, eq=False)
+class Measurement:
+    """One intermediate measurement: P(r|x_m) and its operators M(r) on a basis.
 
-    ``table[r, m]`` is the probability of outcome r given the intermediate
-    value x_m; every column sums to one.  ``resolution`` records the Gaussian
-    standard deviation for kernels that have one (0 for projective).
-
-    The float arrays given are validated and then frozen in place, not
-    copied: the kernel takes them over, and the caller must not write to
-    them afterwards.
+    ``table[r, m]`` is the probability of outcome r given the value x_m of
+    ``basis`` (whose eigenvalues are the outcome grid); columns sum to one.
+    ``sqrt_table`` holds the operators' diagonals sqrt(P(r|x_m)), and
+    ``resolution`` the Gaussian width (0 for projective).  Build one with
+    ``build_measurement``, which validates the table.
     """
 
-    __slots__ = ("r_grid", "table", "resolution")
-
-    def __init__(self, r_grid: np.ndarray, table: np.ndarray, resolution: float = 0.0):
-        grid = np.asarray(r_grid, dtype=float)
-        tab = np.asarray(table, dtype=float)
-        if tab.ndim != 2 or tab.shape[0] != grid.shape[0]:
-            raise ValueError(f"table shape {tab.shape} does not match {grid.shape[0]} outcomes")
-        if np.any(tab < 0.0):
-            raise ValueError("kernel entries must be non-negative")
-        colsums = tab.sum(axis=0)
-        dev = float(np.max(np.abs(colsums - 1.0)))
-        if dev > KERNEL_COMPLETENESS_TOLERANCE:
-            raise ValueError(
-                f"kernel incomplete: max |sum_r P(r|x_m) - 1| = {dev:.3e}"
-            )
-        tab.flags.writeable = False
-        grid.flags.writeable = False
-        object.__setattr__(self, "r_grid", grid)
-        object.__setattr__(self, "table", tab)
-        object.__setattr__(self, "resolution", float(resolution))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResolutionKernel is immutable")
+    basis: LabeledBasis
+    table: np.ndarray
+    sqrt_table: np.ndarray
+    resolution: float
+    _deviation: float
 
     @property
-    def n_outcomes(self) -> int:
-        return self.r_grid.shape[0]
+    def r_grid(self) -> np.ndarray:
+        return self.basis.eigenvalues
 
-    @property
-    def n_states(self) -> int:
-        return self.table.shape[1]
+    def completeness_deviation(self) -> float:
+        """Max elementwise deviation of sum_r M(r)^dag M(r) from identity."""
+        return self._deviation
+
+    def amplitude(self, a: StateVector, b: StateVector) -> np.ndarray:
+        """<b|M(r)|a> for every outcome r."""
+        return self.sqrt_table @ (np.conj(expand(b, self.basis)) * expand(a, self.basis))
 
 
-def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> ResolutionKernel:
+def build_measurement(
+    basis: LabeledBasis, table: np.ndarray, resolution: float = 0.0
+) -> Measurement:
+    """The measurement with P(r|x_m) = ``table[r, m]`` on ``basis``.
+
+    Checks the shape against the basis, non-negativity and column sums, and
+    the completeness of the operators sqrt(P).  A float table is frozen in
+    place, not copied: the measurement takes it over, and the caller must
+    not write to it afterwards.
+    """
+    tab = np.asarray(table, dtype=float)
+    if tab.shape != (basis.n_states, basis.n_states):
+        raise ValueError(f"table shape {tab.shape} does not match {basis.n_states} states")
+    if np.any(tab < 0.0):
+        raise ValueError("kernel entries must be non-negative")
+    dev = float(np.max(np.abs(tab.sum(axis=0) - 1.0)))
+    if dev > KERNEL_COMPLETENESS_TOLERANCE:
+        raise ValueError(f"kernel incomplete: max |sum_r P(r|x_m) - 1| = {dev:.3e}")
+    sqrt_table = np.sqrt(tab)
+    # sum_r M(r)^2 per state, measured on the operators without a d x d square.
+    dev = float(np.max(np.abs(np.einsum("rm,rm->m", sqrt_table, sqrt_table) - 1.0)))
+    if dev > POVM_TOLERANCE:
+        raise ValueError(f"operator completeness violated: {dev:.3e}")
+    tab.flags.writeable = False
+    sqrt_table.flags.writeable = False
+    return Measurement(basis, tab, sqrt_table, float(resolution), dev)
+
+
+def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> Measurement:
     """Gaussian resolution kernel on the basis eigenvalue grid.
 
     The branch filter's Gaussian (``action.gaussian_matrix``) read along the
@@ -92,52 +105,12 @@ def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> ResolutionKernel:
     table = gaussian_matrix(basis.eigenvalues, delta_x_r)
     table *= (basis.spacing_per_state() / (np.sqrt(2.0 * np.pi) * delta_x_r))[:, np.newaxis]
     table /= table.sum(axis=0, keepdims=True)
-    return ResolutionKernel(basis.eigenvalues, table, delta_x_r)
+    return build_measurement(basis, table, delta_x_r)
 
 
-def projective_kernel(basis: LabeledBasis) -> ResolutionKernel:
+def projective_kernel(basis: LabeledBasis) -> Measurement:
     """Perfect-resolution kernel: outcome r == m with certainty."""
-    return ResolutionKernel(basis.eigenvalues, np.eye(basis.n_states), 0.0)
-
-
-class MeasurementOperatorSet:
-    """Minimal-decoherence operators M(r), diagonal in the intermediate basis."""
-
-    __slots__ = ("basis", "kernel", "sqrt_table", "_deviation")
-
-    def __init__(self, basis: LabeledBasis, kernel: ResolutionKernel):
-        if kernel.n_states != basis.n_states:
-            raise ValueError(
-                f"kernel covers {kernel.n_states} states, basis has {basis.n_states}"
-            )
-        sqrt_table = np.sqrt(kernel.table)
-        # sum_r M(r)^2 per state, measured on the operators without a d x d square.
-        dev = float(np.max(np.abs(np.einsum("rm,rm->m", sqrt_table, sqrt_table) - 1.0)))
-        if dev > POVM_TOLERANCE:
-            raise ValueError(f"operator completeness violated: {dev:.3e}")
-        sqrt_table.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "sqrt_table", sqrt_table)
-        object.__setattr__(self, "_deviation", dev)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MeasurementOperatorSet is immutable")
-
-    def completeness_deviation(self) -> float:
-        """Max elementwise deviation of sum_r M(r)^dag M(r) from identity."""
-        return self._deviation
-
-    def amplitude(self, a: StateVector, b: StateVector) -> np.ndarray:
-        """<b|M(r)|a> for every outcome r."""
-        amps_a = expand(a, self.basis)
-        amps_b = expand(b, self.basis)
-        return self.sqrt_table @ (np.conj(amps_b) * amps_a)
-
-
-def build_measurement(kernel: ResolutionKernel, basis: LabeledBasis) -> MeasurementOperatorSet:
-    """Operators with diagonal entries sqrt(P(r|x_m)); completeness guaranteed."""
-    return MeasurementOperatorSet(basis, kernel)
+    return build_measurement(basis, np.eye(basis.n_states))
 
 
 @dataclass(frozen=True)
@@ -152,7 +125,7 @@ class JointDistribution:
     measurement.
     """
 
-    r_grid: np.ndarray             # the kernel's read-only outcome grid
+    r_grid: np.ndarray             # the measurement's read-only outcome grid
     table: np.ndarray              # P(r, b | a)
     baseline: np.ndarray           # P(b | a) without measurement
     total_variation: float
@@ -182,17 +155,17 @@ class JointDistribution:
 
 
 def joint_distribution(
-    a: StateVector, final_basis: LabeledBasis, ops: MeasurementOperatorSet
+    a: StateVector, final_basis: LabeledBasis, measurement: Measurement
 ) -> JointDistribution:
     """P(r,b|a) = |<b|M(r)|a>|^2 over all outcomes and final states.
 
     Row r of sqrt(P(r|x_m)) <m|a> holds the intermediate coefficients of
     M(r)|a>; ``change_basis`` carries them into the final basis.
     """
-    inter = ops.basis
+    inter = measurement.basis
     if a.dim != inter.dim or final_basis.dim != inter.dim:
         raise ValueError("dimension mismatch between state, bases and operators")
-    weighted = ops.sqrt_table * expand(a, inter)[np.newaxis, :]
+    weighted = measurement.sqrt_table * expand(a, inter)[np.newaxis, :]
     table = np.abs(change_basis(weighted, inter, final_basis)) ** 2
     baseline = np.abs(expand(a, final_basis)) ** 2
     marginal_b = table.sum(axis=0)
@@ -202,7 +175,7 @@ def joint_distribution(
     residual *= baseline[np.newaxis, :]
     residual -= table
     return JointDistribution(
-        r_grid=ops.kernel.r_grid,
+        r_grid=measurement.r_grid,
         table=table,
         baseline=baseline,
         total_variation=0.5 * float(np.abs(marginal_b - baseline).sum()),
@@ -227,7 +200,7 @@ class SlowKernelReport:
 
 
 def nondisturbance_check(
-    kernel: ResolutionKernel,
+    measurement: Measurement,
     profile: ActionProfile,
     points: list[StationaryPoint],
 ) -> SlowKernelReport:
@@ -261,7 +234,7 @@ def nondisturbance_check(
     # Second difference of each kernel row at the support columns c, with
     # the ufunc sequence of np.diff(table, 2, axis=1); the edge columns are
     # clipped onto their neighbour.
-    t = kernel.table
+    t = measurement.table
     c = np.clip(np.flatnonzero(support), 1, profile.dim - 2)
     pcurv = np.abs((t[:, c + 1] - t[:, c]) - (t[:, c] - t[:, c - 1])) / (
         profile.spacing[c] ** 2
@@ -279,7 +252,7 @@ class Regime(enum.Enum):
     BOUNDARY = "boundary"
 
 
-def regime_classifier(kernel: ResolutionKernel, profile: ActionProfile, r_value: float) -> Regime:
+def regime_classifier(measurement: Measurement, profile: ActionProfile, r_value: float) -> Regime:
     """Classify outcome r by comparing 1/delta_x_r with |dS/dx|/hbar there.
 
     Quantum regime when the resolution exceeds the gradient scale (the least
@@ -287,10 +260,10 @@ def regime_classifier(kernel: ResolutionKernel, profile: ActionProfile, r_value:
     REGIME_GUARD_BAND below it, boundary in between.  A projective kernel is always
     quantum.
     """
-    if kernel.resolution <= 0.0:
+    if measurement.resolution <= 0.0:
         return Regime.QUANTUM
     grad_scale = abs(profile.gradient_at(r_value)) / profile.hbar
-    inv_res = 1.0 / kernel.resolution
+    inv_res = 1.0 / measurement.resolution
     if inv_res > grad_scale:
         return Regime.QUANTUM
     if inv_res < grad_scale / REGIME_GUARD_BAND:
@@ -311,7 +284,7 @@ class HighResolutionAmplitude:
 
 
 def high_res_amplitude(
-    kernel: ResolutionKernel, profile: ActionProfile, r_value: float
+    measurement: Measurement, profile: ActionProfile, r_value: float
 ) -> HighResolutionAmplitude:
     """Measurement amplitude in the high-resolution regime.
 
@@ -325,32 +298,33 @@ def high_res_amplitude(
     sum_m <b|m><m|a> sqrt(P(r|x_m)).  Outcomes classified least-action raise
     NotApplicableError; the expansion holds from the boundary regime up.
     """
-    regime = regime_classifier(kernel, profile, r_value)
+    regime = regime_classifier(measurement, profile, r_value)
     if regime is Regime.LEAST_ACTION:
         raise NotApplicableError(
             "outcome sits in the least-action regime; the gradient expansion "
             "does not apply"
         )
     hbar = profile.hbar
-    r_idx = int(np.argmin(np.abs(kernel.r_grid - r_value)))
-    x_r = float(kernel.r_grid[r_idx])
+    delta = measurement.resolution
+    r_idx = int(np.argmin(np.abs(measurement.r_grid - r_value)))
+    x_r = float(measurement.r_grid[r_idx])
     grad = profile.gradient_at(x_r)
     t_local = complex(profile.amp_product[r_idx])
     x = profile.x_grid
     w = profile.spacing
-    sqrt_row = np.sqrt(kernel.table[r_idx, :])
+    sqrt_row = measurement.sqrt_table[r_idx]
     phase = np.exp(1j * grad * (x - x_r) / hbar)
     dx_local = float(w[r_idx])
     fourier = t_local / dx_local * complex(np.sum(sqrt_row * phase * w))
-    suppression = float(np.exp(-((kernel.resolution * grad / hbar) ** 2)))
-    if kernel.resolution > 0.0:
-        prefactor = (8.0 * np.pi * kernel.resolution**2 / dx_local**2) ** 0.25
+    suppression = float(np.exp(-((delta * grad / hbar) ** 2)))
+    if delta > 0.0:
+        prefactor = (8.0 * np.pi * delta**2 / dx_local**2) ** 0.25
         closed = t_local * prefactor * suppression
     else:
         closed = complex(np.nan, np.nan)
     exact = complex(np.sum(profile.amp_product_bare * sqrt_row))
     # Truncation distorts the Gaussian picture near the spectrum ends.
-    margin = 3.0 * kernel.resolution
+    margin = 3.0 * delta
     near_edge = bool(x_r < x[0] + margin or x_r > x[-1] - margin)
     return HighResolutionAmplitude(
         exact=exact,
@@ -375,7 +349,7 @@ class GradientRecovery:
 
 def action_gradient_recovery(
     amplitudes: np.ndarray,
-    kernel: ResolutionKernel,
+    measurement: Measurement,
     profile: ActionProfile,
 ) -> GradientRecovery:
     """Invert the Gaussian suppression factor into |dS/dx| per outcome.
@@ -385,36 +359,37 @@ def action_gradient_recovery(
     local amplitude gives exp(-(dxr S'/hbar)^2); outcomes whose ratio exceeds
     one (noise) or underflows are masked.
     """
-    if kernel.resolution <= 0.0:
+    delta = measurement.resolution
+    if delta <= 0.0:
         raise ValueError("gradient recovery requires a finite-resolution Gaussian kernel")
+    r_grid = measurement.r_grid
+    n = r_grid.shape[0]
     amp = np.asarray(amplitudes, dtype=complex)
-    if amp.shape != (kernel.n_outcomes,):
-        raise ValueError(f"need {kernel.n_outcomes} amplitudes, got {amp.shape}")
+    if amp.shape != (n,):
+        raise ValueError(f"need {n} amplitudes, got {amp.shape}")
     hbar = profile.hbar
     w = profile.spacing
-    prefactor = (8.0 * np.pi * kernel.resolution**2 / w**2) ** 0.25
+    prefactor = (8.0 * np.pi * delta**2 / w**2) ** 0.25
     base = profile.magnitude * prefactor
-    recovered = np.full(kernel.n_outcomes, np.nan)
-    reference = np.full(kernel.n_outcomes, np.nan)
-    ratios = np.full(kernel.n_outcomes, np.nan)
-    for i, x_r in enumerate(kernel.r_grid):
+    recovered = np.full(n, np.nan)
+    reference = np.full(n, np.nan)
+    ratios = np.full(n, np.nan)
+    for i, x_r in enumerate(r_grid):
         if base[i] <= 0.0 or not profile.valid[i]:
             continue
         ratio = abs(amp[i]) / base[i]
         ratios[i] = ratio
         if not (0.0 < ratio <= 1.0):
             continue
-        recovered[i] = hbar / kernel.resolution * np.sqrt(max(-np.log(ratio), 0.0))
+        recovered[i] = hbar / delta * np.sqrt(max(-np.log(ratio), 0.0))
         try:
             reference[i] = abs(profile.gradient_at(float(x_r)))
         except ValueError:
             recovered[i] = np.nan
-    margin = 3.0 * kernel.resolution
-    near_edge = (kernel.r_grid < kernel.r_grid[0] + margin) | (
-        kernel.r_grid > kernel.r_grid[-1] - margin
-    )
+    margin = 3.0 * delta
+    near_edge = (r_grid < r_grid[0] + margin) | (r_grid > r_grid[-1] - margin)
     return GradientRecovery(
-        r_grid=kernel.r_grid.copy(),
+        r_grid=r_grid,
         recovered=recovered,
         reference=reference,
         suppression=ratios,

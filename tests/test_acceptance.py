@@ -37,9 +37,7 @@ from actionlab.hilbert import (
     random_state,
 )
 from actionlab.measurement import (
-    ResolutionKernel,
     action_gradient_recovery,
-    build_measurement,
     gaussian_kernel,
     high_res_amplitude,
     joint_distribution,
@@ -146,7 +144,7 @@ def test_criterion_2_qubit_golden_values():
     p_ba = abs(inner(b, a)) ** 2
     assert abs(p_ba - 0.5) < 1e-12
 
-    ops = build_measurement(projective_kernel(z), z)
+    ops = projective_kernel(z)
     unbiased = joint_distribution(a, qubit.basis("y"), ops)
     assert unbiased.total_variation < 1e-12
     which_path = joint_distribution(a, qubit.basis("x"), ops)
@@ -355,7 +353,7 @@ def test_criterion_7_closed_form_over_suppression_window(spin50_highres):
 def test_criterion_7_gradient_recovery_window(spin50_highres):
     """Literal criterion: recovered gradient within 15% over the window."""
     system, a, b, prof, dom, kern = spin50_highres
-    ops = build_measurement(kern, system.basis("z"))
+    ops = kern
     rec = action_gradient_recovery(ops.amplitude(a, b), kern, prof)
     rows = _suppression_window(prof, dom, kern)
     idxs = [i for i, _ in rows
@@ -379,7 +377,7 @@ def test_criterion_7_ring_gradient_slope():
     pt = stationary_points(prof)[0]
     delta = 4.0 * float(mom.spacing[0])
     kern = gaussian_kernel(mom, delta)
-    ops = build_measurement(kern, mom)
+    ops = kern
     rec = action_gradient_recovery(ops.amplitude(a, b), kern, prof)
     lo_e = mom.eigenvalues[0] + 3 * delta
     hi_e = mom.eigenvalues[-1] - 3 * delta

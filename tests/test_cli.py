@@ -130,6 +130,9 @@ class TestExitCodes:
         (SPIN_CFG, "profile_smoothing", 1e300, "profile_smoothing"),
         (QUBIT_CFG, "output.directory", 5, "output.directory"),
         (SPIN_CFG, "emergence.pairs", [[float("nan"), 1.0]], "emergence.pairs[0]"),
+        # A pair value off the a or b grid names the pair, not a or b.
+        (SPIN_CFG, "emergence.pairs", [[30.0, 10.0]], "emergence.pairs[0]"),
+        (SPIN_CFG, "emergence.pairs", [[10.0, 10.0], [10.0, 30.0]], "emergence.pairs[1]"),
         (QUBIT_CFG, "schema_version", True, "schema_version"),
         (QUBIT_CFG, "model.name", DELETE, "model.name"),
         (QUBIT_CFG, "a.basis", DELETE, "a.basis"),
@@ -159,6 +162,24 @@ class TestExitCodes:
         assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error: a.packet_center: packet center" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    # Two-point spectra give no three-point gradient stencil, so the profile
+    # has no finite gradient to take a propagation centre from.
+    @pytest.mark.parametrize("config", [
+        QUBIT_CFG,
+        dict(SPIN_CFG, model={"name": "spin", "j": 0.5}, a={"basis": "x", "eigenvalue": 0.5},
+             b={"basis": "y", "eigenvalue": 0.5}),
+    ])
+    def test_propagate_without_finite_gradient_names_intermediate(self, tmp_path, capsys,
+                                                                  config):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert dispatch(["propagate", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: intermediate:" in err and "three contiguous" in err
         assert "Traceback" not in err
         assert not out.exists()
 

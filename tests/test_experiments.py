@@ -7,7 +7,7 @@ import pytest
 from actionlab.action import action_profile, stationary_points
 from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, orthonormality_deviation
-from actionlab.measurement import build_measurement, gaussian_kernel, joint_distribution
+from actionlab.measurement import gaussian_kernel, joint_distribution
 from actionlab.models import ring_energies
 from actionlab.experiments import (
     MAX_J,
@@ -183,7 +183,7 @@ class TestRingResolutionSweep:
         a = pos.state_at(100.0)
         moved = apply_diagonal(DiagonalUnitary(mom, -ring_energies(ring256) * 20.0), a)
         for delta, tv in zip(table.column("delta_x_r"), table.column("tv_disturbance")):
-            ops = build_measurement(gaussian_kernel(mom, delta), mom)
+            ops = gaussian_kernel(mom, delta)
             assert abs(joint_distribution(moved, pos, ops).total_variation - tv) < 1e-12
 
 

@@ -6,7 +6,6 @@ from actionlab.errors import NotApplicableError
 from actionlab.hilbert import LabeledBasis, PhysicalConstants, expand, inner
 from actionlab.measurement import (
     Regime,
-    ResolutionKernel,
     action_gradient_recovery,
     build_measurement,
     gaussian_kernel,
@@ -105,19 +104,19 @@ class TestGaussianKernel:
 class TestBuildMeasurement:
     def test_identity_kernel_gives_projectors(self, spin20):
         z = spin20.basis("z")
-        ops = build_measurement(projective_kernel(z), z)
+        ops = projective_kernel(z)
         assert np.allclose(ops.sqrt_table, np.eye(41))
 
     def test_povm_completeness(self, spin20):
         z = spin20.basis("z")
         for delta in (0.5, 2.0, 10.0):
-            ops = build_measurement(gaussian_kernel(z, delta), z)
+            ops = gaussian_kernel(z, delta)
             assert ops.completeness_deviation() < 1e-10
 
     def test_completeness_deviation_equals_recomputed_sum(self, spin20):
         z = spin20.basis("z")
         for delta in (0.5, 2.0, 10.0):
-            ops = build_measurement(gaussian_kernel(z, delta), z)
+            ops = gaussian_kernel(z, delta)
             fresh = float(np.max(np.abs((ops.sqrt_table**2).sum(axis=0) - 1.0)))
             assert ops.completeness_deviation() == fresh
 
@@ -126,16 +125,23 @@ class TestBuildMeasurement:
         z = qubit.basis("z")
         q = 0.3
         table = np.array([[q, 1 - q], [1 - q, q]])  # ascending m: (down, up)
-        kern = ResolutionKernel(z.eigenvalues, table)
-        ops = build_measurement(kern, z)
+        kern = build_measurement(z, table)
+        ops = kern
         a = qubit.basis("x").state_at(0.5)
         b = qubit.basis("y").state_at(0.5)
         amp = ops.amplitude(a, b)
         assert amp[0] == pytest.approx(np.sqrt(1 - q) / 2 - 1j * np.sqrt(q) / 2, abs=1e-14)
 
+    def test_table_shape_must_match_basis(self, spin20, qubit):
+        z41 = gaussian_kernel(spin20.basis("z"), 2.0).table
+        with pytest.raises(ValueError, match="does not match 2 states"):
+            build_measurement(qubit.basis("z"), z41)
+        with pytest.raises(ValueError, match="does not match 41 states"):
+            build_measurement(spin20.basis("z"), z41[:, :2])
+
     def test_incomplete_kernel_rejected(self, qubit):
         with pytest.raises(ValueError, match="incomplete"):
-            ResolutionKernel(qubit.basis("z").eigenvalues, np.array([[0.5, 0.5], [0.4, 0.5]]))
+            build_measurement(qubit.basis("z"), np.array([[0.5, 0.5], [0.4, 0.5]]))
 
 
 class TestJointDistribution:
@@ -145,7 +151,7 @@ class TestJointDistribution:
         a = qubit.basis("x").state_at(0.5)
         for q in (0.0, 0.2, 0.5):
             table = np.array([[q, 1 - q], [1 - q, q]])
-            ops = build_measurement(ResolutionKernel(z.eigenvalues, table), z)
+            ops = build_measurement(z, table)
             joint = joint_distribution(a, qubit.basis("y"), ops)
             assert np.allclose(joint.marginal_b, 0.5, atol=1e-14)
             assert joint.total_variation < 1e-14
@@ -153,7 +159,7 @@ class TestJointDistribution:
     def test_qubit_projective_which_path_disturbance(self, qubit):
         z = qubit.basis("z")
         a = qubit.basis("x").state_at(0.5)
-        ops = build_measurement(projective_kernel(z), z)
+        ops = projective_kernel(z)
         joint = joint_distribution(a, qubit.basis("x"), ops)
         assert joint.baseline[z.index_at(0.5)] == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(joint.marginal_b, 0.5, atol=1e-14)
@@ -164,7 +170,7 @@ class TestJointDistribution:
         z = spin20.basis("z")
         for delta in (0.5, 3.0, 30.0):
             joint = joint_distribution(a, spin20.basis("y"),
-                                       build_measurement(gaussian_kernel(z, delta), z))
+                                       gaussian_kernel(z, delta))
             assert abs(joint.total_probability - 1.0) < 1e-10
 
     def test_spin20_coarse_kernel_low_disturbance(self, spin20, spin20_profile):
@@ -173,14 +179,14 @@ class TestJointDistribution:
         pts = stationary_points(prof)
         delta = 4.0 * pts[0].delta_x_m
         joint = joint_distribution(a, spin20.basis("y"),
-                                   build_measurement(gaussian_kernel(z, delta), z))
+                                   gaussian_kernel(z, delta))
         assert joint.total_variation < 0.05
 
     def test_projective_limit_reproduces_textbook(self, spin20, spin20_profile):
         a, _, _ = spin20_profile
         z = spin20.basis("z")
         y = spin20.basis("y")
-        joint = joint_distribution(a, y, build_measurement(projective_kernel(z), z))
+        joint = joint_distribution(a, y, projective_kernel(z))
         amps = np.abs(expand(a, z)) ** 2
         overlaps = np.abs(y.vectors.conj() @ z.vectors.T) ** 2  # (b, m)
         textbook = overlaps.T * amps[:, np.newaxis]
@@ -195,7 +201,7 @@ class TestJointDistribution:
         a, _, _ = spin20_profile
         z = spin20.basis("z")
         y = LabeledBasis(spin20.basis("y").vectors, spin20.basis("y").eigenvalues)
-        ops = build_measurement(gaussian_kernel(z, 3.0), z)
+        ops = gaussian_kernel(z, 3.0)
         weighted = ops.sqrt_table * expand(a, z)[np.newaxis, :]
         dense_amp = weighted @ (y.vectors.conj() @ z.vectors.T).T
         assert np.array_equal(np.conj(np.conj(weighted) @ y.vectors.T).view(float),
@@ -209,7 +215,7 @@ class TestJointDistribution:
         # |sum_m <b|m> sqrt(P(r|m)) <m|a>|^2 with every overlap formed explicitly.
         inter, final = spin20.basis(inter_name), spin20.basis(final_name)
         a = spin20.basis("z").state_at(7.0)
-        ops = build_measurement(gaussian_kernel(inter, 3.0), inter)
+        ops = gaussian_kernel(inter, 3.0)
         joint = joint_distribution(a, final, ops)
         b_m = final.vectors.conj() @ inter.vectors.T
         m_a = inter.vectors.conj() @ a.amplitudes
@@ -223,7 +229,7 @@ class TestJointDistribution:
         a, _, _ = spin20_profile
         z, y = spin20.basis("z"), spin20.basis("y")
         for delta in (0.5, 3.0, 30.0):
-            joint = joint_distribution(a, y, build_measurement(gaussian_kernel(z, delta), z))
+            joint = joint_distribution(a, y, gaussian_kernel(z, delta))
             marginal = joint.table.sum(axis=0)
             safe = np.where(marginal > 0.0, marginal, 1.0)
             conditional = joint.table / safe[np.newaxis, :]
@@ -243,7 +249,7 @@ class TestJointDistribution:
         pos, mom = ring256.basis("position"), ring256.basis("momentum")
         flight = (mom.vectors.T * np.exp(-1j * ring_energies(ring256) * 20.0)) @ mom.vectors.conj()
         a = ring_arrival_state(ring256, 90.0)
-        ops = build_measurement(gaussian_kernel(pos, 3.0), pos)
+        ops = gaussian_kernel(pos, 3.0)
         joint = joint_distribution(a, ring_arrival_basis(ring256), ops)
         weighted = ops.sqrt_table * a.amplitudes[np.newaxis, :]
         assert np.max(np.abs(joint.table - np.abs(weighted @ flight.T) ** 2)) < 1e-13
@@ -258,7 +264,7 @@ class TestJointDistribution:
         for mult in (0.25, 1.0, 4.0, 16.0):
             joint = joint_distribution(
                 a, spin20.basis("y"),
-                build_measurement(gaussian_kernel(z, mult * dxm), z))
+                gaussian_kernel(z, mult * dxm))
             tvs.append(joint.total_variation)
             resids.append(joint.factorization_residual)
         assert all(tvs[i] > tvs[i + 1] for i in range(3))
@@ -421,7 +427,7 @@ class TestGradientRecovery:
         pt = stationary_points(prof)[0]
         delta = 2.5 * float(mom.spacing[0])
         kern = gaussian_kernel(mom, delta)
-        ops = build_measurement(kern, mom)
+        ops = kern
         rec = action_gradient_recovery(ops.amplitude(a, b), kern, prof)
         val = rec.recovered[pt.index_star]
         assert np.isnan(val) or val < 1.0 / (10.0 * delta)
@@ -436,7 +442,7 @@ class TestGradientRecovery:
         pt = [p for p in stationary_points(prof) if p.x_star > 0][0]
         delta = 0.3 * pt.delta_x_m
         kern = gaussian_kernel(z, delta)
-        ops = build_measurement(kern, z)
+        ops = kern
         rec = action_gradient_recovery(ops.amplitude(a, b), kern, prof)
         mask = np.isfinite(rec.recovered) & np.isfinite(rec.reference)
         mask &= (rec.r_grid >= pt.x_star - 9.0) & (rec.r_grid <= pt.x_star - 2.0)
@@ -456,7 +462,7 @@ class TestGradientRecovery:
         dp = float(mom.spacing[0])
         delta = 4.0 * dp
         kern = gaussian_kernel(mom, delta)
-        ops = build_measurement(kern, mom)
+        ops = kern
         rec = action_gradient_recovery(ops.amplitude(a, b), kern, prof)
         lo_e, hi_e = mom.eigenvalues[0] + 3 * delta, mom.eigenvalues[-1] - 3 * delta
         mask = (rec.suppression >= 0.05) & (rec.suppression <= 0.9)
@@ -471,7 +477,7 @@ class TestGradientRecovery:
         a, b, prof = spin50_profile
         z = spin50.basis("z")
         kern = gaussian_kernel(z, 3.0)
-        amps = np.full(kern.n_outcomes, 10.0 + 0j)  # ratio > 1 everywhere
+        amps = np.full(kern.basis.n_states, 10.0 + 0j)  # ratio > 1 everywhere
         rec = action_gradient_recovery(amps, kern, prof)
         assert np.all(np.isnan(rec.recovered))
 
@@ -487,7 +493,7 @@ class TestEdgeFlags:
         a, b, prof = spin20_profile
         z = spin20.basis("z")
         kern = gaussian_kernel(z, 2.0)
-        ops = build_measurement(kern, z)
+        ops = kern
         rec = action_gradient_recovery(ops.amplitude(a, b), kern, prof)
         assert rec.near_edge[0] and rec.near_edge[-1]
         assert not rec.near_edge[20]
@@ -521,7 +527,7 @@ class TestHbarFromProfile:
         narrow = gaussian_kernel(z, 0.3 * pt.delta_x_m)
         high = high_res_amplitude(narrow, prof, pt.x_star + 2.0)
         overlap = stationary_phase_overlap(prof, points)
-        ops = build_measurement(narrow, z)
+        ops = narrow
         recovered = action_gradient_recovery(ops.amplitude(a, b), narrow, prof).recovered
         return {
             "max_ratio": nondisturbance_check(coarse, prof, points).max_ratio,
