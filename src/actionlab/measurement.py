@@ -6,16 +6,18 @@ sits at x_m.  The minimal-decoherence implementation applies the diagonal
 operator with entries sqrt(P(r|x_m)); anything noisier adds decoherence the
 statistics do not require.  This module builds one ``Measurement`` per
 kernel (its basis, P and sqrt(P) together), exact joint outcome statistics
-(one P(r, b|a) table, with the disturbance and factorization metrics read
-off it once), the slow-kernel (non-disturbance) condition, and the
-high-resolution regime where the measurement resolves the action gradient
-instead of the intermediate value.
+(one P(r, b|a) table, a real product of sqrt(P) with a transfer matrix that
+does not depend on the kernel and is built once per sweep, with the
+disturbance and factorization metrics read off it once), the slow-kernel
+(non-disturbance) condition, and the high-resolution regime where the
+measurement resolves the action gradient instead of the intermediate value.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,16 +70,16 @@ def build_measurement(
 ) -> Measurement:
     """The measurement with P(r|x_m) = ``table[r, m]`` on ``basis``.
 
-    Checks the shape against the basis, non-negativity and column sums, and
-    the completeness of the operators sqrt(P).  A float table is frozen in
-    place, not copied: the measurement takes it over, and the caller must
-    not write to it afterwards.
+    Checks the shape against the basis, finite non-negative entries, column
+    sums and the completeness of the operators sqrt(P).  A float table is
+    frozen in place, not copied: the measurement takes it over, and the
+    caller must not write to it afterwards.
     """
     tab = np.asarray(table, dtype=float)
     if tab.shape != (basis.n_states, basis.n_states):
         raise ValueError(f"table shape {tab.shape} does not match {basis.n_states} states")
-    if np.any(tab < 0.0):
-        raise ValueError("kernel entries must be non-negative")
+    if not np.all(np.isfinite(tab) & (tab >= 0.0)):
+        raise ValueError("kernel entries must be finite and non-negative")
     dev = float(np.max(np.abs(tab.sum(axis=0) - 1.0)))
     if dev > KERNEL_COMPLETENESS_TOLERANCE:
         raise ValueError(f"kernel incomplete: max |sum_r P(r|x_m) - 1| = {dev:.3e}")
@@ -117,7 +119,8 @@ def projective_kernel(basis: LabeledBasis) -> Measurement:
 class JointDistribution:
     """Exact joint statistics P(r, b|a) of an intermediate-plus-final sequence.
 
-    ``table`` is the one d x d array; the per-b quantities derive from it.
+    ``table`` is the one d x d array, |sqrt(P) Y|^2 for the transfer matrix
+    Y[m, b] = <m|a><b|m>; the per-b quantities derive from it.
     ``total_variation`` is half the summed |sum_r P(r,b|a) - P(b|a)|, the
     standard distance between the r-marginalized final distribution and the
     undisturbed baseline.  ``factorization_residual`` measures how far the
@@ -159,28 +162,37 @@ def joint_distribution(
 ) -> JointDistribution:
     """P(r,b|a) = |<b|M(r)|a>|^2 over all outcomes and final states.
 
-    Row r of sqrt(P(r|x_m)) <m|a> holds the intermediate coefficients of
-    M(r)|a>; ``change_basis`` carries them into the final basis.
+    <b|M(r)|a> = sum_m sqrt(P(r|x_m)) Y[m, b] (``_transfer``): one real
+    product on Y's interleaved real and imaginary parts.  As P >= 0, the
+    factorization residual is max_b (max_r P / P_b) |P(b|a) - P_b|, with P_b
+    the column sum; the ratio is at most one, so a tiny P_b cannot overflow.
     """
     inter = measurement.basis
     if a.dim != inter.dim or final_basis.dim != inter.dim:
         raise ValueError("dimension mismatch between state, bases and operators")
-    weighted = measurement.sqrt_table * expand(a, inter)[np.newaxis, :]
-    table = np.abs(change_basis(weighted, inter, final_basis)) ** 2
+    amp = measurement.sqrt_table @ _transfer(a, inter, final_basis).view(float)
+    np.square(amp, out=amp)
+    table = amp[:, 0::2] + amp[:, 1::2]
     baseline = np.abs(expand(a, final_basis)) ** 2
     marginal_b = table.sum(axis=0)
     safe = np.where(marginal_b > 0.0, marginal_b, 1.0)
-    # P(r|a,b) P(b|a) - P(r,b|a), built in one temporary.
-    residual = table / safe[np.newaxis, :]
-    residual *= baseline[np.newaxis, :]
-    residual -= table
     return JointDistribution(
         r_grid=measurement.r_grid,
         table=table,
         baseline=baseline,
         total_variation=0.5 * float(np.abs(marginal_b - baseline).sum()),
-        factorization_residual=float(np.max(np.abs(residual))),
+        factorization_residual=float(np.max(table.max(axis=0) / safe * np.abs(baseline - safe))),
     )
+
+
+@lru_cache(maxsize=1)
+def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis) -> np.ndarray:
+    """Y[m, b] = <m|a><b|m>, read-only and C-contiguous (its float view
+    interleaves real and imaginary parts).  Independent of the kernel, so a
+    sweep builds it once: the keys are immutable and hash by identity."""
+    y = np.ascontiguousarray(change_basis(np.diag(expand(a, inter)), inter, final))
+    y.flags.writeable = False
+    return y
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from actionlab.action import action_profile, stationary_points
 from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, orthonormality_deviation
-from actionlab.measurement import gaussian_kernel, joint_distribution
+from actionlab.cli import load_config
+from actionlab.measurement import _transfer, gaussian_kernel, joint_distribution
 from actionlab.models import ring_energies
 from actionlab.experiments import (
     MAX_J,
@@ -158,6 +160,24 @@ class TestResolutionSweep:
     def test_projective_like_row_most_disturbing(self, table):
         tv = table.column("tv_disturbance")
         assert tv[0] == max(tv)
+
+    def test_transfer_matrix_built_once_per_sweep(self):
+        # Y[m, b] = <m|a><b|m> does not depend on the kernel: the bundled
+        # four-value sweep builds it for its first value and reuses it.
+        cfg, _ = load_config(Path(__file__).resolve().parents[1] / "configs" / "spin20_sweep.json")
+        before = _transfer.cache_info()
+        run_resolution_sweep(cfg)
+        after = _transfer.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 3)
+        system = build_system(cfg.model, cfg.constants)
+        a = build_state(system, cfg.a, "a")
+        z, y = system.basis("z"), system.basis("y")
+        cached = _transfer(a, z, y)
+        assert _transfer(a, z, y) is cached
+        assert not cached.flags.writeable and cached.flags.c_contiguous
+        misses = _transfer.cache_info().misses
+        _transfer(system.basis("x").state_at(5.0), z, y)
+        assert _transfer.cache_info().misses == misses + 1
 
 
 class TestRingResolutionSweep:

@@ -143,6 +143,13 @@ class TestBuildMeasurement:
         with pytest.raises(ValueError, match="incomplete"):
             build_measurement(qubit.basis("z"), np.array([[0.5, 0.5], [0.4, 0.5]]))
 
+    def test_non_finite_kernel_rejected(self, qubit):
+        # NaN passes both the sign test and the column-sum test on its own.
+        with pytest.raises(ValueError, match="finite"):
+            build_measurement(qubit.basis("z"), np.array([[np.nan, 0.5], [np.nan, 0.5]]))
+        with pytest.raises(ValueError, match="finite"):
+            build_measurement(qubit.basis("z"), np.array([[np.inf, 0.5], [0.0, 0.5]]))
+
 
 class TestJointDistribution:
     def test_qubit_unbiased_final_basis_no_disturbance(self, qubit):
@@ -193,21 +200,24 @@ class TestJointDistribution:
         assert np.max(np.abs(joint.table - textbook)) < 1e-10
 
     def test_identity_intermediate_bitwise_equals_dense_formula(self, spin20, spin20_profile):
-        # The dense formula multiplies by the materialized identity; the
-        # identity path skips that product and must not move a bit.  The
-        # final basis is a complex-row copy of y, whose product is the dense
-        # formula's; the phased y itself is checked against it at 1e-15 in
-        # test_dense_intermediate_matches_textbook_sum.
+        # The dense formula builds the transfer matrix Y[m, b] = <m|a><b|m>
+        # with the materialized identity and takes re^2 + im^2 of
+        # sqrt(P) Y as one real product on Y's interleaved parts; the
+        # identity path skips the identity product and must not move a bit.
+        # The final basis is a complex-row copy of y, whose product is the
+        # dense formula's; the phased y itself is checked against it at
+        # 1e-15 in test_dense_intermediate_matches_textbook_sum.
         a, _, _ = spin20_profile
         z = spin20.basis("z")
         y = LabeledBasis(spin20.basis("y").vectors, spin20.basis("y").eigenvalues)
         ops = gaussian_kernel(z, 3.0)
-        weighted = ops.sqrt_table * expand(a, z)[np.newaxis, :]
-        dense_amp = weighted @ (y.vectors.conj() @ z.vectors.T).T
-        assert np.array_equal(np.conj(np.conj(weighted) @ y.vectors.T).view(float),
-                              dense_amp.view(float))
+        alpha = expand(a, z)
+        dense_y = alpha[:, np.newaxis] * (z.vectors @ y.vectors.conj().T)
+        assert np.array_equal(np.conj(np.conj(np.diag(alpha)) @ y.vectors.T).view(float),
+                              dense_y.view(float))
+        amp = ops.sqrt_table @ dense_y.view(float)
         joint = joint_distribution(a, y, ops)
-        assert np.array_equal(joint.table, np.abs(dense_amp) ** 2)
+        assert np.array_equal(joint.table, amp[:, 0::2] ** 2 + amp[:, 1::2] ** 2)
         assert np.array_equal(joint.baseline, np.abs(y.vectors.conj() @ a.amplitudes) ** 2)
 
     @pytest.mark.parametrize("inter_name, final_name", [("x", "y"), ("x", "z"), ("z", "y")])
@@ -224,24 +234,45 @@ class TestJointDistribution:
         assert np.max(np.abs(joint.baseline - np.abs(final.vectors.conj() @ a.amplitudes) ** 2)) <= 1e-15
 
     def test_derived_quantities_equal_dense_formulas(self, spin20, spin20_profile):
-        # The d x d conditional and factorized arrays the distribution no
-        # longer stores, rebuilt here; every derived number is bitwise equal.
+        # The d x d conditional and factorized arrays the distribution never
+        # stores, rebuilt here.  Every derived number is bitwise equal to its
+        # formula; the residual, read from column maxima since P >= 0, also
+        # matches the elementwise max |P - P(r|a,b) P(b|a)| within 1e-15.
         a, _, _ = spin20_profile
         z, y = spin20.basis("z"), spin20.basis("y")
-        for delta in (0.5, 3.0, 30.0):
-            joint = joint_distribution(a, y, gaussian_kernel(z, delta))
+        for ops in [gaussian_kernel(z, delta) for delta in (0.5, 3.0, 30.0)] + [projective_kernel(z)]:
+            joint = joint_distribution(a, y, ops)
             marginal = joint.table.sum(axis=0)
             safe = np.where(marginal > 0.0, marginal, 1.0)
             conditional = joint.table / safe[np.newaxis, :]
             factorized = conditional * joint.baseline[np.newaxis, :]
+            elementwise = float(np.max(np.abs(joint.table - factorized)))
+            column_max = float(np.max(joint.table.max(axis=0) / safe * np.abs(joint.baseline - safe)))
             assert np.array_equal(joint.marginal_b, marginal)
-            assert joint.factorization_residual == float(np.max(np.abs(joint.table - factorized)))
+            assert joint.factorization_residual == column_max
+            assert abs(joint.factorization_residual - elementwise) <= 1e-15 * elementwise
             assert joint.total_variation == 0.5 * float(np.abs(marginal - joint.baseline).sum())
             for b_index in range(y.n_states):
                 # Ties within 1e-12 relative go to the largest x_r.
                 col = conditional[:, b_index]
                 tied = np.flatnonzero(col >= (1.0 - 1e-12) * col.max())
                 assert joint.conditional_argmax(b_index) == float(joint.r_grid[tied[-1]])
+
+    @pytest.mark.parametrize("width", [0.0, 0.3])
+    def test_zero_marginal_column(self, qubit, width):
+        # a = z(+1/2) measured and read in z: the b = -1/2 column is zero, so
+        # P(r|a,b) is undefined there; nothing may warn or blow up.  The
+        # textbook table is P(r|+1/2) in the b = +1/2 column, and both the
+        # disturbance and the residual are zero.
+        z = qubit.basis("z")
+        a = z.state_at(0.5)
+        ops = gaussian_kernel(z, width) if width else projective_kernel(z)
+        joint = joint_distribution(a, z, ops)
+        textbook = np.column_stack([np.zeros(2), ops.table[:, 1]])
+        assert np.max(np.abs(joint.table - textbook)) <= 1e-15
+        assert np.array_equal(joint.baseline, [0.0, 1.0])
+        assert joint.factorization_residual <= 1e-15
+        assert joint.total_variation <= 1e-15
 
     def test_arrival_basis_reads_outcomes_after_the_flight(self, ring256):
         # Position intermediate: M(r) does not commute with the flight, and
