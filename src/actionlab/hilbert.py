@@ -397,6 +397,14 @@ def change_basis(rows: np.ndarray, source: LabeledBasis, target: LabeledBasis) -
     return _from_reference(_to_reference(rows, source), target)
 
 
+def scaled_overlaps(coeffs: np.ndarray, source: LabeledBasis, target: LabeledBasis) -> np.ndarray:
+    """Y[m, k] = coeffs[m] <t_k|s_m> (``change_basis(np.diag(coeffs), ...)``), C-contiguous;
+    from the reference basis it is the elementwise coeffs[m] conj(T[k, m]), with no product."""
+    if source.is_identity:
+        return np.multiply(coeffs[:, np.newaxis], np.conj(target.vectors).T, order="C")
+    return np.ascontiguousarray(change_basis(np.diag(coeffs), source, target))
+
+
 def apply_diagonal(unitary: DiagonalUnitary, psi: StateVector) -> StateVector:
     """Apply exp(i*phase_m) to each component of psi in the unitary's basis."""
     basis = unitary.basis

@@ -23,7 +23,7 @@ import numpy as np
 
 from .action import ActionProfile, StationaryPoint, gaussian_matrix
 from .errors import NotApplicableError
-from .hilbert import LabeledBasis, StateVector, change_basis, expand
+from .hilbert import LabeledBasis, StateVector, expand, scaled_overlaps
 
 KERNEL_COMPLETENESS_TOLERANCE = 1e-12
 POVM_TOLERANCE = 1e-10
@@ -190,7 +190,7 @@ def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis) -> np.nd
     """Y[m, b] = <m|a><b|m>, read-only and C-contiguous (its float view
     interleaves real and imaginary parts).  Independent of the kernel, so a
     sweep builds it once: the keys are immutable and hash by identity."""
-    y = np.ascontiguousarray(change_basis(np.diag(expand(a, inter)), inter, final))
+    y = scaled_overlaps(expand(a, inter), inter, final)
     y.flags.writeable = False
     return y
 

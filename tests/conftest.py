@@ -237,3 +237,10 @@ def gaussian_kernel_raw(basis, delta_x_r: float) -> np.ndarray:
         / (np.sqrt(2.0 * np.pi) * delta_x_r)
         * np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * delta_x_r**2))
     )
+
+
+def dense_overlap_scan(windowed, rates, half: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``experiments._overlap_scan``: the whole n x d phase matrix
+    exp(-i t_k w_m) over the uniform t grid, times the windowed amplitudes."""
+    t_grid = np.linspace(-half, half, n)
+    return t_grid, np.abs(np.exp(-1j * np.outer(t_grid, rates)) @ windowed)

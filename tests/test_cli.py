@@ -112,6 +112,14 @@ class TestExitCodes:
         # A valid number outside the action gradient's support.
         (RING_PROPAGATION_CFG, "propagation.centers", [0.5, 25.0], "propagation.centers[1]"),
         (RING_PROPAGATION_CFG, "propagation.scan_halfwidth", 2, "propagation.scan_halfwidth"),
+        # A window too narrow to reach any level: a defaulted centre names the
+        # width; configured centres name their index.  The first centre sits
+        # midway between two levels and scans; at the second the nearest
+        # levels are 0.018 away, nine widths.
+        (RING_PROPAGATION_CFG, "propagation.window_width", 1e-6, "propagation.window_width"),
+        (RING_PROPAGATION_CFG, "propagation",
+         {"tau": 5.0, "window_width": 0.002, "scan_halfwidth": 50.0, "centers": [0.494, 1.1025]},
+         "propagation.centers[1]"),
         (SPIN_CFG, "model.j", "20", "model.j"),
         (SPIN_CFG, "model.j", True, "model.j"),
         (SPIN_CFG, "model.j", float("nan"), "model.j"),

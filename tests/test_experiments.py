@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, orthonormality_deviation
 from actionlab.cli import load_config
 from actionlab.measurement import _transfer, gaussian_kernel, joint_distribution
-from actionlab.models import ring_energies
+from actionlab.models import make_packet, positive_energy_basis, ring_energies
 from actionlab.experiments import (
     MAX_J,
     MAX_SCAN_POINTS,
@@ -18,7 +19,9 @@ from actionlab.experiments import (
     ExperimentConfig,
     ModelConfig,
     PropagationConfig,
+    SPIN_PROFILE_SMOOTHING_SPACINGS,
     StateSpec,
+    _overlap_scan,
     build_state,
     build_system,
     config_from_dict,
@@ -29,7 +32,7 @@ from actionlab.experiments import (
     run_propagation_time_experiment,
     run_resolution_sweep,
 )
-from conftest import mutated
+from conftest import UNIT, dense_overlap_scan, mutated
 
 SPIN20_SWEEP = {
     "model": {"name": "spin", "j": 20},
@@ -338,6 +341,59 @@ class TestPropagation:
         })
         with pytest.raises(ScanBoundaryError, match="widen"):
             run_propagation_time_experiment(cfg)
+
+
+def _scan_window(profile, center: float, width: float) -> tuple[np.ndarray, float]:
+    """The propagation runner's normalized window at ``center`` and its
+    default scan half-width (hbar = 1)."""
+    gauss = np.exp(-((profile.x_grid - center) ** 2) / (4.0 * width * width))
+    weights = gauss * gauss * profile.amp_product
+    half = 3.0 * abs(profile.gradient_at(center)) + 12.0 / width
+    return weights / np.sum(np.abs(weights)), half
+
+
+@pytest.fixture(scope="module")
+def scan_windows(ring256, spin50):
+    """Ring-256 packet windows (tau = 5) and spin-50 x -> z -> y windows
+    around the stationary points, as (window, energies, half-width)."""
+    windows = []
+    basis = positive_energy_basis(ring256)
+    a = make_packet(basis, 0.5, 0.1)
+    b = apply_diagonal(DiagonalUnitary(basis, -5.0 * basis.eigenvalues), a)
+    profile = action_profile(a, basis, b, UNIT)
+    step = float(np.median(basis.spacing))
+    for center in (0.5, 0.8):
+        windows.append((*_scan_window(profile, center, 4.0 * step), basis.eigenvalues))
+    z = spin50.bases["z"]
+    profile = action_profile(spin50.bases["x"].state_at(25.0), z, spin50.bases["y"].state_at(25.0),
+                             UNIT, smoothing=SPIN_PROFILE_SMOOTHING_SPACINGS)
+    for pt in stationary_points(profile):
+        for center in (pt.x_star, pt.x_star + 3.0):
+            windows.append((*_scan_window(profile, center, 4.0), z.eigenvalues))
+    return windows
+
+
+class TestOverlapScan:
+    @pytest.mark.parametrize("n", [16, 17, 1201, 10001])
+    def test_factored_scan_equals_dense_scan(self, scan_windows, n):
+        for windowed, half, energies in scan_windows:
+            t_grid, overlap = _overlap_scan(windowed, energies, half, n)
+            ref_grid, ref = dense_overlap_scan(windowed, energies, half, n)
+            assert np.array_equal(t_grid, ref_grid)
+            assert overlap.shape == (n,)
+            assert np.argmax(overlap) == np.argmax(ref)
+            assert np.max(np.abs(overlap - ref)) <= 1e-13 * np.max(ref)
+
+    def test_no_scan_points_by_dimension_array(self, scan_windows):
+        windowed, half, energies = scan_windows[0]
+        n = MAX_SCAN_POINTS
+        tracemalloc.start()
+        try:
+            _overlap_scan(windowed, energies, half, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * energies.size * 16 / 10
 
 
 class TestInvariantSuite:

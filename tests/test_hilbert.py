@@ -17,6 +17,7 @@ from actionlab.hilbert import (
     inner,
     orthonormality_deviation,
     random_state,
+    scaled_overlaps,
     synthesize,
 )
 from actionlab.models import positive_energy_basis
@@ -350,6 +351,19 @@ class TestStructuredBases:
         assert np.max(np.abs(back - rows)) < 1e-13
         if source.is_identity and target.is_identity:
             assert got is rows
+
+    @pytest.mark.parametrize("source_name", ["x", "z"])
+    @pytest.mark.parametrize("target_name", ["x", "y", "z"])
+    def test_scaled_overlaps_bitwise_equal_diagonal_change_basis(self, spin20, source_name,
+                                                                 target_name):
+        # From the identity the product with diag(c) is skipped; the entries
+        # are the same bits, as each sum over m has one nonzero term.
+        source, target = spin20.basis(source_name), spin20.basis(target_name)
+        rng = np.random.default_rng(11)
+        coeffs = rng.normal(size=41) + 1j * rng.normal(size=41)
+        got = scaled_overlaps(coeffs, source, target)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, change_basis(np.diag(coeffs), source, target))
 
     def test_identity_stores_no_matrix(self, spin20):
         z = spin20.basis("z")
