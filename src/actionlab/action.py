@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotApplicableError, ProfileTooSparseError, UndefinedPhaseError
+from .errors import ProfileTooSparseError, UndefinedPhaseError
 from .hilbert import (
     DiagonalUnitary,
     LabeledBasis,
@@ -439,43 +439,3 @@ def aligned_unitary(
     achieved = float(np.abs(np.sum(amp_product * np.exp(1j * phases))))
     return unitary, achieved
 
-
-@dataclass(frozen=True)
-class OverlapEstimate:
-    """Stationary-phase reconstruction of <b|a> next to the exact value."""
-
-    estimate: complex
-    exact: complex
-    relative_error: float          # on magnitudes; phases compared separately
-    phase_difference: float
-
-
-def stationary_phase_overlap(
-    profile: ActionProfile, points: list[StationaryPoint]
-) -> OverlapEstimate:
-    """Estimate <b|a> from the neighborhoods of the stationary points.
-
-    Each point contributes its local amplitude density |<b|m><m|a>|/dx
-    (equal to sqrt(rho_a rho_b) there) times the Gaussian width
-    sqrt(2 pi hbar / |S''|), with phase S(x*)/hbar + (pi/4) sign(S'').  The
-    action is defined relative to the phase of <b|a>, so the reconstruction
-    recovers the magnitude; the exact global phase is reattached for the
-    comparison.  hbar is the profile's.
-    """
-    if not points:
-        raise NotApplicableError("no stationary points; nothing to reconstruct")
-    hbar = profile.hbar
-    total = 0.0 + 0.0j
-    for pt in points:
-        i = pt.index_star
-        weight = profile.magnitude[i] / profile.spacing[i]
-        width = np.sqrt(2.0 * np.pi * hbar / abs(pt.curvature_at))
-        phase = pt.action_at / hbar + (np.pi / 4.0) * np.sign(pt.curvature_at)
-        total += weight * width * np.exp(1j * phase)
-    gauge = profile.inner_ab / abs(profile.inner_ab)
-    estimate = complex(total * gauge)
-    exact = profile.inner_ab
-    rel = abs(abs(estimate) - abs(exact)) / abs(exact)
-    dphi = float(np.angle(estimate * np.conj(exact)))
-    return OverlapEstimate(estimate=estimate, exact=exact,
-                           relative_error=float(rel), phase_difference=dphi)

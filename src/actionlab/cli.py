@@ -61,11 +61,6 @@ def load_config(path: str | Path) -> tuple[ExperimentConfig, list[str]]:
     return config_from_dict(raw)
 
 
-def dump_config(cfg: ExperimentConfig) -> str:
-    """Canonical JSON text of a config; load(dump(load(x))) is idempotent."""
-    return json.dumps(cfg.to_dict(), sort_keys=True, indent=1) + "\n"
-
-
 def write_outputs(
     table: ResultTable,
     out_dir: Path,
@@ -160,7 +155,7 @@ def _run(args) -> int:
             cfg = replace(cfg, seed=args.seed)
     elif needs_config:
         print(f"error: '{command}' requires --config <path>", file=sys.stderr)
-        print(parser_usage(), file=sys.stderr)
+        print(_build_parser().format_usage().rstrip(), file=sys.stderr)
         return EXIT_USAGE
 
     if command == "models":
@@ -246,10 +241,6 @@ def _run_models(args, cfg: ExperimentConfig | None) -> int:
     if not args.quiet:
         print(f"models: wrote {path}")
     return EXIT_OK
-
-
-def parser_usage() -> str:
-    return _build_parser().format_usage().rstrip()
 
 
 def main() -> None:

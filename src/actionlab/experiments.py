@@ -321,18 +321,11 @@ def config_from_dict(raw: dict) -> tuple[ExperimentConfig, list[str]]:
 
 @dataclass
 class ResultTable:
-    """Named columns plus provenance; serializes to CSV and JSON.
-
-    ``hbar_power`` records how each column scales when hbar is rescaled
-    (actions and propagation parameters carry power 1; probabilities and
-    eigenvalue-grid quantities power 0), which the reproducibility checks
-    exercise directly.
-    """
+    """Named columns plus provenance; serializes to CSV and JSON."""
 
     name: str
     columns: dict[str, list]
     provenance: dict[str, str]
-    hbar_power: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         lengths = {len(v) for v in self.columns.values()}
@@ -420,11 +413,11 @@ def build_system(model: ModelConfig, constants: PhysicalConstants) -> ModelSyste
 
 
 def _config_basis(system: ModelSystem, name: str, field: str) -> LabeledBasis:
-    """The system's basis named by config field ``field``; unknown names are a ConfigError."""
-    if name not in system.bases:
-        raise ConfigError(f"model {system.name!r} has no basis {name!r}; "
-                          f"available: {sorted(system.bases)}", field=field)
-    return system.bases[name]
+    """``system.basis(name)`` for config field ``field``; its KeyError becomes a ConfigError."""
+    try:
+        return system.basis(name)
+    except KeyError as err:
+        raise ConfigError(err.args[0], field=field) from None
 
 
 def _config_packet(basis: LabeledBasis, spec: StateSpec, role: str) -> StateVector:
@@ -501,7 +494,6 @@ def run_profile(cfg: ExperimentConfig) -> ResultTable:
         name="profile",
         columns=cols,
         provenance=_provenance(cfg, "profile"),
-        hbar_power={"S_raw": 1, "S_unwrapped": 1, "gradient": 1, "curvature": 1},
     )
 
 
@@ -604,7 +596,6 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
         name="emergence",
         columns=_rows_to_columns(rows, EMERGENCE_COLUMNS),
         provenance=_provenance(cfg, "emergence"),
-        hbar_power={"curvature": 1},
     )
 
 
@@ -638,7 +629,10 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
     hbar = constants.hbar
     centers = cfg.propagation.centers
     if system.name.startswith("ring"):
-        basis = positive_energy_basis(system)
+        try:
+            basis = positive_energy_basis(system)
+        except ValueError as err:
+            raise ConfigError(str(err), field="model.sites") from err
         spec_a = cfg.a
         if spec_a.basis != "energy" or spec_a.packet_center is None:
             raise ConfigError(
@@ -726,7 +720,6 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
         name="propagation_time",
         columns=_rows_to_columns(rows, PROPAGATION_COLUMNS),
         provenance=_provenance(cfg, "propagation_time"),
-        hbar_power={"expected_gradient": 1, "t_peak": 1, "deviation": 1},
     )
 
 

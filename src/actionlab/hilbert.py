@@ -235,10 +235,6 @@ class LabeledBasis:
         """Number of labeled states (equals dim for a full basis)."""
         return self.eigenvalues.shape[0]
 
-    @property
-    def is_complete(self) -> bool:
-        return self.n_states == self.dim
-
     def state(self, k: int) -> StateVector:
         """Basis vector k as a StateVector."""
         if self._rows is None:

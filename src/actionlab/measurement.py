@@ -60,10 +60,6 @@ class Measurement:
         """Max elementwise deviation of sum_r M(r)^dag M(r) from identity."""
         return self._deviation
 
-    def amplitude(self, a: StateVector, b: StateVector) -> np.ndarray:
-        """<b|M(r)|a> for every outcome r."""
-        return self.sqrt_table @ (np.conj(expand(b, self.basis)) * expand(a, self.basis))
-
 
 def build_measurement(
     basis: LabeledBasis, table: np.ndarray, resolution: float = 0.0
@@ -133,11 +129,6 @@ class JointDistribution:
     baseline: np.ndarray           # P(b | a) without measurement
     total_variation: float
     factorization_residual: float
-
-    @property
-    def marginal_b(self) -> np.ndarray:
-        """sum_r P(r, b | a) per final outcome."""
-        return self.table.sum(axis=0)
 
     @property
     def total_probability(self) -> float:
@@ -347,63 +338,3 @@ def high_res_amplitude(
         near_edge=near_edge,
     )
 
-
-@dataclass(frozen=True)
-class GradientRecovery:
-    """Action gradients inferred from measured amplitude suppression."""
-
-    r_grid: np.ndarray
-    recovered: np.ndarray          # |dS/dx| estimates, NaN where masked
-    reference: np.ndarray          # profile gradients at the same outcomes
-    suppression: np.ndarray
-    near_edge: np.ndarray          # outcomes within 3 delta_x_r of a spectrum end
-
-
-def action_gradient_recovery(
-    amplitudes: np.ndarray,
-    measurement: Measurement,
-    profile: ActionProfile,
-) -> GradientRecovery:
-    """Invert the Gaussian suppression factor into |dS/dx| per outcome.
-
-    ``amplitudes`` are measured (or exactly computed) <b|M(r)|a> values on
-    the kernel outcome grid.  The magnitude ratio against the unsuppressed
-    local amplitude gives exp(-(dxr S'/hbar)^2); outcomes whose ratio exceeds
-    one (noise) or underflows are masked.
-    """
-    delta = measurement.resolution
-    if delta <= 0.0:
-        raise ValueError("gradient recovery requires a finite-resolution Gaussian kernel")
-    r_grid = measurement.r_grid
-    n = r_grid.shape[0]
-    amp = np.asarray(amplitudes, dtype=complex)
-    if amp.shape != (n,):
-        raise ValueError(f"need {n} amplitudes, got {amp.shape}")
-    hbar = profile.hbar
-    w = profile.spacing
-    prefactor = (8.0 * np.pi * delta**2 / w**2) ** 0.25
-    base = profile.magnitude * prefactor
-    recovered = np.full(n, np.nan)
-    reference = np.full(n, np.nan)
-    ratios = np.full(n, np.nan)
-    for i, x_r in enumerate(r_grid):
-        if base[i] <= 0.0 or not profile.valid[i]:
-            continue
-        ratio = abs(amp[i]) / base[i]
-        ratios[i] = ratio
-        if not (0.0 < ratio <= 1.0):
-            continue
-        recovered[i] = hbar / delta * np.sqrt(max(-np.log(ratio), 0.0))
-        try:
-            reference[i] = abs(profile.gradient_at(float(x_r)))
-        except ValueError:
-            recovered[i] = np.nan
-    margin = 3.0 * delta
-    near_edge = (r_grid < r_grid[0] + margin) | (r_grid > r_grid[-1] - margin)
-    return GradientRecovery(
-        r_grid=r_grid,
-        recovered=recovered,
-        reference=reference,
-        suppression=ratios,
-        near_edge=near_edge,
-    )

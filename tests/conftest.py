@@ -1,11 +1,21 @@
 import copy
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from actionlab.action import MAGNITUDE_FLOOR_ABSOLUTE
-from actionlab.errors import EigensolverError, UndefinedPhaseError
-from actionlab.hilbert import LabeledBasis, PhysicalConstants, _canonical_phases, eigh_hermitian, inner
+from actionlab.action import MAGNITUDE_FLOOR_ABSOLUTE, ActionProfile, StationaryPoint
+from actionlab.errors import EigensolverError, NotApplicableError, UndefinedPhaseError
+from actionlab.hilbert import (
+    LabeledBasis,
+    PhysicalConstants,
+    StateVector,
+    _canonical_phases,
+    eigh_hermitian,
+    expand,
+    inner,
+)
+from actionlab.measurement import Measurement
 from actionlab.models import RingParameters, qubit_system, ring_system, spin_system
 
 RING_PARAMS = RingParameters(sites=256, circumference=256.0, mass=1.0, flight_time=20.0)
@@ -244,3 +254,111 @@ def dense_overlap_scan(windowed, rates, half: float, n: int) -> tuple[np.ndarray
     exp(-i t_k w_m) over the uniform t grid, times the windowed amplitudes."""
     t_grid = np.linspace(-half, half, n)
     return t_grid, np.abs(np.exp(-1j * np.outer(t_grid, rates)) @ windowed)
+
+
+def measurement_amplitude(measurement: Measurement, a: StateVector, b: StateVector) -> np.ndarray:
+    """<b|M(r)|a> for every outcome r."""
+    basis = measurement.basis
+    return measurement.sqrt_table @ (np.conj(expand(b, basis)) * expand(a, basis))
+
+
+@dataclass(frozen=True)
+class OverlapEstimate:
+    """Stationary-phase reconstruction of <b|a> next to the exact value."""
+
+    estimate: complex
+    exact: complex
+    relative_error: float          # on magnitudes; phases compared separately
+    phase_difference: float
+
+
+def stationary_phase_overlap(
+    profile: ActionProfile, points: list[StationaryPoint]
+) -> OverlapEstimate:
+    """Estimate <b|a> from the neighborhoods of the stationary points.
+
+    Each point contributes its local amplitude density |<b|m><m|a>|/dx
+    (equal to sqrt(rho_a rho_b) there) times the Gaussian width
+    sqrt(2 pi hbar / |S''|), with phase S(x*)/hbar + (pi/4) sign(S'').  The
+    action is defined relative to the phase of <b|a>, so the reconstruction
+    recovers the magnitude; the exact global phase is reattached for the
+    comparison.  hbar is the profile's.
+    """
+    if not points:
+        raise NotApplicableError("no stationary points; nothing to reconstruct")
+    hbar = profile.hbar
+    total = 0.0 + 0.0j
+    for pt in points:
+        i = pt.index_star
+        weight = profile.magnitude[i] / profile.spacing[i]
+        width = np.sqrt(2.0 * np.pi * hbar / abs(pt.curvature_at))
+        phase = pt.action_at / hbar + (np.pi / 4.0) * np.sign(pt.curvature_at)
+        total += weight * width * np.exp(1j * phase)
+    gauge = profile.inner_ab / abs(profile.inner_ab)
+    estimate = complex(total * gauge)
+    exact = profile.inner_ab
+    rel = abs(abs(estimate) - abs(exact)) / abs(exact)
+    dphi = float(np.angle(estimate * np.conj(exact)))
+    return OverlapEstimate(estimate=estimate, exact=exact,
+                           relative_error=float(rel), phase_difference=dphi)
+
+
+@dataclass(frozen=True)
+class GradientRecovery:
+    """Action gradients inferred from measured amplitude suppression."""
+
+    r_grid: np.ndarray
+    recovered: np.ndarray          # |dS/dx| estimates, NaN where masked
+    reference: np.ndarray          # profile gradients at the same outcomes
+    suppression: np.ndarray
+    near_edge: np.ndarray          # outcomes within 3 delta_x_r of a spectrum end
+
+
+def action_gradient_recovery(
+    amplitudes: np.ndarray,
+    measurement: Measurement,
+    profile: ActionProfile,
+) -> GradientRecovery:
+    """Invert the Gaussian suppression factor into |dS/dx| per outcome.
+
+    ``amplitudes`` are measured (or exactly computed) <b|M(r)|a> values on
+    the kernel outcome grid.  The magnitude ratio against the unsuppressed
+    local amplitude gives exp(-(dxr S'/hbar)^2); outcomes whose ratio exceeds
+    one (noise) or underflows are masked.
+    """
+    delta = measurement.resolution
+    if delta <= 0.0:
+        raise ValueError("gradient recovery requires a finite-resolution Gaussian kernel")
+    r_grid = measurement.r_grid
+    n = r_grid.shape[0]
+    amp = np.asarray(amplitudes, dtype=complex)
+    if amp.shape != (n,):
+        raise ValueError(f"need {n} amplitudes, got {amp.shape}")
+    hbar = profile.hbar
+    w = profile.spacing
+    prefactor = (8.0 * np.pi * delta**2 / w**2) ** 0.25
+    base = profile.magnitude * prefactor
+    recovered = np.full(n, np.nan)
+    reference = np.full(n, np.nan)
+    ratios = np.full(n, np.nan)
+    for i, x_r in enumerate(r_grid):
+        if base[i] <= 0.0 or not profile.valid[i]:
+            continue
+        ratio = abs(amp[i]) / base[i]
+        ratios[i] = ratio
+        if not (0.0 < ratio <= 1.0):
+            continue
+        recovered[i] = hbar / delta * np.sqrt(max(-np.log(ratio), 0.0))
+        try:
+            reference[i] = abs(profile.gradient_at(float(x_r)))
+        except ValueError:
+            recovered[i] = np.nan
+    margin = 3.0 * delta
+    near_edge = (r_grid < r_grid[0] + margin) | (r_grid > r_grid[-1] - margin)
+    return GradientRecovery(
+        r_grid=r_grid,
+        recovered=recovered,
+        reference=reference,
+        suppression=ratios,
+        near_edge=near_edge,
+    )

@@ -18,7 +18,6 @@ from actionlab.action import (
     action_phase,
     action_profile,
     aligned_unitary,
-    stationary_phase_overlap,
     stationary_points,
 )
 from actionlab.experiments import (
@@ -37,14 +36,19 @@ from actionlab.hilbert import (
     random_state,
 )
 from actionlab.measurement import (
-    action_gradient_recovery,
     gaussian_kernel,
     high_res_amplitude,
     joint_distribution,
     projective_kernel,
 )
 from actionlab.models import qubit_system, ring_arrival_state, ring_system, spin_system
-from tests.conftest import RING_PARAMS, UNIT
+from conftest import (
+    RING_PARAMS,
+    UNIT,
+    action_gradient_recovery,
+    measurement_amplitude,
+    stationary_phase_overlap,
+)
 
 # Frozen acceptance geometries (oracle-validated):
 #   spin j=50 pair (25, 25): stationary points well inside the spectrum,
@@ -354,7 +358,7 @@ def test_criterion_7_gradient_recovery_window(spin50_highres):
     """Literal criterion: recovered gradient within 15% over the window."""
     system, a, b, prof, dom, kern = spin50_highres
     ops = kern
-    rec = action_gradient_recovery(ops.amplitude(a, b), kern, prof)
+    rec = action_gradient_recovery(measurement_amplitude(ops, a, b), kern, prof)
     rows = _suppression_window(prof, dom, kern)
     idxs = [i for i, _ in rows
             if np.isfinite(rec.recovered[i]) and np.isfinite(rec.reference[i])
@@ -378,7 +382,7 @@ def test_criterion_7_ring_gradient_slope():
     delta = 4.0 * float(mom.spacing[0])
     kern = gaussian_kernel(mom, delta)
     ops = kern
-    rec = action_gradient_recovery(ops.amplitude(a, b), kern, prof)
+    rec = action_gradient_recovery(measurement_amplitude(ops, a, b), kern, prof)
     lo_e = mom.eigenvalues[0] + 3 * delta
     hi_e = mom.eigenvalues[-1] - 3 * delta
     mask = (rec.suppression >= 0.05) & (rec.suppression <= 0.9)
@@ -427,9 +431,11 @@ def test_criterion_9_reproducibility(tmp_path):
     cfg2, _ = config_from_dict(raw2)
     prof2 = run_profile(cfg2)
     assert prof1.provenance["config_hash"] != prof2.provenance["config_hash"]
+    # Actions and their derivatives carry one power of hbar; the rest none.
+    powers = {"S_raw": 1, "S_unwrapped": 1, "gradient": 1, "curvature": 1}
     worst = 0.0
     for name in prof1.columns:
-        power = prof1.hbar_power.get(name, 0)
+        power = powers.get(name, 0)
         v1 = np.asarray(prof1.column(name), dtype=float)
         v2 = np.asarray(prof2.column(name), dtype=float)
         ok = np.isfinite(v1)

@@ -11,7 +11,6 @@ from actionlab.action import (
     action_phase,
     action_profile,
     aligned_unitary,
-    stationary_phase_overlap,
     stationary_points,
     unwrap_segment,
 )
@@ -28,12 +27,13 @@ from actionlab.hilbert import (
     inner,
 )
 from actionlab.models import make_packet, ring_arrival_state, ring_system
-from tests.conftest import (
+from conftest import (
     RING_PARAMS,
     UNIT,
     curvature_weak_value,
     loop_segments_of,
     loop_unwrap_segment,
+    stationary_phase_overlap,
 )
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from actionlab.cli import dispatch, dump_config, load_config
+from actionlab.cli import dispatch, load_config
 from actionlab.experiments import config_from_dict
 from actionlab.hilbert import LabeledBasis
 from conftest import DELETE, mutated
@@ -125,6 +125,10 @@ class TestExitCodes:
         (SPIN_CFG, "model.j", float("nan"), "model.j"),
         (RING_PROPAGATION_CFG, "model.sites", 64.7, "model.sites"),
         (RING_PROPAGATION_CFG, "model.sites", "64", "model.sites"),
+        # Too few sites for three positive momenta (2 to 6): no energy basis.
+        (RING_PROPAGATION_CFG, "model",
+         dict(RING_PROPAGATION_CFG["model"], sites=3, circumference=3.0), "model.sites"),
+        (RING_PROPAGATION_CFG, "model.sites", 6, "model.sites"),
         (RING_PROPAGATION_CFG, "model.winding", 1.5, "model.winding"),
         (RING_PROPAGATION_CFG, "model.mass", "1", "model.mass"),
         (QUBIT_CFG, "seed", True, "seed"),
@@ -288,7 +292,7 @@ class TestConfigRoundtrip:
     def test_load_dump_load_idempotent(self, spin_config, tmp_path):
         cfg1, _ = load_config(spin_config)
         dumped = tmp_path / "dumped.json"
-        dumped.write_text(dump_config(cfg1))
+        dumped.write_text(json.dumps(cfg1.to_dict(), sort_keys=True, indent=1))
         cfg2, defaults = load_config(dumped)
         assert cfg1 == cfg2
         assert cfg1.config_hash() == cfg2.config_hash()

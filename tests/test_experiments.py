@@ -53,6 +53,9 @@ RING_EMERGE = {
 }
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def cfg_of(raw):
     cfg, _ = config_from_dict(raw)
     return cfg
@@ -167,7 +170,7 @@ class TestResolutionSweep:
     def test_transfer_matrix_built_once_per_sweep(self):
         # Y[m, b] = <m|a><b|m> does not depend on the kernel: the bundled
         # four-value sweep builds it for its first value and reuses it.
-        cfg, _ = load_config(Path(__file__).resolve().parents[1] / "configs" / "spin20_sweep.json")
+        cfg, _ = load_config(CONFIGS / "spin20_sweep.json")
         before = _transfer.cache_info()
         run_resolution_sweep(cfg)
         after = _transfer.cache_info()
@@ -444,14 +447,29 @@ class TestReproducibility:
         assert np.array_equal(x, y)
         assert not np.array_equal(x, z)
 
-    def test_hbar_rescaling_profile(self):
-        base = json.loads(json.dumps(SPIN20_SWEEP))
-        t1 = run_profile(cfg_of(base))
+    @pytest.mark.parametrize("run, config, powers", [
+        # Actions and their derivatives carry one power of hbar.
+        (run_profile, SPIN20_SWEEP,
+         {"S_raw": 1, "S_unwrapped": 1, "gradient": 1, "curvature": 1}),
+        (run_emergence_experiment, "spin50_emergence.json", {"curvature": 1}),
+        # The propagation parameter t is dS/dx, an action per eigenvalue unit.
+        (run_propagation_time_experiment, "spin20_sweep.json",
+         {"expected_gradient": 1, "t_peak": 1, "deviation": 1}),
+    ], ids=["profile", "emerge", "propagate"])
+    def test_hbar_rescaling(self, run, config, powers):
+        # Every numeric column scales as hbar^power at hbar = 2; the ones not
+        # named keep power 0.  Spin configs only: the ring's momentum grid
+        # itself scales with hbar.
+        if isinstance(config, str):
+            config = json.loads((CONFIGS / config).read_text())
+        base = json.loads(json.dumps(config))
+        t1 = run(cfg_of(base))
         base["constants"] = {"hbar": 2.0}
-        t2 = run_profile(cfg_of(base))
+        t2 = run(cfg_of(base))
         assert t1.provenance["config_hash"] != t2.provenance["config_hash"]
+        assert set(powers) <= set(t1.columns)
         for name in t1.columns:
-            power = t1.hbar_power.get(name, 0)
+            power = powers.get(name, 0)
             v1 = np.asarray(t1.column(name), dtype=float)
             v2 = np.asarray(t2.column(name), dtype=float)
             ok = np.isfinite(v1)

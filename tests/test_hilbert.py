@@ -243,7 +243,7 @@ class TestLabeledBasis:
         sub = LabeledBasis(np.eye(4)[:2], [0.0, 1.0])
         assert sub.n_states == 2
         assert sub.dim == 4
-        assert not sub.is_complete
+        assert sub.n_states < sub.dim
 
     def test_constants_validation(self):
         with pytest.raises(ValueError):
