@@ -126,31 +126,52 @@ class LabeledBasis:
         """Unitary DFT rows exp(2 pi i k_j n / N) / sqrt(N) over N = len(k) sites.
 
         The integer wave numbers ``k`` must be distinct modulo N, which makes
-        the rows orthonormal.  The rows are built in one array with the ufunc
-        sequence of the out-of-place expression.
+        the rows orthonormal.  The rows of k >= 0, and of any k whose -k is
+        absent, are built in place with the ufunc sequence of the
+        out-of-place expression; the row of -k is then the conjugate of the
+        row of k, bit for bit (its phase argument is the exact negative, and
+        cos is even and sin odd), apart from site 0, whose entry exp(0) is
+        the same in every row and is copied as it is.
         """
         k = np.asarray(k)
         n = k.size
         if k.ndim != 1 or k.dtype.kind not in "iu" or np.unique(k % n).size != n:
             raise ValueError("need distinct integer wave numbers modulo their count")
+        slot = {kj: j for j, kj in enumerate(k.tolist())}
+        mirrored = {j: slot[-kj] for kj, j in slot.items() if kj < 0 and -kj in slot}
+        built = np.setdiff1d(np.arange(n), list(mirrored))
         rows = np.empty((n, n), dtype=complex)
-        np.multiply.outer(k, np.arange(n), out=rows)
-        np.multiply(2j * np.pi, rows, out=rows)
-        np.divide(rows, n, out=rows)
-        np.exp(rows, out=rows)
-        np.divide(rows, np.sqrt(n), out=rows)
+        for run in np.split(built, np.flatnonzero(np.diff(built) > 1) + 1):
+            block = rows[run[0]:run[-1] + 1]
+            np.multiply.outer(k[run], np.arange(n), out=block)
+            np.multiply(2j * np.pi, block, out=block)
+            np.divide(block, n, out=block)
+            np.exp(block, out=block)
+            np.divide(block, np.sqrt(n), out=block)
+        for j, partner in mirrored.items():
+            np.conj(rows[partner], out=rows[j])
+            rows[j, 0] = rows[partner, 0]
         return cls._orthonormal(rows, eigenvalues, n)
 
     def subset(self, rows, eigenvalues) -> LabeledBasis:
         """States ``rows`` of this basis, in that order, relabeled by ``eigenvalues``.
 
         Distinct rows of an orthonormal set are orthonormal, so there is no
-        Gram check; the rows are copied once.
+        Gram check.  A strictly increasing run of consecutive indices of a
+        basis that stores its rows (without phases) is a read-only view of
+        them; any other index set, an identity basis and a rephased one copy
+        the requested dense rows once.
         """
         idx = np.asarray(rows)
-        if idx.ndim != 1 or np.unique(idx).size != idx.size:
-            raise ValueError("subset rows must be distinct indices")
-        return type(self)._orthonormal(self.vectors[idx], eigenvalues, self.dim)
+        if (idx.ndim != 1 or idx.dtype.kind not in "iu" or np.unique(idx).size != idx.size
+                or np.any(idx < 0) or np.any(idx >= self.n_states)):
+            raise ValueError(f"subset rows must be distinct indices in [0, {self.n_states})")
+        if (self._rows is not None and self._state_phases is None and idx.size
+                and np.all(np.diff(idx) == 1)):
+            picked = self._rows[idx[0]:idx[-1] + 1]
+        else:
+            picked = self.vectors[idx]
+        return type(self)._orthonormal(picked, eigenvalues, self.dim)
 
     def rephased(self, state_phases, site_phases) -> LabeledBasis:
         """The states c_k D_m X[k, m] of this real-row basis X, same labels.
@@ -359,7 +380,11 @@ def _to_reference(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
 def _from_reference(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
     """z conj(V)^T: the ``basis`` coefficients of reference amplitudes z.
     Real rows take conj(c) times (z conj(D)) X^T; complex rows take
-    conj(conj(z) V^T), bitwise z conj(V)^T without a conjugate copy of V."""
+    conj(conj(z) V^T), bitwise z conj(V)^T without a conjugate copy of V.
+    A reference basis vector (one row z whose only nonzero entry is exactly
+    1, at k) reads the conjugated column conj(V[:, k]) instead: the product's
+    other terms are exact zeros, so the bits are the same without the d^2
+    product."""
     rows = basis._rows
     if rows is None:
         return z
@@ -368,6 +393,10 @@ def _from_reference(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
         if state is not None:
             state, site = np.conj(state), np.conj(site)
         return _real_product(z, site, rows, state)
+    if z.ndim == 1:
+        hot = np.flatnonzero(z)
+        if hot.size == 1 and z[hot[0]] == 1.0:
+            return np.conj(rows[:, hot[0]])
     return np.conj(np.conj(z) @ rows.T)
 
 

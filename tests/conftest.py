@@ -256,6 +256,27 @@ def dense_overlap_scan(windowed, rates, half: float, n: int) -> tuple[np.ndarray
     return t_grid, np.abs(np.exp(-1j * np.outer(t_grid, rates)) @ windowed)
 
 
+def dense_expand(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The complex-row expansion of reference amplitudes z as one d^2 product,
+    conj(conj(z) rows^T): what ``expand`` computes for a state that is not
+    a reference basis vector."""
+    return np.conj(np.conj(z) @ rows.T)
+
+
+def dft_rows(k: np.ndarray) -> np.ndarray:
+    """Unitary DFT rows exp(2 pi i k_j n / N) / sqrt(N), every row by the
+    out-of-place ufunc sequence over the whole array."""
+    n = k.size
+    return np.exp(2j * np.pi * np.multiply.outer(k, np.arange(n)) / n) / np.sqrt(n)
+
+
+def bitwise_equal(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal values and equal signs of zero in both real and imaginary parts."""
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            and np.array_equal(np.signbit(got.imag), np.signbit(want.imag)))
+
+
 def measurement_amplitude(measurement: Measurement, a: StateVector, b: StateVector) -> np.ndarray:
     """<b|M(r)|a> for every outcome r."""
     basis = measurement.basis

@@ -30,7 +30,6 @@ from actionlab.experiments import (
 from actionlab.hilbert import (
     PhysicalConstants,
     StateVector,
-    apply_diagonal,
     expand,
     inner,
     random_state,

@@ -16,9 +16,6 @@ from actionlab.experiments import (
     MAX_J,
     MAX_SCAN_POINTS,
     MAX_SITES,
-    ExperimentConfig,
-    ModelConfig,
-    PropagationConfig,
     SPIN_PROFILE_SMOOTHING_SPACINGS,
     StateSpec,
     _overlap_scan,

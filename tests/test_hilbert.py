@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actionlab.errors import EigensolverError
+from actionlab import hilbert
 from actionlab.hilbert import (
     DiagonalUnitary,
     LabeledBasis,
@@ -21,7 +21,15 @@ from actionlab.hilbert import (
     synthesize,
 )
 from actionlab.models import positive_energy_basis
-from conftest import DegenerateSpectrumError, haar_basis, hermitian_eigen, jacobi_eigh
+from conftest import (
+    DegenerateSpectrumError,
+    bitwise_equal,
+    dense_expand,
+    dft_rows,
+    haar_basis,
+    hermitian_eigen,
+    jacobi_eigh,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -251,6 +259,12 @@ class TestLabeledBasis:
         assert PhysicalConstants(hbar=2.0).hbar == 2.0
 
 
+def centred_fourier(n: int) -> LabeledBasis:
+    """The n-site ring's momentum rows: centred wave numbers, used as labels."""
+    k = np.arange(n) - n // 2
+    return LabeledBasis.fourier(k, k.astype(float))
+
+
 def real_rows(basis) -> bool:
     """True for a basis that stores real rows (the spin x and y bases)."""
     return not basis.is_identity and basis._rows.dtype == np.float64
@@ -377,11 +391,9 @@ class TestStructuredBases:
     @pytest.mark.parametrize("n", [2, 3, 256, 401])
     def test_fourier_rows_orthonormal_and_equal_to_direct_formula(self, n):
         # The Gram check the constructor no longer runs.
-        k = np.arange(n) - n // 2
-        basis = LabeledBasis.fourier(k, k.astype(float))
+        basis = centred_fourier(n)
         assert orthonormality_deviation(basis.vectors) <= 1e-10
-        direct = np.exp(2j * np.pi * np.outer(k, np.arange(n)) / n) / np.sqrt(n)
-        assert np.array_equal(basis.vectors.view(float), direct.view(float))
+        assert bitwise_equal(basis.vectors, dft_rows(np.arange(n) - n // 2))
 
     @pytest.mark.parametrize("k", [np.array([0, 2]), np.array([0.0, 1.0]), np.array([[0, 1]])])
     def test_fourier_rejects_non_distinct_or_non_integer_wave_numbers(self, k):
@@ -404,6 +416,95 @@ class TestStructuredBases:
     def test_subset_rejects_bad_rows_or_labels(self, spin20, rows, labels, match):
         with pytest.raises(ValueError, match=match):
             spin20.basis("x").subset(rows, labels)
+
+
+class TestBitwiseShortcuts:
+    """The column read, the subset view and the mirrored DFT rows skip work
+    the dense forms do, and keep every bit (signs of zero included); the
+    conftest oracles redo that work."""
+
+    @pytest.mark.parametrize("n, step", [(255, 1), (256, 1), (2047, 7), (2048, 7)])
+    def test_position_eigenstate_expands_by_column_read(self, n, step):
+        position, momentum = LabeledBasis.identity(np.arange(n, dtype=float)), centred_fourier(n)
+        for k in sorted(set(range(0, n, step)) | {n - 1}):
+            state = position.state(k)
+            assert bitwise_equal(expand(state, momentum),
+                                 dense_expand(state.amplitudes, momentum.vectors))
+
+    def test_column_read_of_a_subset_view(self, ring256):
+        sub = positive_energy_basis(ring256)
+        position = ring256.basis("position")
+        for k in range(256):
+            state = position.state(k)
+            assert bitwise_equal(expand(state, sub), dense_expand(state.amplitudes, sub.vectors))
+
+    @pytest.mark.parametrize("phase", [1j, -1.0])
+    def test_other_single_entry_states_take_the_product(self, ring256, phase):
+        # One nonzero entry that is not exactly 1: the column read would
+        # return conj(V[:, k]) without the phase.
+        momentum = ring256.basis("momentum")
+        for k in (0, 77, 255):
+            amps = np.zeros(256, dtype=complex)
+            amps[k] = phase
+            got = expand(StateVector(amps), momentum)
+            assert bitwise_equal(got, dense_expand(amps, momentum.vectors))
+            assert not np.array_equal(got, np.conj(momentum.vectors[:, k]))
+
+    @pytest.mark.parametrize("n", [4, 255, 2047, 2048])
+    def test_fourier_rows_bitwise_equal_out_of_place_sequence(self, n):
+        # Without the O(n^3) Gram check of the test above, so at the ring's sizes too.
+        assert bitwise_equal(centred_fourier(n).vectors, dft_rows(np.arange(n) - n // 2))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 64])
+    def test_fourier_mirror_for_any_wave_number_order(self, n):
+        # Shuffled wave numbers, some shifted by a multiple of N, so that
+        # some -k are present and some are not.
+        rng = np.random.default_rng(n)
+        k = rng.permutation(np.arange(n) - n // 2)
+        k[:2] += n * np.array([2, -1])
+        assert bitwise_equal(LabeledBasis.fourier(k, np.arange(n, dtype=float)).vectors,
+                             dft_rows(k))
+
+    def test_positive_energy_basis_is_a_read_only_view(self, ring256):
+        momentum = ring256.basis("momentum")
+        sub = positive_energy_basis(ring256)
+        assert not sub._rows.flags.writeable
+        assert np.shares_memory(sub._rows, momentum._rows)
+        keep = momentum.eigenvalues > 0.0
+        energies = momentum.eigenvalues[keep] ** 2
+        copied = momentum.vectors[np.flatnonzero(keep)[np.argsort(energies, kind="stable")]]
+        assert bitwise_equal(sub.vectors, copied)
+
+    @pytest.mark.parametrize("system, name, rows", [
+        ("ring256", "momentum", [5, 2, 9]),
+        ("ring256", "momentum", [3, 4, 6]),
+        ("ring256", "momentum", [4, 3, 2]),
+        ("spin20", "y", [3, 4, 5]),
+        ("spin20", "z", [3, 4, 5]),
+    ])
+    def test_other_subsets_own_their_rows(self, request, system, name, rows):
+        basis = request.getfixturevalue(system).basis(name)
+        sub = basis.subset(rows, [0.0, 1.0, 2.0])
+        assert sub._rows.flags.owndata and not sub._rows.flags.writeable
+        assert bitwise_equal(sub.vectors, basis.vectors[rows])
+
+    @pytest.mark.parametrize("rows", [[7, -1], [-1, 0], [0, 8], [True, False]])
+    def test_subset_rejects_indices_outside_the_basis(self, rows):
+        momentum = centred_fourier(8)
+        with pytest.raises(ValueError, match=r"indices in \[0, 8\)"):
+            momentum.subset(rows, [0.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_spin_expansion_keeps_the_real_product(self, spin20, name, monkeypatch):
+        calls = []
+        real_product = hilbert._real_product
+        monkeypatch.setattr(hilbert, "_real_product",
+                            lambda *args: calls.append(args) or real_product(*args))
+        basis, z = spin20.basis(name), spin20.basis("z")
+        for k in (0, 20, 40):
+            got = expand(z.state(k), basis)
+            assert np.max(np.abs(got - np.conj(basis.vectors[:, k]))) <= 1e-15
+        assert len(calls) == 3
 
 
 class TestStoredOrthonormality:

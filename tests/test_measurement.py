@@ -3,7 +3,7 @@ import pytest
 
 from actionlab.action import action_profile, stationary_points
 from actionlab.errors import NotApplicableError
-from actionlab.hilbert import LabeledBasis, PhysicalConstants, expand, inner
+from actionlab.hilbert import LabeledBasis, PhysicalConstants, expand
 from actionlab.measurement import (
     Regime,
     build_measurement,

@@ -9,11 +9,9 @@ from actionlab.models import (
     angular_momentum_matrices,
     make_packet,
     positive_energy_basis,
-    qubit_system,
     ring_arrival_basis,
     ring_arrival_state,
     ring_energies,
-    ring_system,
     spin_system,
     wrap_displacement,
 )

@@ -91,3 +91,40 @@ def test_scan_sees_callers_of_each_kind():
     # names one ``marginal_b``, and no code reads an attribute of that name.
     assert "marginal_b" in refs["name"]
     assert "marginal_b" not in refs["attribute"]
+
+
+# The modules whose imports are scanned: the package, the scripts and the tests.
+IMPORT_SCANNED = [path for top in (PACKAGE, ROOT / "scripts", ROOT / "tests")
+                  for path in sorted(top.glob("*.py"))]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads as a bare name; a name listed
+    in ``__all__`` is a re-export and counts as read."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names
+                            if alias.name != "*")
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    unused = {str(path.relative_to(ROOT)): names for path in IMPORT_SCANNED
+              if (names := unused_imports(path.read_text()))}
+    assert unused == {}
+
+
+def test_import_scan_sees_each_kind_of_use():
+    source = ("import os\nimport os.path\nimport numpy as np\n"
+              "from a import b as c, d, e\nfrom __future__ import annotations\n"
+              "__all__ = ['d']\n\ndef f(x: e):\n    return np.zeros(1)\n")
+    assert unused_imports(source) == ["c", "os"]
