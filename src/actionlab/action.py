@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ProfileTooSparseError, UndefinedPhaseError
 from .hilbert import (
@@ -288,8 +289,29 @@ def gaussian_matrix(x: np.ndarray, width: float) -> np.ndarray:
     The one Gaussian of grid differences: the branch filter weights its
     columns and sums its rows, the measurement kernel
     (``measurement.gaussian_kernel``) weights its rows and sums its columns.
+    On a lattice grid (``_is_lattice``: every spin grid, a ring position
+    grid with dyadic L/N) x_j - x_i is the exact float x_|j-i| - x_0, and
+    (-v)^2 is v^2, so the d exponentials of the first row, mirrored and laid
+    out as a Toeplitz matrix, are the dense expression bit for bit.  Every
+    other grid (ring momenta, positive energies) evaluates all d^2 entries.
     """
+    if _is_lattice(x):
+        half = np.exp(-((x - x[0]) ** 2) / (2.0 * width**2))
+        row = np.concatenate([half[:0:-1], half])
+        return sliding_window_view(row, x.size)[::-1].copy()
     return np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * width**2))
+
+
+def _is_lattice(x: np.ndarray) -> bool:
+    """True when the grid is uniform and every difference x_j - x_i is an
+    exact float: each x_k is an integer q_k, |q_k| <= 2^52, times one power
+    of two (the finer of those of x_0 and x_1 - x_0), in equal steps."""
+    den = max(float(v).as_integer_ratio()[1] for v in (x[0], x[1] - x[0]))
+    if den > 2**52:
+        return False
+    q = x * den
+    return bool(np.all(q == np.rint(q)) and np.max(np.abs(q)) <= 2.0**52
+                and np.all(np.diff(q) == q[1] - q[0]))
 
 
 @lru_cache(maxsize=4)

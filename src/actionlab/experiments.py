@@ -180,7 +180,9 @@ class StateSpec:
 @dataclass(frozen=True)
 class ModelConfig:
     name: str = _field(_string("qubit", "spin", "ring"))
-    j: float | None = _field(_number(0.5, MAX_J), None)
+    # 2 v is exact for a double, so the half-integer test needs no tolerance.
+    j: float | None = _field(_rule(lambda v: _is_number(v, 0.5, MAX_J) and (2 * v) % 1 == 0,
+                                   f"a half-integer in [0.5, {MAX_J}]"), None)
     sites: int | None = _field(_integer(2, MAX_SITES), None)
     circumference: float | None = _field(_SCALE, None)
     mass: float | None = _field(_SCALE, None)

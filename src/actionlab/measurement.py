@@ -6,11 +6,12 @@ sits at x_m.  The minimal-decoherence implementation applies the diagonal
 operator with entries sqrt(P(r|x_m)); anything noisier adds decoherence the
 statistics do not require.  This module builds one ``Measurement`` per
 kernel (its basis, P and sqrt(P) together), exact joint outcome statistics
-(one P(r, b|a) table, a real product of sqrt(P) with a transfer matrix that
-does not depend on the kernel and is built once per sweep, with the
-disturbance and factorization metrics read off it once), the slow-kernel
-(non-disturbance) condition, and the high-resolution regime where the
-measurement resolves the action gradient instead of the intermediate value.
+(one P(r, b|a) table, a sum of squared real products of sqrt(P) with the
+real pieces of a transfer matrix that does not depend on the kernel and is
+built once per sweep, with the disturbance and factorization metrics read
+off it once), the slow-kernel (non-disturbance) condition, and the
+high-resolution regime where the measurement resolves the action gradient
+instead of the intermediate value.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class JointDistribution:
     """Exact joint statistics P(r, b|a) of an intermediate-plus-final sequence.
 
     ``table`` is the one d x d array, |sqrt(P) Y|^2 for the transfer matrix
-    Y[m, b] = <m|a><b|m>; the per-b quantities derive from it.
+    Y[m, b] = <m|a><b|m>, summed from Y's real pieces (``_transfer``); the
+    per-b quantities derive from it.
     ``total_variation`` is half the summed |sum_r P(r,b|a) - P(b|a)|, the
     standard distance between the r-marginalized final distribution and the
     undisturbed baseline.  ``factorization_residual`` measures how far the
@@ -153,18 +155,22 @@ def joint_distribution(
 ) -> JointDistribution:
     """P(r,b|a) = |<b|M(r)|a>|^2 over all outcomes and final states.
 
-    <b|M(r)|a> = sum_m sqrt(P(r|x_m)) Y[m, b] (``_transfer``): one real
-    product on Y's interleaved real and imaginary parts.  As P >= 0, the
-    factorization residual is max_b (max_r P / P_b) |P(b|a) - P_b|, with P_b
-    the column sum; the ratio is at most one, so a tiny P_b cannot overflow.
+    <b|M(r)|a> = sum_m sqrt(P(r|x_m)) Y[m, b], and ``_transfer`` splits Y
+    into real pieces whose products with sqrt(P) are orthogonal parts of it,
+    so P(r, b|a) is the sum over pieces of (sqrt(P)[:, rows] @ piece)^2:
+    one real product per piece.  As P >= 0, the factorization residual is
+    max_b (max_r P / P_b) |P(b|a) - P_b|, with P_b the column sum; the ratio
+    is at most one, so a tiny P_b cannot overflow.
     """
     inter = measurement.basis
     if a.dim != inter.dim or final_basis.dim != inter.dim:
         raise ValueError("dimension mismatch between state, bases and operators")
-    amp = measurement.sqrt_table @ _transfer(a, inter, final_basis).view(float)
-    np.square(amp, out=amp)
-    table = amp[:, 0::2] + amp[:, 1::2]
-    baseline = np.abs(expand(a, final_basis)) ** 2
+    pieces, baseline = _transfer(a, inter, final_basis)
+    table = None
+    for rows, piece in pieces:
+        amp = np.ascontiguousarray(measurement.sqrt_table[:, rows]) @ piece
+        np.square(amp, out=amp)
+        table = amp if table is None else np.add(table, amp, out=table)
     marginal_b = table.sum(axis=0)
     safe = np.where(marginal_b > 0.0, marginal_b, 1.0)
     return JointDistribution(
@@ -176,14 +182,51 @@ def joint_distribution(
     )
 
 
+_EVEN, _ODD, _ALL = slice(0, None, 2), slice(1, None, 2), slice(None)
+
+
 @lru_cache(maxsize=1)
-def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis) -> np.ndarray:
-    """Y[m, b] = <m|a><b|m>, read-only and C-contiguous (its float view
-    interleaves real and imaginary parts).  Independent of the kernel, so a
-    sweep builds it once: the keys are immutable and hash by identity."""
+def _transfer(
+    a: StateVector, inter: LabeledBasis, final: LabeledBasis
+) -> tuple[tuple[tuple[slice, np.ndarray], ...], np.ndarray]:
+    """Y[m, b] = <m|a><b|m> as real pieces (rows, piece), and the baseline
+    |<b|a>|^2.
+
+    P(r, b|a) = sum over pieces of (sqrt(P)[:, rows] @ piece)^2.  The pieces
+    are read off Y's exact zeros, never off basis names:
+    - a real Y is one piece, Re Y;
+    - where in every column the even-m entries lie on one axis of the
+      complex plane and the odd-m entries on the other (an x eigenstate
+      through an identity intermediate into x-derived rows, such as spin
+      y), the even and odd rows' partial sums are orthogonal.  Each half is
+      one half-height piece holding its nonzero parts as re + im, exact as
+      the other term is +-0: half the work of the next case;
+    - any other Y is the two full pieces Re Y and Im Y.
+    Independent of the kernel, so a sweep builds them once: the keys are
+    immutable and hash by identity.  The arrays are read-only and
+    C-contiguous.
+    """
     y = scaled_overlaps(expand(a, inter), inter, final)
-    y.flags.writeable = False
-    return y
+    re, im = y.real, y.imag
+    if not im.any():
+        pieces = ((_ALL, re.copy()),)
+    elif _parity_axes(re, im):
+        pieces = tuple((rows, re[rows] + im[rows]) for rows in (_EVEN, _ODD))
+    else:
+        pieces = ((_ALL, re.copy()), (_ALL, im.copy()))
+    baseline = np.abs(expand(a, final)) ** 2
+    for arr in (*(piece for _, piece in pieces), baseline):
+        arr.flags.writeable = False
+    return pieces, baseline
+
+
+def _parity_axes(re: np.ndarray, im: np.ndarray) -> bool:
+    """True when each column's even-row entries lie on one axis (all their
+    real or all their imaginary parts zero) and its odd-row entries on the
+    other."""
+    even_real, odd_real = (~im[rows].any(axis=0) for rows in (_EVEN, _ODD))
+    even_imag, odd_imag = (~re[rows].any(axis=0) for rows in (_EVEN, _ODD))
+    return bool(np.all((even_real & odd_imag) | (even_imag & odd_real)))
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,19 @@ class TestActionProfile:
         prof = action_profile(a, spin50.basis("z"), b, UNIT)
         assert abs(np.sum(prof.amp_product_bare) - inner(b, a)) < 1e-14
 
+    @pytest.mark.parametrize("smoothing", [2.0, 3.7])
+    def test_branch_filter_bitwise_equals_dense_product(self, spin50, smoothing):
+        # The spin grid is a lattice, so gaussian_matrix lays one row of
+        # exponentials out as a Toeplitz matrix; the weighted kernel and its
+        # row sums are the dense d x d expression's, bit for bit.
+        z = spin50.basis("z")
+        x = z.eigenvalues
+        dense = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * smoothing**2))
+        dense *= z.spacing_per_state()[np.newaxis, :]
+        kern, norm = _branch_filter(z, smoothing)
+        assert np.array_equal(kern, dense)
+        assert np.array_equal(norm, dense.sum(axis=1))
+
     def test_branch_filter_cached_with_unchanged_profiles(self, spin20):
         a, b = spin_pair(spin20, 10.0, 10.0)
         z = spin20.basis("z")

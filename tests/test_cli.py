@@ -122,6 +122,9 @@ class TestExitCodes:
         (SPIN_CFG, "model.j", "20", "model.j"),
         (SPIN_CFG, "model.j", True, "model.j"),
         (SPIN_CFG, "model.j", float("nan"), "model.j"),
+        # In range but no half-integer: no spin model has that j.
+        (SPIN_CFG, "model.j", 2.3, "model.j"),
+        (SPIN_CFG, "model.j", 0.75, "model.j"),
         (RING_PROPAGATION_CFG, "model.sites", 64.7, "model.sites"),
         (RING_PROPAGATION_CFG, "model.sites", "64", "model.sites"),
         # Too few sites for three positive momenta (2 to 6): no energy basis.

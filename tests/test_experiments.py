@@ -166,7 +166,8 @@ class TestResolutionSweep:
 
     def test_transfer_matrix_built_once_per_sweep(self):
         # Y[m, b] = <m|a><b|m> does not depend on the kernel: the bundled
-        # four-value sweep builds it for its first value and reuses it.
+        # four-value sweep builds its real pieces and the baseline for its
+        # first value and reuses them.
         cfg, _ = load_config(CONFIGS / "spin20_sweep.json")
         before = _transfer.cache_info()
         run_resolution_sweep(cfg)
@@ -177,7 +178,12 @@ class TestResolutionSweep:
         z, y = system.basis("z"), system.basis("y")
         cached = _transfer(a, z, y)
         assert _transfer(a, z, y) is cached
-        assert not cached.flags.writeable and cached.flags.c_contiguous
+        pieces, baseline = cached
+        # An x eigenstate through z into y: the even/odd half-height pieces.
+        assert [rows for rows, _ in pieces] == [slice(0, None, 2), slice(1, None, 2)]
+        for _, piece in pieces:
+            assert not piece.flags.writeable and piece.flags.c_contiguous
+        assert not baseline.flags.writeable
         misses = _transfer.cache_info().misses
         _transfer(system.basis("x").state_at(5.0), z, y)
         assert _transfer.cache_info().misses == misses + 1

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from actionlab.action import action_profile, stationary_points
+from actionlab.action import _is_lattice, action_profile, stationary_points
 from actionlab.errors import NotApplicableError
-from actionlab.hilbert import LabeledBasis, PhysicalConstants, expand
+from actionlab.hilbert import LabeledBasis, PhysicalConstants, expand, random_state
 from actionlab.measurement import (
     Regime,
+    _transfer,
     build_measurement,
     gaussian_kernel,
     high_res_amplitude,
@@ -14,7 +15,14 @@ from actionlab.measurement import (
     projective_kernel,
     regime_classifier,
 )
-from actionlab.models import ring_arrival_basis, ring_arrival_state, ring_energies, ring_system
+from actionlab.models import (
+    positive_energy_basis,
+    ring_arrival_basis,
+    ring_arrival_state,
+    ring_energies,
+    ring_system,
+    spin_system,
+)
 from conftest import (
     RING_PARAMS,
     UNIT,
@@ -77,12 +85,27 @@ class TestGaussianKernel:
             )
             assert np.max(np.abs(interior - oracle)) < 0.01
 
-    @pytest.mark.parametrize("size,name", [("spin20", "z"), ("spin20", "x"),
-                                           ("ring256", "momentum")])
+    # Lattice grids (every spin grid, the ring's dyadic positions) take the
+    # Toeplitz layout of one row of exponentials; the others stay dense.
+    @pytest.mark.parametrize("grid,lattice", [
+        ("spin20 z", True), ("spin20 x", True), ("spin0.5 z", True), ("spin20.5 z", True),
+        ("spin200 z", True), ("spin1000 z", True), ("ring256 position", True),
+        ("ring256 momentum", False), ("ring256 positive energy", False),
+        ("uniform non-lattice", False),
+    ])
     @pytest.mark.parametrize("spacings", [0.5, 2.0, 8.0])
-    def test_table_bitwise_equals_raw_oracle_over_column_sums(self, request, size, name,
+    def test_table_bitwise_equals_raw_oracle_over_column_sums(self, ring256, grid, lattice,
                                                               spacings):
-        basis = request.getfixturevalue(size).basis(name)
+        if grid.startswith("spin"):
+            j, name = grid[4:].split()
+            basis = spin_system(float(j)).basis(name)
+        elif grid == "ring256 positive energy":
+            basis = positive_energy_basis(ring256)
+        elif grid.startswith("ring256"):
+            basis = ring256.basis(grid.split()[1])
+        else:
+            basis = LabeledBasis.identity(np.linspace(0, 1, 7))
+        assert _is_lattice(basis.eigenvalues) is lattice
         delta = spacings * float(np.median(basis.spacing))
         raw = gaussian_kernel_raw(basis, delta)
         assert np.array_equal(gaussian_kernel(basis, delta).table,
@@ -208,12 +231,16 @@ class TestJointDistribution:
 
     def test_identity_intermediate_bitwise_equals_dense_formula(self, spin20, spin20_profile):
         # The dense formula builds the transfer matrix Y[m, b] = <m|a><b|m>
-        # with the materialized identity and takes re^2 + im^2 of
-        # sqrt(P) Y as one real product on Y's interleaved parts; the
-        # identity path skips the identity product and must not move a bit.
-        # The final basis is a complex-row copy of y, whose product is the
-        # dense formula's; the phased y itself is checked against it at
-        # 1e-15 in test_dense_intermediate_matches_textbook_sum.
+        # with the materialized identity.  With a real a and x-derived final
+        # rows, each column's even-m entries of Y lie on one axis and its
+        # odd-m entries on the other, so the table is the sum of the squared
+        # half products sqrt(P)[:, rows] @ (Re + Im) Y[rows] over the even
+        # and odd rows; the identity path skips the identity product and must
+        # not move a bit of it.  The old single product, re^2 + im^2 of
+        # sqrt(P) Y on Y's interleaved parts, agrees within 1e-15 of the
+        # table maximum.  The final basis is a complex-row copy of y, whose
+        # product is the dense formula's; the phased y itself is checked in
+        # TestTransferPieces.
         a, _, _ = spin20_profile
         z = spin20.basis("z")
         y = LabeledBasis(spin20.basis("y").vectors, spin20.basis("y").eigenvalues)
@@ -222,9 +249,14 @@ class TestJointDistribution:
         dense_y = alpha[:, np.newaxis] * (z.vectors @ y.vectors.conj().T)
         assert np.array_equal(np.conj(np.conj(np.diag(alpha)) @ y.vectors.T).view(float),
                               dense_y.view(float))
-        amp = ops.sqrt_table @ dense_y.view(float)
+        even, odd = (np.ascontiguousarray(ops.sqrt_table[:, rows])
+                     @ (dense_y.real[rows] + dense_y.imag[rows])
+                     for rows in (slice(0, None, 2), slice(1, None, 2)))
         joint = joint_distribution(a, y, ops)
-        assert np.array_equal(joint.table, amp[:, 0::2] ** 2 + amp[:, 1::2] ** 2)
+        assert np.array_equal(joint.table, even**2 + odd**2)
+        amp = ops.sqrt_table @ dense_y.view(float)
+        interleaved = amp[:, 0::2] ** 2 + amp[:, 1::2] ** 2
+        assert np.max(np.abs(joint.table - interleaved)) <= 1e-15 * np.max(interleaved)
         assert np.array_equal(joint.baseline, np.abs(y.vectors.conj() @ a.amplitudes) ** 2)
 
     @pytest.mark.parametrize("inter_name, final_name", [("x", "y"), ("x", "z"), ("z", "y")])
@@ -306,6 +338,63 @@ class TestJointDistribution:
             resids.append(joint.factorization_residual)
         assert all(tvs[i] > tvs[i + 1] for i in range(3))
         assert resids[-1] < 1e-4
+
+
+
+def _interleaved_stats(ops, y, baseline):
+    """The table, TV and factorization residual of the single real product
+    sqrt(P) @ Y.view(float) on Y's interleaved real and imaginary parts."""
+    amp = ops.sqrt_table @ np.ascontiguousarray(y).view(float)
+    table = amp[:, 0::2] ** 2 + amp[:, 1::2] ** 2
+    marginal = table.sum(axis=0)
+    tv = 0.5 * float(np.abs(marginal - baseline).sum())
+    residual = float(np.max(table.max(axis=0) / marginal * np.abs(baseline - marginal)))
+    return table, tv, residual
+
+
+class TestTransferPieces:
+    """``_transfer`` reads its real pieces off Y's exact zeros; every split
+    gives the table of the full complex product within roundoff."""
+
+    EVEN_ODD = [slice(0, None, 2), slice(1, None, 2)]
+
+    @pytest.mark.parametrize("j", [20.0, 20.5, 200.0])
+    @pytest.mark.parametrize("final_name", ["x", "y", "complex-row y"])
+    def test_x_eigenstate_through_z_splits_by_parity(self, j, final_name):
+        system = spin_system(j)
+        z = system.basis("z")
+        final = system.basis(final_name.removeprefix("complex-row "))
+        if final_name.startswith("complex-row"):
+            final = LabeledBasis(final.vectors, final.eigenvalues)
+        a = system.basis("x").state_at(0.4 * j)
+        ops = gaussian_kernel(z, 3.0)
+        pieces, baseline = _transfer(a, z, final)
+        # x rows make Y real: one full-height piece, the same product work
+        # as the split that the y phases allow.
+        expected = [slice(None)] if final_name == "x" else self.EVEN_ODD
+        assert [rows for rows, _ in pieces] == expected
+        assert sum(piece.shape[0] for _, piece in pieces) == system.dimension
+        joint = joint_distribution(a, final, ops)
+        y = expand(a, z)[:, np.newaxis] * final.vectors.conj().T
+        table, tv, residual = _interleaved_stats(ops, y, baseline)
+        assert np.max(np.abs(joint.table - table)) <= 1e-15 * np.max(table)
+        assert abs(joint.total_variation - tv) <= 1e-15
+        assert abs(joint.factorization_residual - residual) <= 1e-15
+
+    @pytest.mark.parametrize("j", [20.0, 20.5])
+    @pytest.mark.parametrize("final_name", ["y", "z"])
+    def test_complex_state_through_x_takes_general_pieces(self, j, final_name):
+        system = spin_system(j)
+        inter, final = system.basis("x"), system.basis(final_name)
+        a = random_state(system.dimension, np.random.default_rng(int(2 * j)))
+        ops = gaussian_kernel(inter, 3.0)
+        pieces, _ = _transfer(a, inter, final)
+        assert [rows for rows, _ in pieces] == [slice(None), slice(None)]
+        joint = joint_distribution(a, final, ops)
+        b_m = final.vectors.conj() @ inter.vectors.T
+        m_a = inter.vectors.conj() @ a.amplitudes
+        textbook = np.abs(np.einsum("bm,rm,m->rb", b_m, ops.sqrt_table, m_a)) ** 2
+        assert np.max(np.abs(joint.table - textbook)) <= 1e-15
 
 
 class TestNondisturbanceCheck:
