@@ -61,19 +61,13 @@ from .models import (
     RingParameters,
     angular_momentum_matrices,
     make_packet,
-    positive_energy_basis,
     qubit_system,
-    ring_arrival,
     ring_arrival_basis,
     ring_system,
     spin_system,
 )
 
 SCHEMA_VERSION = 1
-
-# Branch filter for standing-wave intermediate profiles, in units of the
-# local grid spacing; see action.action_profile for the physics.
-SPIN_PROFILE_SMOOTHING_SPACINGS = 2.0
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
@@ -190,10 +184,16 @@ class ModelConfig:
     winding: int = _field(_integer(), 0)
 
     def validate(self, path: str):
-        needs = {"spin": ("j",), "ring": ("sites", "circumference", "mass", "flight_time")}
-        for key in needs.get(self.name, ()):
-            if getattr(self, key) is None:
-                raise ConfigError(f"{self.name} model needs {key}", field=f"{path}.{key}")
+        """Fields the named model reads are set; the others keep their defaults."""
+        reads = {"spin": ("j",), "ring": ("sites", "circumference", "mass", "flight_time",
+                                          "winding")}.get(self.name, ())
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name in reads and value is None:
+                raise ConfigError(f"{self.name} model needs {f.name}", field=f"{path}.{f.name}")
+            if f.name not in reads and value != f.default:
+                raise ConfigError(f"the {self.name} model does not read {f.name}",
+                                  field=f"{path}.{f.name}")
 
 
 @dataclass(frozen=True)
@@ -431,8 +431,8 @@ def _config_packet(basis: LabeledBasis, spec: StateSpec, role: str) -> StateVect
 
 
 def _is_arrival(system: ModelSystem, spec: StateSpec, role: str) -> bool:
-    """On the ring, a final state ("b") in the position basis is an arrival event."""
-    return system.name.startswith("ring") and role == "b" and spec.basis == "position"
+    """With an arrival map (the ring), a final state ("b") in position is an arrival event."""
+    return system.arrival is not None and role == "b" and spec.basis == "position"
 
 
 def build_state(system: ModelSystem, spec: StateSpec, role: str) -> StateVector:
@@ -455,20 +455,19 @@ def build_state(system: ModelSystem, spec: StateSpec, role: str) -> StateVector:
         state = basis.state(idx)
     else:
         state = _config_packet(basis, spec, role)
-    return ring_arrival(system, state) if _is_arrival(system, spec, role) else state
+    return apply_diagonal(system.arrival, state) if _is_arrival(system, spec, role) else state
 
 
 def profile_smoothing_for(cfg: ExperimentConfig, system: ModelSystem, basis: LabeledBasis) -> float:
     """Branch-filter width policy.
 
-    Transverse spin eigenstates are standing waves in the z basis, so spin
-    profiles default to a two-spacing Gaussian filter; qubit and ring
-    profiles are running-wave and stay bare.  A numeric config value wins.
+    A numeric config value wins; "auto" takes the model's filter width in
+    median grid spacings (``ModelSystem.filter_spacings``), 0 for none.
     """
     if not isinstance(cfg.profile_smoothing, str):
         return float(cfg.profile_smoothing)
-    if system.name.startswith("spin") and system.dimension > 2:
-        return SPIN_PROFILE_SMOOTHING_SPACINGS * float(np.median(basis.spacing))
+    if system.filter_spacings:
+        return system.filter_spacings * float(np.median(basis.spacing))
     return 0.0
 
 
@@ -602,19 +601,13 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _default_emergence_pairs(cfg: ExperimentConfig, system: ModelSystem):
-    if system.name.startswith("spin"):
-        j = system.metadata["j"]
-        # Values at 0.3, 0.4, 0.5 of j keep every stationary point well away
-        # from the spectral edge, where the semiclassical structure survives;
-        # each is snapped onto the grid, which is half-integer for half-integer j.
-        offset = j % 1
-        vals = sorted({round(f * j - offset) + offset for f in (0.3, 0.4, 0.5)})
-        return tuple((float(va), float(vb)) for va in vals for vb in vals)
-    if system.name.startswith("ring"):
-        if cfg.a.eigenvalue is None or cfg.b.eigenvalue is None:
-            raise ConfigError("ring emergence needs eigenvalue specs for a and b", field="a")
-        return ((float(cfg.a.eigenvalue), float(cfg.b.eigenvalue)),)
-    return ((0.5, 0.5),)
+    """The model's default pairs, or else the configured a, b eigenvalue pair."""
+    if system.emergence_pairs:
+        return system.emergence_pairs
+    for role, spec in (("a", cfg.a), ("b", cfg.b)):
+        if spec.eigenvalue is None:
+            raise ConfigError(f"emergence without pairs needs an eigenvalue for {role}", field=role)
+    return ((float(cfg.a.eigenvalue), float(cfg.b.eigenvalue)),)
 
 
 def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -630,9 +623,9 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
     system = build_system(cfg.model, constants)
     hbar = constants.hbar
     centers = cfg.propagation.centers
-    if system.name.startswith("ring"):
+    if system.energy_basis is not None:
         try:
-            basis = positive_energy_basis(system)
+            basis = system.energy_basis()
         except ValueError as err:
             raise ConfigError(str(err), field="model.sites") from err
         spec_a = cfg.a

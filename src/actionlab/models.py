@@ -43,6 +43,9 @@ from .hilbert import (
 # Column rescaling bound of the Jx recurrence: a column passing RESCALE_ABOVE
 # is divided by it, which keeps every entry and every squared norm finite.
 RESCALE_ABOVE = 1e150
+# Branch filter for the spin's standing-wave intermediate profiles (d > 2), in
+# units of the local grid spacing; see action.action_profile for the physics.
+SPIN_PROFILE_SMOOTHING_SPACINGS = 2.0
 # i^n and (-i)^n by n mod 4, exact.
 I_POWERS = np.array([1, 1j, -1, -1j])
 MINUS_I_POWERS = np.conj(I_POWERS)
@@ -50,17 +53,27 @@ MINUS_I_POWERS = np.conj(I_POWERS)
 
 @dataclass(frozen=True)
 class ModelSystem:
-    """A named model: dimension, labeled bases, classical oracle.
+    """A named model: dimension, labeled bases, classical oracle, and the
+    runners' policies, which only the model constructors set.
 
     ``classical_oracle(x_a, x_b)`` returns the closed-form stationary
     intermediate values of the boundary pair, an empty tuple if it is
-    classically forbidden.
+    classically forbidden.  ``emergence_pairs`` default an emergence scan
+    (empty: the configured a, b pair); ``filter_spacings`` is the branch
+    filter's width in grid spacings (0: none).  Only a ring has ``arrival``,
+    the flight that carries a final position state back, and
+    ``energy_basis()``, the basis a propagation runs in (ValueError if the
+    ring is too small).  ``metadata`` is for the ``models`` dump only.
     """
 
     name: str
     dimension: int
     bases: Mapping[str, LabeledBasis]
     classical_oracle: Callable[[float, float], tuple[float, ...]]
+    emergence_pairs: tuple[tuple[float, float], ...] = ()
+    filter_spacings: float = 0.0
+    arrival: DiagonalUnitary | None = None
+    energy_basis: Callable[[], LabeledBasis] | None = None
     metadata: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -131,7 +144,7 @@ def qubit_system() -> ModelSystem:
     x = LabeledBasis(np.array([[s, -s], [s, s]]), ev)
     y = LabeledBasis(np.array([[s, 1j * s], [1j * s, s]]), ev)
     return ModelSystem("qubit", 2, {"x": x, "y": y, "z": z},
-                       classical_oracle=partial(spin_cone, 0.5))
+                       classical_oracle=partial(spin_cone, 0.5), emergence_pairs=((0.5, 0.5),))
 
 
 def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray]:
@@ -261,8 +274,16 @@ def spin_system(j: float) -> ModelSystem:
     x = LabeledBasis._orthonormal(np.ascontiguousarray(v.T), k, d)
     y = x.rephased(I_POWERS[lead % 4], MINUS_I_POWERS[np.arange(d) % 4])
     z = LabeledBasis.identity(k)
+    # Default pairs at 0.3, 0.4, 0.5 of j keep every stationary point well
+    # away from the spectral edge, where the semiclassical structure survives;
+    # each is snapped onto the grid, which is half-integer for half-integer j.
+    offset = j % 1
+    vals = sorted({round(f * j - offset) + offset for f in (0.3, 0.4, 0.5)})
     return ModelSystem(f"spin{j:g}", d, {"x": x, "y": y, "z": z},
-                       classical_oracle=partial(spin_cone, j), metadata={"j": j})
+                       classical_oracle=partial(spin_cone, j),
+                       emergence_pairs=tuple((float(va), float(vb)) for va in vals for vb in vals),
+                       filter_spacings=SPIN_PROFILE_SMOOTHING_SPACINGS if d > 2 else 0.0,
+                       metadata={"j": j})
 
 
 @lru_cache(maxsize=16)
@@ -271,11 +292,11 @@ def ring_system(params: RingParameters, constants: PhysicalConstants) -> ModelSy
 
     Position basis sits at x_n = n L / N.  The momentum basis is the discrete
     Fourier basis with centered indices, eigenvalues p_k = 2 pi hbar k / L,
-    so momenta are signed and ordered.  Kinetic energies E_k = p_k^2 / 2M are
-    recorded per momentum state in ``metadata``-adjacent arrays via
-    ``ring_energies``.  Position is the identity basis and momentum a unitary
-    DFT, so neither needs a Gram check.  Cached, so the O(N^2) momentum rows
-    are built once per ring.
+    so momenta are signed and ordered.  Kinetic energies E_k = p_k^2 / 2M
+    give the arrival flight exp(i E_k T / hbar) and the lazy energy basis.
+    Position is the identity basis and momentum a unitary DFT, so neither
+    needs a Gram check.  Cached, so the O(N^2) momentum rows are built once
+    per ring.
     """
     n = params.sites
     length = params.circumference
@@ -286,11 +307,14 @@ def ring_system(params: RingParameters, constants: PhysicalConstants) -> ModelSy
     p_k = 2.0 * np.pi * hbar * k / length
     # |p_k> amplitudes at site n: exp(i p_k x_n / hbar) / sqrt(N)
     momentum = LabeledBasis.fourier(k, p_k)
+    energies = p_k * p_k / (2.0 * params.mass)
     return ModelSystem(
         f"ring{n}",
         n,
         {"position": position, "momentum": momentum},
         classical_oracle=partial(free_flight, params),
+        arrival=DiagonalUnitary(momentum, energies * params.flight_time / hbar),
+        energy_basis=partial(positive_energy_basis, momentum, energies),
         metadata={
             "sites": float(n),
             "circumference": length,
@@ -308,26 +332,9 @@ def _centered_indices(n: int) -> np.ndarray:
     return np.arange(-(n - 1) // 2, (n - 1) // 2 + 1)
 
 
-def ring_energies(system: ModelSystem) -> np.ndarray:
-    """Kinetic energy per momentum-basis state, aligned with its eigenvalue order."""
-    p = system.basis("momentum").eigenvalues
-    return p * p / (2.0 * system.metadata["mass"])
-
-
-def ring_arrival(system: ModelSystem, state: StateVector) -> StateVector:
-    """Measurement state for arrival in ``state`` after the configured flight time.
-
-    The state is carried back to the reference time with the free-Hamiltonian
-    phases (hbar is the one the ring was built with), so preparation and
-    measurement states live in a common frame.
-    """
-    phases = ring_energies(system) * system.metadata["flight_time"] / system.metadata["hbar"]
-    return apply_diagonal(DiagonalUnitary(system.basis("momentum"), phases), state)
-
-
 def ring_arrival_state(system: ModelSystem, x_b: float) -> StateVector:
-    """``ring_arrival`` of the position eigenstate at x_b."""
-    return ring_arrival(system, system.basis("position").state_at(x_b))
+    """The position eigenstate at x_b carried back over the flight (``arrival``)."""
+    return apply_diagonal(system.arrival, system.basis("position").state_at(x_b))
 
 
 def ring_arrival_basis(system: ModelSystem) -> LabeledBasis:
@@ -347,8 +354,9 @@ def ring_arrival_basis(system: ModelSystem) -> LabeledBasis:
     return LabeledBasis._orthonormal(rows, position.eigenvalues, n)
 
 
-def positive_energy_basis(system: ModelSystem) -> LabeledBasis:
-    """Energy-labeled sub-basis from the positive-momentum branch of a ring.
+def positive_energy_basis(momentum: LabeledBasis, energies: np.ndarray) -> LabeledBasis:
+    """Energy-labeled sub-basis from the positive-momentum branch of a ring's
+    momentum basis, given the kinetic energy of each momentum state.
 
     The full kinetic spectrum is doubly degenerate in +-p, so it cannot carry
     a strictly increasing label grid; on the positive branch energy is
@@ -356,8 +364,6 @@ def positive_energy_basis(system: ModelSystem) -> LabeledBasis:
     half the space: use it for states with negligible negative-momentum
     content (e.g. propagation-time packets).
     """
-    momentum = system.basis("momentum")
-    energies = ring_energies(system)
     keep = momentum.eigenvalues > 0.0
     if int(np.sum(keep)) < 3:
         raise ValueError("ring too small for a positive-momentum energy basis")

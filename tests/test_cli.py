@@ -32,6 +32,7 @@ SPIN_CFG = {
 
 
 RING_PROPAGATION_CFG = json.loads((CONFIGS / "ring256_propagation.json").read_text())
+RING_EMERGENCE_CFG = json.loads((CONFIGS / "ring256_emergence.json").read_text())
 
 
 @pytest.fixture()
@@ -133,6 +134,16 @@ class TestExitCodes:
         (RING_PROPAGATION_CFG, "model.sites", 6, "model.sites"),
         (RING_PROPAGATION_CFG, "model.winding", 1.5, "model.winding"),
         (RING_PROPAGATION_CFG, "model.mass", "1", "model.mass"),
+        # A model field the named model does not read; winding 0 is its default.
+        (QUBIT_CFG, "model.j", 7, "model.j"),
+        (SPIN_CFG, "model.sites", 64, "model.sites"),
+        (SPIN_CFG, "model.mass", 2.0, "model.mass"),
+        (SPIN_CFG, "model.winding", 3, "model.winding"),
+        (RING_PROPAGATION_CFG, "model.j", 5, "model.j"),
+        # Ring emergence without pairs takes the configured a, b eigenvalues:
+        # the error names the role that has none.
+        (RING_EMERGENCE_CFG, "b", {"basis": "position", "packet_center": 120.0,
+                                   "packet_width": 4.0}, "b"),
         (QUBIT_CFG, "seed", True, "seed"),
         (QUBIT_CFG, "seed", 1.5, "seed"),
         (QUBIT_CFG, "seed", -1, "seed"),
@@ -304,14 +315,26 @@ class TestConfigRoundtrip:
         out = capsys.readouterr().out
         assert "qubit" in out and "spin" in out and "ring" in out
 
-    def test_models_dump_with_config(self, spin_config, tmp_path):
+    # The dump's metadata is each model's parameters, and nothing reads it back.
+    @pytest.mark.parametrize("stem, name, dimension, basis, lowest, metadata", [
+        ("qubit_profile", "qubit", 2, "z", -0.5, {}),
+        ("spin50_emergence", "spin50", 101, "z", -50.0, {"j": 50.0}),
+        ("ring256_emergence", "ring256", 256, "position", 0.0,
+         {"circumference": 256.0, "flight_time": 20.0, "hbar": 1.0, "mass": 1.0,
+          "sites": 256.0, "winding": 0.0}),
+    ])
+    def test_models_dump_with_config(self, tmp_path, stem, name, dimension, basis, lowest,
+                                     metadata):
         out = tmp_path / "m"
-        assert dispatch(["models", "--config", str(spin_config),
+        assert dispatch(["models", "--config", str(CONFIGS / f"{stem}.json"),
                          "--out", str(out), "--quiet"]) == 0
-        payload = json.loads((out / "spin20.model.json").read_text())
-        assert payload["dimension"] == 41
-        assert payload["bases"]["z"]["eigenvalues"][0] == -20.0
+        payload = json.loads((out / f"{name}.model.json").read_text())
+        assert payload["dimension"] == dimension
+        assert payload["bases"][basis]["eigenvalues"][0] == lowest
         assert payload["change_of_basis_residual"] < 1e-10
+        # As text, so a float written as an integer would show.
+        dump = json.dumps(payload["metadata"], sort_keys=True)
+        assert dump == json.dumps(metadata, sort_keys=True)
 
     def test_models_dump_reads_stored_forms(self, spin_config, tmp_path, monkeypatch):
         def no_dense_rows(self):

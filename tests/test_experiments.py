@@ -11,12 +11,11 @@ from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, orthonormality_deviation
 from actionlab.cli import load_config
 from actionlab.measurement import _transfer, gaussian_kernel, joint_distribution
-from actionlab.models import make_packet, positive_energy_basis, ring_energies
+from actionlab.models import SPIN_PROFILE_SMOOTHING_SPACINGS, make_packet
 from actionlab.experiments import (
     MAX_J,
     MAX_SCAN_POINTS,
     MAX_SITES,
-    SPIN_PROFILE_SMOOTHING_SPACINGS,
     StateSpec,
     _overlap_scan,
     build_state,
@@ -210,7 +209,7 @@ class TestRingResolutionSweep:
         # that of the evolved preparation U(T)|a> read in plain position.
         mom, pos = ring256.basis("momentum"), ring256.basis("position")
         a = pos.state_at(100.0)
-        moved = apply_diagonal(DiagonalUnitary(mom, -ring_energies(ring256) * 20.0), a)
+        moved = apply_diagonal(DiagonalUnitary(mom, -ring256.arrival.phases), a)
         for delta, tv in zip(table.column("delta_x_r"), table.column("tv_disturbance")):
             ops = gaussian_kernel(mom, delta)
             assert abs(joint_distribution(moved, pos, ops).total_variation - tv) < 1e-12
@@ -363,7 +362,7 @@ def scan_windows(ring256, spin50):
     """Ring-256 packet windows (tau = 5) and spin-50 x -> z -> y windows
     around the stationary points, as (window, energies, half-width)."""
     windows = []
-    basis = positive_energy_basis(ring256)
+    basis = ring256.energy_basis()
     a = make_packet(basis, 0.5, 0.1)
     b = apply_diagonal(DiagonalUnitary(basis, -5.0 * basis.eigenvalues), a)
     profile = action_profile(a, basis, b, UNIT)

@@ -20,7 +20,6 @@ from actionlab.hilbert import (
     scaled_overlaps,
     synthesize,
 )
-from actionlab.models import positive_energy_basis
 from conftest import (
     DegenerateSpectrumError,
     bitwise_equal,
@@ -334,7 +333,7 @@ class TestStructuredBases:
     def basis(self, request, spin20, qubit, ring256):
         system, name = request.param.split("-", 1)
         if name == "positive-energy":
-            return positive_energy_basis(ring256)
+            return ring256.energy_basis()
         return {"spin20": spin20, "qubit": qubit, "ring256": ring256}[system].basis(name)
 
     def test_expand_bitwise_equals_conjugate_product(self, basis):
@@ -432,7 +431,7 @@ class TestBitwiseShortcuts:
                                  dense_expand(state.amplitudes, momentum.vectors))
 
     def test_column_read_of_a_subset_view(self, ring256):
-        sub = positive_energy_basis(ring256)
+        sub = ring256.energy_basis()
         position = ring256.basis("position")
         for k in range(256):
             state = position.state(k)
@@ -467,7 +466,7 @@ class TestBitwiseShortcuts:
 
     def test_positive_energy_basis_is_a_read_only_view(self, ring256):
         momentum = ring256.basis("momentum")
-        sub = positive_energy_basis(ring256)
+        sub = ring256.energy_basis()
         assert not sub._rows.flags.writeable
         assert np.shares_memory(sub._rows, momentum._rows)
         keep = momentum.eigenvalues > 0.0
@@ -515,7 +514,7 @@ class TestStoredOrthonormality:
                             "constructor"])
     def basis(self, request, spin20, ring256):
         if request.param == "subset":
-            return positive_energy_basis(ring256)
+            return ring256.energy_basis()
         if request.param == "constructor":
             return LabeledBasis(haar_basis(12, np.random.default_rng(41)), np.arange(12.0))
         system, name = {"identity": (spin20, "z"), "real-x": (spin20, "x"),

@@ -16,10 +16,8 @@ from actionlab.measurement import (
     regime_classifier,
 )
 from actionlab.models import (
-    positive_energy_basis,
     ring_arrival_basis,
     ring_arrival_state,
-    ring_energies,
     ring_system,
     spin_system,
 )
@@ -100,7 +98,7 @@ class TestGaussianKernel:
             j, name = grid[4:].split()
             basis = spin_system(float(j)).basis(name)
         elif grid == "ring256 positive energy":
-            basis = positive_energy_basis(ring256)
+            basis = ring256.energy_basis()
         elif grid.startswith("ring256"):
             basis = ring256.basis(grid.split()[1])
         else:
@@ -316,7 +314,7 @@ class TestJointDistribution:
         # Position intermediate: M(r) does not commute with the flight, and
         # the table is |<x_b|U(T) M(r)|a>|^2 with U(T) formed densely.
         pos, mom = ring256.basis("position"), ring256.basis("momentum")
-        flight = (mom.vectors.T * np.exp(-1j * ring_energies(ring256) * 20.0)) @ mom.vectors.conj()
+        flight = (mom.vectors.T * np.exp(-1j * ring256.arrival.phases)) @ mom.vectors.conj()
         a = ring_arrival_state(ring256, 90.0)
         ops = gaussian_kernel(pos, 3.0)
         joint = joint_distribution(a, ring_arrival_basis(ring256), ops)

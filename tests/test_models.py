@@ -8,10 +8,8 @@ from actionlab.models import (
     RingParameters,
     angular_momentum_matrices,
     make_packet,
-    positive_energy_basis,
     ring_arrival_basis,
     ring_arrival_state,
-    ring_energies,
     spin_system,
     wrap_displacement,
 )
@@ -166,14 +164,16 @@ class TestRing:
 
     def test_energies_match_dispersion(self, ring256):
         p = ring256.basis("momentum").eigenvalues
-        assert np.allclose(ring_energies(ring256), p * p / 2.0)
+        # The arrival flight's phases are E_p T / hbar, with T = 20 and hbar = 1.
+        assert ring256.arrival.basis is ring256.basis("momentum")
+        assert np.allclose(ring256.arrival.phases, p * p / 2.0 * 20.0)
 
     def test_arrival_state_backpropagation(self, ring256):
         # Evolving the arrival state forward by the flight time must give
         # back the position eigenstate.
         b = ring_arrival_state(ring256, 120.0)
         mom = ring256.basis("momentum")
-        coeffs = expand(b, mom) * np.exp(-1j * ring_energies(ring256) * 20.0)
+        coeffs = expand(b, mom) * np.exp(-1j * ring256.arrival.phases)
         forward = mom.vectors.T @ coeffs
         target = ring256.basis("position").state_at(120.0)
         assert np.max(np.abs(forward - target.amplitudes)) < 1e-10
@@ -188,7 +188,7 @@ class TestRing:
         assert orthonormality_deviation(arrival.vectors) < 1e-12
 
     def test_positive_energy_branch(self, ring256):
-        sub = positive_energy_basis(ring256)
+        sub = ring256.energy_basis()
         assert sub.dim == 256
         assert sub.n_states == 127
         assert np.all(np.diff(sub.eigenvalues) > 0)

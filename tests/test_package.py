@@ -128,3 +128,51 @@ def test_import_scan_sees_each_kind_of_use():
               "from a import b as c, d, e\nfrom __future__ import annotations\n"
               "__all__ = ['d']\n\ndef f(x: e):\n    return np.zeros(1)\n")
     assert unused_imports(source) == ["c", "os"]
+
+
+def model_policy_reads(source: str, module: str) -> list[tuple[str, int]]:
+    """("prefix", line) for each ``<x>.name.startswith(...)`` call and
+    ("metadata", line) for each ``.metadata`` read in a package module.
+
+    A model's behaviour comes from its typed ``ModelSystem`` fields, not from
+    its name or its ``metadata``, which only the ``models`` dump
+    (``cli._run_models``) reads.  A dataclass ``Field``'s metadata, read
+    through a name bound by ``for <name> in fields(...)``, belongs to no model.
+    """
+    tree = ast.parse(source)
+    dump = {id(node) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            and (module, func.name) == ("cli", "_run_models") for node in ast.walk(func)}
+    field_names = {node.target.id for node in ast.walk(tree)
+                   if isinstance(node, (ast.For, ast.comprehension))
+                   and isinstance(node.target, ast.Name) and isinstance(node.iter, ast.Call)
+                   and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "fields"}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "startswith" and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "name"):
+            found.append(("prefix", node.lineno))
+        elif (isinstance(node, ast.Attribute) and node.attr == "metadata"
+              and isinstance(node.ctx, ast.Load) and id(node) not in dump
+              and not (isinstance(node.value, ast.Name) and node.value.id in field_names)):
+            found.append(("metadata", node.lineno))
+    return sorted(found, key=lambda read: read[1])
+
+
+def test_no_model_policy_from_names_or_metadata():
+    found = {path.name: reads for path in sorted(PACKAGE.glob("*.py"))
+             if (reads := model_policy_reads(path.read_text(), path.stem))}
+    assert found == {}
+
+
+def test_model_policy_scan_sees_each_kind_of_read():
+    source = ("def f(system, cls):\n"
+              "    if system.name.startswith('ring'):\n"
+              "        return system.metadata['mass']\n"
+              "    return [g.metadata['rule'] for g in fields(cls)]\n"
+              "def _run_models(system):\n"
+              "    return dict(system.metadata)\n")
+    # Only the cli module's _run_models is the models dump.
+    assert model_policy_reads(source, "cli") == [("prefix", 2), ("metadata", 3)]
+    assert model_policy_reads(source, "experiments") == [("prefix", 2), ("metadata", 3),
+                                                         ("metadata", 6)]

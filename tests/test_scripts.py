@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from actionlab import experiments
+from actionlab import models
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -38,7 +38,7 @@ class TestClassicalityReport:
         sweep = [line for line in lines if "dx_m: disturbance" in line]
         assert len(sweep) == 4
         assert [line.split()[0] for line in sweep] == ["0.25", "1", "4", "16"]
-        assert widths == [pytest.approx(experiments.SPIN_PROFILE_SMOOTHING_SPACINGS)]
+        assert widths == [pytest.approx(models.SPIN_PROFILE_SMOOTHING_SPACINGS)]
 
     def test_two_state_profile_stays_bare(self, monkeypatch, capsys):
         # The CLI's policy (profile_smoothing_for) leaves j = 1/2 unfiltered.
