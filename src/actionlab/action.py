@@ -179,13 +179,16 @@ def _nonuniform_derivatives(x: np.ndarray, f: np.ndarray):
 
 
 def action_profile(
-    a: StateVector,
+    a: StateVector | np.ndarray,
     basis: LabeledBasis,
-    b: StateVector,
+    b: StateVector | np.ndarray,
     constants: PhysicalConstants,
     smoothing: float = 0.0,
 ) -> ActionProfile:
     """Action, densities and derivatives of the a -> b transition over a basis.
+
+    ``a`` and ``b`` are states, or arrays that already hold their amplitudes
+    in ``basis`` (rows of a stacked ``expand``), which are read as they are.
 
     ``smoothing`` (eigenvalue units) selects the running-wave branch of the
     contribution amplitudes with a normalized Gaussian window before phases
@@ -199,8 +202,8 @@ def action_profile(
     spacings) and much narrower than the stationary region, so the surviving
     branch is undistorted.
     """
-    amps_a = expand(a, basis)
-    amps_b = expand(b, basis)
+    amps_a = _amplitudes(a, basis)
+    amps_b = _amplitudes(b, basis)
     bare_product = np.conj(amps_b) * amps_a
     inner_ab = complex(np.sum(bare_product))
     if abs(inner_ab) < MAGNITUDE_FLOOR_ABSOLUTE:
@@ -281,6 +284,15 @@ def action_profile(
         hbar=hbar,
         smoothing=smoothing,
     )
+
+
+def _amplitudes(psi: StateVector | np.ndarray, basis: LabeledBasis) -> np.ndarray:
+    """``expand(psi, basis)`` of a state; an array is taken as those amplitudes."""
+    if isinstance(psi, StateVector):
+        return expand(psi, basis)
+    if psi.shape != (basis.n_states,):
+        raise ValueError(f"need {basis.n_states} amplitudes, got shape {psi.shape}")
+    return psi
 
 
 def gaussian_matrix(x: np.ndarray, width: float) -> np.ndarray:

@@ -68,6 +68,11 @@ from .models import (
 )
 
 SCHEMA_VERSION = 1
+# Pairs per block of an emergence scan.  A block holds at most three stacks
+# of one state per pair, and a basis with complex rows is read once per
+# stack.  At 16 the stacks take 1.5 MiB at N = 2048 (6 MiB at 8192); 32
+# halves the reads of the rows and doubles that.
+EMERGENCE_BLOCK = 16
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
@@ -89,6 +94,8 @@ def philox_stream(seed: int, stream: int) -> np.random.Generator:
 MAX_J = 2000
 MAX_SITES = 8192
 MAX_SCAN_POINTS = 10001
+# Every config list (emergence pairs, sweep values, propagation centres).
+MAX_LIST_ITEMS = 10000
 # Every config number has |v| <= MAX_ABS and every positive scale lies in
 # [MIN_SCALE, MAX_ABS], so squares and ratios of them stay finite doubles.
 MAX_ABS = 1e12
@@ -127,9 +134,11 @@ def _string(*choices: str):
 
 
 def _list(item, non_empty: bool = False):
-    """A JSON list of values that pass ``item``, stored as a tuple; bad items are named by index."""
-    whole = _rule(lambda v: type(v) is list and bool(v or not non_empty),
-                  "a non-empty list" if non_empty else "a list")
+    """A JSON list of at most MAX_LIST_ITEMS values that pass ``item``, stored
+    as a tuple; bad items are named by index."""
+    whole = _rule(lambda v: type(v) is list and bool(v or not non_empty)
+                  and len(v) <= MAX_LIST_ITEMS,
+                  f"a {'non-empty ' if non_empty else ''}list of at most {MAX_LIST_ITEMS} items")
     return lambda value, path: tuple(item(v, f"{path}[{i}]")
                                      for i, v in enumerate(whole(value, path)))
 
@@ -443,19 +452,20 @@ def build_state(system: ModelSystem, spec: StateSpec, role: str) -> StateVector:
     """
     basis = _config_basis(system, spec.basis, f"{role}.basis")
     if spec.eigenvalue is not None:
-        x = float(spec.eigenvalue)
-        idx = basis.index_at(x)
-        local = basis.spacing_per_state()[idx]
-        if abs(basis.eigenvalues[idx] - x) > 0.499 * local:
-            raise ConfigError(
-                f"eigenvalue {x} not on the {spec.basis!r} grid "
-                f"(nearest is {basis.eigenvalues[idx]})",
-                field=f"{role}.eigenvalue",
-            )
-        state = basis.state(idx)
+        state = basis.state(_grid_index(basis, spec, spec.eigenvalue, f"{role}.eigenvalue"))
     else:
         state = _config_packet(basis, spec, role)
     return apply_diagonal(system.arrival, state) if _is_arrival(system, spec, role) else state
+
+
+def _grid_index(basis: LabeledBasis, spec: StateSpec, x: float, field: str) -> int:
+    """Index of the eigenvalue x on the grid of ``spec.basis``; off it, a
+    ConfigError that names ``field``."""
+    idx = basis.index_at(x)
+    if abs(basis.eigenvalues[idx] - x) > 0.499 * basis.spacing_per_state()[idx]:
+        raise ConfigError(f"eigenvalue {float(x)} not on the {spec.basis!r} grid "
+                          f"(nearest is {basis.eigenvalues[idx]})", field=field)
+    return idx
 
 
 def profile_smoothing_for(cfg: ExperimentConfig, system: ModelSystem, basis: LabeledBasis) -> float:
@@ -557,45 +567,72 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 
 def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
-    """Stationary intermediate values against the classical oracle."""
+    """Stationary intermediate values against the classical oracle.
+
+    Every pair is put on its grids first, so a pair off them fails with its
+    own ``emergence.pairs[i]`` field before any work.  The pairs then run in
+    blocks of at most EMERGENCE_BLOCK, of near-equal sizes (so of two or
+    more each, when there are): a block's b states take the arrival
+    (``_is_arrival``) as one stack, then its b and its a states expand over
+    the intermediate basis as two stacks, whose rows the action profiles
+    read.
+    """
     constants = cfg.constants
     system = build_system(cfg.model, constants)
     basis = _config_basis(system, cfg.intermediate, "intermediate")
     pairs = cfg.emergence.pairs if cfg.emergence else _default_emergence_pairs(cfg, system)
     grid_step = float(np.median(basis.spacing))
     smoothing = profile_smoothing_for(cfg, system, basis)
-    rows = []
+    a_basis = _config_basis(system, cfg.a.basis, "a.basis")
+    b_basis = _config_basis(system, cfg.b.basis, "b.basis")
+    indices = []
     for i, (x_a, x_b) in enumerate(pairs):
-        try:
-            a = build_state(system, StateSpec(cfg.a.basis, eigenvalue=x_a), "a")
-            b = build_state(system, StateSpec(cfg.b.basis, eigenvalue=x_b), "b")
-        except ConfigError as err:
-            # Defaulted pairs are on the grid or are a's and b's own eigenvalues.
-            if cfg.emergence is None or not err.field.endswith(".eigenvalue"):
-                raise
-            raise ConfigError(err.message, field=f"emergence.pairs[{i}]") from err
-        profile = action_profile(a, basis, b, constants, smoothing=smoothing)
-        points = stationary_points(profile)
-        predicted = system.classical_oracle(x_a, x_b)
-        template = dict.fromkeys(EMERGENCE_COLUMNS, float(np.nan))
-        template.update(x_a=x_a, x_b=x_b, found=False, classically_allowed=bool(predicted))
-        if not predicted:
-            rows.append(dict(template, branch=0.0, found=len(points) > 0))
-        for branch in predicted:
-            row = dict(template, branch=float(np.sign(branch)), classical=branch)
-            if points:
-                best = min(points, key=lambda p: abs(p.x_star - branch))
-                row.update(
-                    x_star=best.x_star,
-                    deviation_spacings=abs(best.x_star - branch) / grid_step,
-                    delta_x_m=best.delta_x_m, delta_n=best.delta_n,
-                    weak_value=best.weak_value_magnitude, curvature=best.curvature_at,
-                    found=True,
-                )
-            rows.append(row)
+        # A defaulted pair is on the grid, or is a's and b's own eigenvalues
+        # and fails with their fields.
+        pair = f"emergence.pairs[{i}]" if cfg.emergence else None
+        indices.append((_grid_index(a_basis, cfg.a, x_a, pair or "a.eigenvalue"),
+                        _grid_index(b_basis, cfg.b, x_b, pair or "b.eigenvalue")))
+
+    # One call per block, so each block's stacks (at most three alive at
+    # once, each of one state per pair) are freed before the next block.
+    def block_rows(block):
+        a_index, b_index = zip(*(indices[i] for i in block))
+        b_states = b_basis.states(b_index)
+        if _is_arrival(system, cfg.b, "b"):
+            b_states = apply_diagonal(system.arrival, b_states)
+        amps_b = expand(b_states, basis)
+        del b_states
+        amps_a = expand(a_basis.states(a_index), basis)
+        rows = []
+        for i, amp_a, amp_b in zip(block, amps_a, amps_b):
+            points = stationary_points(action_profile(amp_a, basis, amp_b, constants,
+                                                      smoothing=smoothing))
+            x_a, x_b = pairs[i]
+            predicted = system.classical_oracle(x_a, x_b)
+            template = dict.fromkeys(EMERGENCE_COLUMNS, float(np.nan))
+            template.update(x_a=x_a, x_b=x_b, found=False, classically_allowed=bool(predicted))
+            if not predicted:
+                rows.append(dict(template, branch=0.0, found=len(points) > 0))
+            for branch in predicted:
+                row = dict(template, branch=float(np.sign(branch)), classical=branch)
+                if points:
+                    best = min(points, key=lambda p: abs(p.x_star - branch))
+                    row.update(
+                        x_star=best.x_star,
+                        deviation_spacings=abs(best.x_star - branch) / grid_step,
+                        delta_x_m=best.delta_x_m, delta_n=best.delta_n,
+                        weak_value=best.weak_value_magnitude, curvature=best.curvature_at,
+                        found=True,
+                    )
+                rows.append(row)
+        return rows
+
+    n = len(pairs)
+    blocks = np.array_split(range(n), -(-n // EMERGENCE_BLOCK)) if n else []
     return ResultTable(
         name="emergence",
-        columns=_rows_to_columns(rows, EMERGENCE_COLUMNS),
+        columns=_rows_to_columns([row for block in blocks for row in block_rows(block)],
+                                 EMERGENCE_COLUMNS),
         provenance=_provenance(cfg, "emergence"),
     )
 

@@ -59,15 +59,7 @@ class StateVector:
             raise ValueError(f"amplitudes must be one-dimensional, got shape {amp.shape}")
         if amp.shape[0] < 2:
             raise ValueError(f"dimension must be at least 2, got {amp.shape[0]}")
-        if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("amplitudes contain non-finite entries")
-        norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise ValueError(
-                f"state norm {norm!r} deviates from 1 by more than {NORM_TOLERANCE}; "
-                "normalize explicitly before constructing"
-            )
-        amp = amp / norm
+        amp = amp / _unit_norm(amp)
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
@@ -80,6 +72,19 @@ class StateVector:
 
     def __repr__(self):
         return f"<StateVector dim={self.dim}>"
+
+
+def _unit_norm(amp: np.ndarray) -> float:
+    """The norm of the finite amplitudes ``amp``, if within NORM_TOLERANCE of 1."""
+    if not np.all(np.isfinite(amp)):
+        raise ValueError("amplitudes contain non-finite entries")
+    norm = float(np.linalg.norm(amp))
+    if abs(norm - 1.0) > NORM_TOLERANCE:
+        raise ValueError(
+            f"state norm {norm!r} deviates from 1 by more than {NORM_TOLERANCE}; "
+            "normalize explicitly before constructing"
+        )
+    return norm
 
 
 class LabeledBasis:
@@ -266,6 +271,11 @@ class LabeledBasis:
             return StateVector(self._rows[k])
         return StateVector(self._state_phases[k] * self._rows[k] * self._site_phases)
 
+    def states(self, indices) -> np.ndarray:
+        """The basis vectors at ``indices`` as a stack, one per row (a fresh
+        array), each with the amplitudes of ``state``."""
+        return np.stack([self.state(k).amplitudes for k in indices])
+
     def state_at(self, x: float) -> StateVector:
         """Basis vector whose eigenvalue is closest to x."""
         return self.state(self.index_at(x))
@@ -378,13 +388,14 @@ def _to_reference(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
 
 
 def _from_reference(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
-    """z conj(V)^T: the ``basis`` coefficients of reference amplitudes z.
-    Real rows take conj(c) times (z conj(D)) X^T; complex rows take
-    conj(conj(z) V^T), bitwise z conj(V)^T without a conjugate copy of V.
-    A reference basis vector (one row z whose only nonzero entry is exactly
-    1, at k) reads the conjugated column conj(V[:, k]) instead: the product's
-    other terms are exact zeros, so the bits are the same without the d^2
-    product."""
+    """z conj(V)^T: the ``basis`` coefficients of reference amplitudes z (one
+    row or a stack of rows).  Real rows take conj(c) times (z conj(D)) X^T;
+    complex rows take conj(conj(z) V^T), bitwise z conj(V)^T without a
+    conjugate copy of V, and conjugate the product in place.  When every row
+    of z is a reference basis vector (its only nonzero entry is exactly 1,
+    at k_i), row i reads the conjugated column conj(V[:, k_i]) instead: the
+    product's other terms are exact zeros, so the bits are the same without
+    the d^2 product, and a stack of them is one gather of columns."""
     rows = basis._rows
     if rows is None:
         return z
@@ -393,23 +404,50 @@ def _from_reference(z: np.ndarray, basis: LabeledBasis) -> np.ndarray:
         if state is not None:
             state, site = np.conj(state), np.conj(site)
         return _real_product(z, site, rows, state)
-    if z.ndim == 1:
-        hot = np.flatnonzero(z)
-        if hot.size == 1 and z[hot[0]] == 1.0:
-            return np.conj(rows[:, hot[0]])
-    return np.conj(np.conj(z) @ rows.T)
+    hot = _hot_indices(z)
+    if hot is None:
+        out = np.conj(z) @ rows.T
+    else:
+        out = rows.T[hot].reshape(z.shape[:-1] + (rows.shape[0],))
+    return np.conj(out, out=out)
 
 
-def expand(psi: StateVector, basis: LabeledBasis) -> np.ndarray:
-    """Amplitudes <m|psi> ordered by the basis eigenvalues, in a new array."""
-    if psi.dim != basis.dim:
-        raise ValueError(f"dimension mismatch: {psi.dim} vs {basis.dim}")
-    coeffs = _from_reference(psi.amplitudes, basis)
-    return coeffs.copy() if coeffs is psi.amplitudes else coeffs
+def _hot_indices(z: np.ndarray) -> np.ndarray | None:
+    """Per row of z, the index of its one nonzero entry, if every row is a
+    reference basis vector (that entry exactly 1); else None."""
+    stack = z.reshape(-1, z.shape[-1])
+    hot = np.argmax(stack != 0, axis=1)
+    if np.count_nonzero(stack) != hot.size or np.any(stack[np.arange(hot.size), hot] != 1.0):
+        return None
+    return hot
+
+
+def expand(psi: StateVector | np.ndarray, basis: LabeledBasis) -> np.ndarray:
+    """Amplitudes <m|psi> ordered by the basis eigenvalues, in a new array.
+
+    ``psi`` may also be a stack of states: a 2-D array with the reference
+    amplitudes of one state per row.  Row i of the result then expands row
+    i, and a basis with complex rows reads them once per stack, not once
+    per state.  On an identity basis, and for rows that are reference basis
+    vectors, each row has the bits of its own expansion; other rows agree
+    with it to roundoff, as the BLAS may sum a wider product in another
+    order.
+    """
+    if isinstance(psi, StateVector):
+        z = psi.amplitudes
+    elif psi.ndim == 2:
+        z = psi
+    else:
+        raise ValueError(f"a stack of states is a 2-D array, got shape {psi.shape}")
+    if z.shape[-1] != basis.dim:
+        raise ValueError(f"dimension mismatch: {z.shape[-1]} vs {basis.dim}")
+    coeffs = _from_reference(z, basis)
+    return coeffs.copy() if coeffs is z else coeffs
 
 
 def synthesize(coeffs: np.ndarray, basis: LabeledBasis) -> np.ndarray:
-    """Reference-basis amplitudes of sum_m coeffs[m] |m>; the inverse of ``expand``."""
+    """Reference-basis amplitudes of sum_m coeffs[m] |m>; the inverse of ``expand``,
+    also row by row over a stack of coefficient rows."""
     return _to_reference(np.asarray(coeffs), basis)
 
 
@@ -430,13 +468,22 @@ def scaled_overlaps(coeffs: np.ndarray, source: LabeledBasis, target: LabeledBas
     return np.ascontiguousarray(change_basis(np.diag(coeffs), source, target))
 
 
-def apply_diagonal(unitary: DiagonalUnitary, psi: StateVector) -> StateVector:
-    """Apply exp(i*phase_m) to each component of psi in the unitary's basis."""
+def apply_diagonal(unitary: DiagonalUnitary,
+                   psi: StateVector | np.ndarray) -> StateVector | np.ndarray:
+    """Apply exp(i*phase_m) to each component of psi in the unitary's basis.
+
+    A stack of states (``expand``) gives the stack of evolved states, one
+    product each way; each row is renormalized as a StateVector would be.
+    """
     basis = unitary.basis
-    if psi.dim != basis.dim:
-        raise ValueError(f"dimension mismatch: {psi.dim} vs {basis.dim}")
-    coeffs = expand(psi, basis) * np.exp(1j * unitary.phases)
-    return StateVector(synthesize(coeffs, basis))
+    coeffs = expand(psi, basis)
+    coeffs *= np.exp(1j * unitary.phases)
+    evolved = synthesize(coeffs, basis)
+    if isinstance(psi, StateVector):
+        return StateVector(evolved)
+    for row in evolved:
+        row /= _unit_norm(row)
+    return evolved
 
 
 def frame_shift(

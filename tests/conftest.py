@@ -4,7 +4,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from actionlab.action import MAGNITUDE_FLOOR_ABSOLUTE, ActionProfile, StationaryPoint
+from actionlab.action import (
+    MAGNITUDE_FLOOR_ABSOLUTE,
+    ActionProfile,
+    StationaryPoint,
+    action_profile,
+    stationary_points,
+)
 from actionlab.errors import EigensolverError, NotApplicableError, UndefinedPhaseError
 from actionlab.hilbert import (
     LabeledBasis,
@@ -16,7 +22,13 @@ from actionlab.hilbert import (
     inner,
 )
 from actionlab.measurement import Measurement
-from actionlab.models import RingParameters, qubit_system, ring_system, spin_system
+from actionlab.models import (
+    RingParameters,
+    qubit_system,
+    ring_arrival_state,
+    ring_system,
+    spin_system,
+)
 
 RING_PARAMS = RingParameters(sites=256, circumference=256.0, mass=1.0, flight_time=20.0)
 UNIT = PhysicalConstants(hbar=1.0)
@@ -275,6 +287,30 @@ def bitwise_equal(got: np.ndarray, want: np.ndarray) -> bool:
     return (np.array_equal(got, want)
             and np.array_equal(np.signbit(got.real), np.signbit(want.real))
             and np.array_equal(np.signbit(got.imag), np.signbit(want.imag)))
+
+
+def per_pair_emergence(system, a_basis: str, b_basis: str, intermediate: str, pairs,
+                       smoothing: float = 0.0, constants: PhysicalConstants = UNIT) -> list[dict]:
+    """Reference for ``run_emergence_experiment``, one pair at a time.
+
+    Each pair's action profile of the a and b eigenstates over the
+    intermediate basis (a ring's b is its arrival state,
+    ``ring_arrival_state``), then per classical branch the stationary point
+    nearest it: the table's point columns, one dict per row.
+    """
+    basis = system.basis(intermediate)
+    rows = []
+    for x_a, x_b in pairs:
+        a = system.basis(a_basis).state_at(x_a)
+        b = (ring_arrival_state(system, x_b) if system.arrival is not None
+             else system.basis(b_basis).state_at(x_b))
+        points = stationary_points(action_profile(a, basis, b, constants, smoothing=smoothing))
+        for branch in system.classical_oracle(x_a, x_b):
+            best = min(points, key=lambda p: abs(p.x_star - branch))
+            rows.append({"x_star": best.x_star, "delta_x_m": best.delta_x_m,
+                         "delta_n": best.delta_n, "weak_value": best.weak_value_magnitude,
+                         "curvature": best.curvature_at})
+    return rows
 
 
 def measurement_amplitude(measurement: Measurement, a: StateVector, b: StateVector) -> np.ndarray:

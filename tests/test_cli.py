@@ -158,6 +158,10 @@ class TestExitCodes:
         # A pair value off the a or b grid names the pair, not a or b.
         (SPIN_CFG, "emergence.pairs", [[30.0, 10.0]], "emergence.pairs[0]"),
         (SPIN_CFG, "emergence.pairs", [[10.0, 10.0], [10.0, 30.0]], "emergence.pairs[1]"),
+        # Off the ring's position grid on either side: every pair is put on
+        # its grids before the first block of pairs runs.
+        (RING_EMERGENCE_CFG, "emergence.pairs", [[100, 120], [100.5, 120]], "emergence.pairs[1]"),
+        (RING_EMERGENCE_CFG, "emergence.pairs", [[100, 120], [100, 120.5]], "emergence.pairs[1]"),
         (QUBIT_CFG, "schema_version", True, "schema_version"),
         (QUBIT_CFG, "model.name", DELETE, "model.name"),
         (QUBIT_CFG, "a.basis", DELETE, "a.basis"),

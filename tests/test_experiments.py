@@ -14,6 +14,7 @@ from actionlab.measurement import _transfer, gaussian_kernel, joint_distribution
 from actionlab.models import SPIN_PROFILE_SMOOTHING_SPACINGS, make_packet
 from actionlab.experiments import (
     MAX_J,
+    MAX_LIST_ITEMS,
     MAX_SCAN_POINTS,
     MAX_SITES,
     StateSpec,
@@ -28,7 +29,7 @@ from actionlab.experiments import (
     run_propagation_time_experiment,
     run_resolution_sweep,
 )
-from conftest import UNIT, dense_overlap_scan, mutated
+from conftest import UNIT, dense_overlap_scan, mutated, per_pair_emergence
 
 SPIN20_SWEEP = {
     "model": {"name": "spin", "j": 20},
@@ -114,6 +115,11 @@ class TestConfig:
         (SPIN20_SWEEP, "propagation.scan_points", MAX_SCAN_POINTS, MAX_SCAN_POINTS + 1),
         (SPIN20_SWEEP, "propagation.scan_points", MAX_SCAN_POINTS, 10**9),
         (SPIN20_SWEEP, "seed", 2**32 - 1, 2**32),
+        (RING_EMERGE, "emergence.pairs", [[0.0, 0.0]] * MAX_LIST_ITEMS,
+         [[0.0, 0.0]] * (MAX_LIST_ITEMS + 1)),
+        (SPIN20_SWEEP, "sweep.values", [1.0] * MAX_LIST_ITEMS, [1.0] * (MAX_LIST_ITEMS + 1)),
+        (SPIN20_SWEEP, "propagation.centers", [0.0] * MAX_LIST_ITEMS,
+         [0.0] * (MAX_LIST_ITEMS + 1)),
     ])
     def test_size_bounds(self, raw, path, largest, above):
         config_from_dict(mutated(raw, path, largest))
@@ -285,6 +291,31 @@ class TestEmergence:
         expect = np.sqrt(50 * 51 - 800.0)
         got = sorted(table.column("classical"))
         assert got == pytest.approx([-expect, expect])
+
+    def test_ring_blocks_match_the_per_pair_oracle(self, ring256):
+        # Arrival states and momentum amplitudes are stacked products; one
+        # pair at a time they are vector products.  The rows agree within
+        # the golden tables' float tolerance.
+        pairs = [[100.0, 120.0], [5.0, 250.0], [250.0, 3.0], [0.0, 0.0],
+                 [128.0, 100.0], [30.0, 70.0], [200.0, 160.0], [64.0, 101.0]]
+        table = run_emergence_experiment(cfg_of(mutated(RING_EMERGE, "emergence.pairs", pairs)))
+        want = per_pair_emergence(ring256, "position", "position", "momentum", pairs)
+        assert table.n_rows == len(want) == 8
+        for i, row in enumerate(want):
+            for name, ref in row.items():
+                got = table.column(name)[i]
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(got), abs(ref)), (i, name)
+
+    def test_spin_blocks_keep_the_per_pair_bits(self, spin50):
+        # The z intermediate is the reference basis: the stacks are copies of
+        # each pair's own amplitudes, so every value is the per-pair one.
+        cfg = cfg_of(json.loads((CONFIGS / "spin50_emergence.json").read_text()))
+        table = run_emergence_experiment(cfg)
+        pairs = spin50.emergence_pairs
+        want = per_pair_emergence(spin50, "x", "y", "z", pairs, smoothing=2.0)
+        assert table.n_rows == len(want) == 2 * len(pairs)
+        for name in want[0]:
+            assert table.column(name) == [row[name] for row in want], name
 
 
 class TestPropagation:

@@ -506,6 +506,89 @@ class TestBitwiseShortcuts:
         assert len(calls) == 3
 
 
+class TestStackedExpansion:
+    """A stack of states (one per row) expands in one product.  Identity
+    bases and reference basis vectors keep each row's own bits (signs of
+    zero included).  Where a matrix product stands in for each row's own
+    product, real rows agree with it to 1e-15 (the BLAS may sum a wider
+    real product in another order) and dense complex rows to roundoff."""
+
+    @pytest.fixture(params=["spin20-x", "spin20-y", "spin20-z", "ring256-position"])
+    def basis(self, request, spin20, ring256):
+        system, name = request.param.split("-")
+        return {"spin20": spin20, "ring256": ring256}[system].basis(name)
+
+    def test_identity_and_real_rows_agree_with_each_row(self, basis):
+        rng = np.random.default_rng(21)
+        states = [random_state(basis.dim, rng) for _ in range(7)]
+        got = expand(np.stack([psi.amplitudes for psi in states]), basis)
+        assert got.shape == (7, basis.n_states)
+        for row, psi in zip(got, states):
+            want = expand(psi, basis)
+            if real_rows(basis):
+                assert np.max(np.abs(row - want)) <= 1e-15
+            else:
+                assert bitwise_equal(row, want)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_reference_basis_vectors_are_column_reads(self, n, ring256):
+        position = LabeledBasis.identity(np.arange(n, dtype=float))
+        sites = [0, 1, 7, n // 2, n - 1, 7]
+        stack = position.states(sites)
+        targets = [centred_fourier(n)] + ([ring256.energy_basis()] if n == 256 else [])
+        for target in targets:
+            got = expand(stack, target)
+            for row, k in zip(got, sites):
+                assert bitwise_equal(row, expand(position.state(k), target))
+                assert bitwise_equal(row, np.conj(target.vectors[:, k]))
+
+    def test_dense_complex_rows_agree_to_roundoff(self, ring256):
+        momentum = ring256.basis("momentum")
+        rng = np.random.default_rng(22)
+        states = [random_state(256, rng) for _ in range(9)]
+        got = expand(np.stack([psi.amplitudes for psi in states]), momentum)
+        for row, psi in zip(got, states):
+            want = expand(psi, momentum)
+            assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sizes", [[2, 15], [3, 3, 11], [8, 9], [16, 1]])
+    def test_blocks_of_two_or_more_rows_give_the_stacks_bits(self, ring256, sizes):
+        momentum = ring256.basis("momentum")
+        rng = np.random.default_rng(23)
+        stack = np.stack([random_state(256, rng).amplitudes for _ in range(17)])
+        whole = expand(stack, momentum)
+        start = 0
+        for size in sizes:
+            if size >= 2:
+                assert bitwise_equal(expand(stack[start:start + size], momentum),
+                                     whole[start:start + size])
+            start += size
+
+    def test_stacked_arrival_matches_each_state(self, ring256):
+        arrival = ring256.arrival
+        position = ring256.basis("position")
+        sites = [0, 40, 255]
+        evolved = apply_diagonal(arrival, position.states(sites))
+        for row, k in zip(evolved, sites):
+            want = apply_diagonal(arrival, position.state(k)).amplitudes
+            assert np.max(np.abs(row - want)) <= 1e-15
+            assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-14)
+
+    def test_states_stack_each_basis_state(self, basis):
+        sites = [basis.n_states - 1, 0, 3]
+        stack = basis.states(sites)
+        assert stack.shape == (3, basis.dim) and stack.flags.writeable
+        for row, k in zip(stack, sites):
+            assert bitwise_equal(row, basis.state(k).amplitudes)
+
+    def test_rejects_other_shapes(self, ring256):
+        momentum = ring256.basis("momentum")
+        with pytest.raises(ValueError, match="2-D"):
+            expand(np.zeros(256, dtype=complex), momentum)
+        with pytest.raises(ValueError, match="mismatch"):
+            expand(np.zeros((2, 255), dtype=complex), momentum)
+
+
 class TestStoredOrthonormality:
     """``LabeledBasis.orthonormality_deviation`` reads the stored form; the
     array function on the dense rows is its oracle."""
