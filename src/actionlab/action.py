@@ -308,10 +308,21 @@ def gaussian_matrix(x: np.ndarray, width: float) -> np.ndarray:
     other grid (ring momenta, positive energies) evaluates all d^2 entries.
     """
     if _is_lattice(x):
-        half = np.exp(-((x - x[0]) ** 2) / (2.0 * width**2))
-        row = np.concatenate([half[:0:-1], half])
-        return sliding_window_view(row, x.size)[::-1].copy()
+        return toeplitz_view(gaussian_row(x, width)).copy()
     return np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * width**2))
+
+
+def gaussian_row(x: np.ndarray, width: float) -> np.ndarray:
+    """The 2d - 1 distinct entries of ``gaussian_matrix`` on a lattice grid:
+    the d exponentials of its first row, mirrored about their first entry."""
+    half = np.exp(-((x - x[0]) ** 2) / (2.0 * width**2))
+    return np.concatenate([half[:0:-1], half])
+
+
+def toeplitz_view(row: np.ndarray) -> np.ndarray:
+    """Read-only d x d view with entry (i, j) = row[d - 1 + j - i] of a
+    symmetric row of 2d - 1 entries (so also row[d - 1 + i - j])."""
+    return sliding_window_view(row, (row.size + 1) // 2)[::-1]
 
 
 def _is_lattice(x: np.ndarray) -> bool:

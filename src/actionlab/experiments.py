@@ -36,7 +36,7 @@ from .action import (
     stationary_points,
     unwrap_segment,
 )
-from .errors import ConfigError, ScanBoundaryError
+from .errors import ConfigError, ProfileTooSparseError, ScanBoundaryError, UndefinedPhaseError
 from .hilbert import (
     DiagonalUnitary,
     LabeledBasis,
@@ -413,13 +413,8 @@ def build_system(model: ModelConfig, constants: PhysicalConstants) -> ModelSyste
         return qubit_system()
     if model.name == "spin":
         return spin_system(model.j)
-    params = RingParameters(
-        sites=model.sites,
-        circumference=float(model.circumference),
-        mass=float(model.mass),
-        flight_time=float(model.flight_time),
-        winding=model.winding,
-    )
+    params = RingParameters(model.sites, float(model.circumference), float(model.mass),
+                            float(model.flight_time), model.winding)
     return ring_system(params, constants)
 
 
@@ -487,9 +482,19 @@ def _profile_for(cfg: ExperimentConfig):
     a = build_state(system, cfg.a, "a")
     b = build_state(system, cfg.b, "b")
     basis = _config_basis(system, cfg.intermediate, "intermediate")
-    smoothing = profile_smoothing_for(cfg, system, basis)
-    profile = action_profile(a, basis, b, constants, smoothing=smoothing)
+    profile = _profile(a, basis, b, constants, profile_smoothing_for(cfg, system, basis))
     return system, a, b, basis, profile
+
+
+def _profile(a, basis, b, constants, smoothing, pair=None):
+    """``action_profile``; a config with no usable profile names ``b`` when
+    <b|a> vanishes and ``intermediate`` when too few phases are valid, or
+    ``pair`` (an ``emergence.pairs[i]`` field) where given."""
+    try:
+        return action_profile(a, basis, b, constants, smoothing=smoothing)
+    except (UndefinedPhaseError, ProfileTooSparseError) as err:
+        field = "b" if isinstance(err, UndefinedPhaseError) else "intermediate"
+        raise ConfigError(str(err), field=pair or field) from err
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +610,8 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
         amps_a = expand(a_basis.states(a_index), basis)
         rows = []
         for i, amp_a, amp_b in zip(block, amps_a, amps_b):
-            points = stationary_points(action_profile(amp_a, basis, amp_b, constants,
-                                                      smoothing=smoothing))
+            pair = f"emergence.pairs[{i}]" if cfg.emergence else None
+            points = stationary_points(_profile(amp_a, basis, amp_b, constants, smoothing, pair))
             x_a, x_b = pairs[i]
             predicted = system.classical_oracle(x_a, x_b)
             template = dict.fromkeys(EMERGENCE_COLUMNS, float(np.nan))
@@ -681,8 +686,7 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
         basis = _config_basis(system, cfg.intermediate, "intermediate")
         a = build_state(system, cfg.a, "a")
         b = build_state(system, cfg.b, "b")
-    smoothing = profile_smoothing_for(cfg, system, basis)
-    profile = action_profile(a, basis, b, constants, smoothing=smoothing)
+    profile = _profile(a, basis, b, constants, profile_smoothing_for(cfg, system, basis))
     if not np.any(np.isfinite(profile.gradient)):
         raise ConfigError("the action profile has no finite gradient; it needs three "
                           "contiguous phase-valid points", field="intermediate")
@@ -852,8 +856,7 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
             at, bt = frame_shift(a, b, gen, float(t))
             worst = max(worst, abs(abs(inner(bt, at)) ** 2 - p0))
         record("hilbert.frame_shift.spin20", worst, 1e-12)
-        rng = philox_stream(seed, 3)
-        psi = random_state(spin50.dimension, rng)
+        psi = random_state(spin50.dimension, philox_stream(seed, 3))
         record("hilbert.parseval.spin50",
                abs(np.sum(np.abs(expand(psi, spin50.basis("x"))) ** 2) - 1.0), 1e-12)
         for label, mat, bname in (("jx", jx50, "x"), ("jy", jy50, "y")):
@@ -870,10 +873,8 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         record("models.tridiagonal_reconstruction.spin50",
                float(np.max(np.abs(rebuilt - jx50))), 1e-9)
         mom = ring.basis("momentum")
-        rng = philox_stream(seed, 4)
-        psi = random_state(ring.dimension, rng)
-        coeffs = expand(psi, mom)
-        back = mom.vectors.T @ coeffs
+        psi = random_state(ring.dimension, philox_stream(seed, 4))
+        back = mom.vectors.T @ expand(psi, mom)
         record("models.ring_roundtrip.256",
                float(np.max(np.abs(back - psi.amplitudes))), 1e-12)
         z20 = spin20.basis("z")
@@ -907,11 +908,10 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         a10 = spin10.basis("x").state_at(5.0)
         b10 = spin10.basis("y").state_at(5.0)
         z10 = spin10.basis("z")
-        unitary, achieved = aligned_unitary(a10, z10, b10)
-        tsum = float(np.sum(np.abs(np.conj(expand(b10, z10)) * expand(a10, z10))))
-        record("action.triangle_equality.spin10", abs(achieved - tsum), 1e-12)
-        rng = philox_stream(seed, 6)
+        achieved = aligned_unitary(a10, z10, b10)[1]
         amp = np.conj(expand(b10, z10)) * expand(a10, z10)
+        record("action.triangle_equality.spin10", abs(achieved - float(np.sum(np.abs(amp)))), 1e-12)
+        rng = philox_stream(seed, 6)
         best_random = max(
             float(np.abs(np.sum(amp * np.exp(1j * rng.uniform(0, 2 * np.pi, size=z10.dim)))))
             for _ in range(1000)
@@ -937,41 +937,31 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = 20260808) ->
         z20 = spin20.basis("z")
         a = spin20.basis("x").state_at(10.0)
         y20 = spin20.basis("y")
-        b = y20.state_at(10.0)
-        prof = action_profile(a, z20, b, unit, smoothing=2.0)
-        pts = stationary_points(prof)
+        pts = stationary_points(action_profile(a, z20, y20.state_at(10.0), unit, smoothing=2.0))
         dxm = pts[0].delta_x_m
-        worst_povm = worst_prob = 0.0
-        tvs = []
-        resid_last = 0.0
-        for mult in (0.25, 1.0, 4.0, 16.0):
-            ops = gaussian_kernel(z20, mult * dxm)
-            joint = joint_distribution(a, y20, ops)
-            worst_povm = max(worst_povm, ops.completeness_deviation())
-            worst_prob = max(worst_prob, abs(joint.total_probability - 1.0))
-            tvs.append(joint.total_variation)
-            resid_last = joint.factorization_residual
-        record("measurement.povm_completeness.spin20", worst_povm, 1e-10)
-        record("measurement.total_probability.spin20", worst_prob, 1e-10)
+        kernels = [gaussian_kernel(z20, mult * dxm) for mult in (0.25, 1.0, 4.0, 16.0)]
+        joints = [joint_distribution(a, y20, ops) for ops in kernels]
+        tvs = [joint.total_variation for joint in joints]
+        record("measurement.povm_completeness.spin20",
+               max(ops.completeness_deviation() for ops in kernels), 1e-10)
+        record("measurement.total_probability.spin20",
+               max(abs(joint.total_probability - 1.0) for joint in joints), 1e-10)
         record("measurement.weak_limit_monotone.spin20",
                max(tvs[i + 1] - tvs[i] for i in range(3)), 0.0, larger_fails=True)
-        record("measurement.factorization_decay.spin20", resid_last, 0.01)
+        record("measurement.factorization_decay.spin20", joints[-1].factorization_residual, 0.01)
         joint = joint_distribution(a, y20, projective_kernel(z20))
-        amps_a = np.abs(expand(a, z20)) ** 2
-        overlaps = np.abs(y20.vectors.conj() @ z20.vectors.T) ** 2
-        textbook = overlaps.T * amps_a[:, np.newaxis]
+        overlaps = np.abs(z20.vectors.conj() @ y20.vectors.T) ** 2
+        textbook = overlaps * np.abs(expand(a, z20))[:, np.newaxis] ** 2
         record("measurement.projective_limit.spin20",
                float(np.max(np.abs(joint.table - textbook))), 1e-10)
-        narrow = gaussian_kernel(z20, float(np.min(z20.spacing)) / 100.0)
-        joint_n = joint_distribution(a, y20, narrow)
+        joint_n = joint_distribution(a, y20, gaussian_kernel(z20, float(np.min(z20.spacing)) / 100.0))
         record("measurement.projective_narrow_kernel.spin20",
                float(np.max(np.abs(joint_n.table - textbook))), 1e-10)
-        joint_mid = joint_distribution(a, y20, gaussian_kernel(z20, dxm))
-        argmax = joint_mid.conditional_argmax(y20.index_at(10.0))
+        argmax = joints[1].conditional_argmax(y20.index_at(10.0))  # the kernel at delta_x_m
         record("measurement.selection_moderate.spin20",
                float(np.min(np.abs(np.array([p.x_star for p in pts]) - argmax))),
                2.0 * float(np.max(z20.spacing)), larger_fails=False)
-        dom = [p for p in pts50 if p.x_star > 0][0]
+        dom = next(p for p in pts50 if p.x_star > 0)
         delta = 0.3 * dom.delta_x_m
         kern = gaussian_kernel(spin50.basis("z"), delta)
         hi_interior = float(prof50.x_grid[-1]) - 3.0 * delta

@@ -5,11 +5,13 @@ conditional probabilities P(r|x_m) of obtaining outcome r when the system
 sits at x_m.  The minimal-decoherence implementation applies the diagonal
 operator with entries sqrt(P(r|x_m)); anything noisier adds decoherence the
 statistics do not require.  This module builds one ``Measurement`` per
-kernel (its basis, P and sqrt(P) together), exact joint outcome statistics
-(one P(r, b|a) table, a sum of squared real products of sqrt(P) with the
-real pieces of a transfer matrix that does not depend on the kernel and is
-built once per sweep, with the disturbance and factorization metrics read
-off it once), the slow-kernel (non-disturbance) condition, and the
+kernel (its basis with P and sqrt(P), held dense or, for a Gaussian on a
+lattice grid, as one row of exponentials and the column sums), exact joint
+outcome statistics (one P(r, b|a) table, a sum of squared real products of
+sqrt(P) with the real pieces of a transfer matrix that does not depend on
+the kernel and is built once per sweep, folded on the spin mirror where the
+pieces allow, with the disturbance and factorization metrics read off it
+once), the slow-kernel (non-disturbance) condition, and the
 high-resolution regime where the measurement resolves the action gradient
 instead of the intermediate value.
 """
@@ -18,11 +20,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .action import ActionProfile, StationaryPoint, gaussian_matrix
+from .action import (
+    ActionProfile,
+    StationaryPoint,
+    _is_lattice,
+    gaussian_matrix,
+    gaussian_row,
+    toeplitz_view,
+)
 from .errors import NotApplicableError
 from .hilbert import LabeledBasis, StateVector, expand, scaled_overlaps
 
@@ -36,6 +46,20 @@ REGIME_GUARD_BAND = 10.0
 ARGMAX_TIE_RELATIVE = 1e-12
 
 
+# Most columns of sqrt(P) laid out at a time when a lattice kernel's
+# operator completeness is measured.
+_LAYOUT_COLUMNS = 256
+
+
+class _KernelRow(NamedTuple):
+    """A Gaussian kernel on a lattice grid as 1-D arrays (``gaussian_kernel``)."""
+
+    row: np.ndarray          # R: the 2d - 1 weighted exponentials
+    col_sums: np.ndarray     # S, mirror-symmetric: P(r|x_m) = R[d - 1 + m - r] / S_m
+    sqrt_row: np.ndarray     # sqrt(R)
+    sqrt_scale: np.ndarray   # 1 / sqrt(S): sqrt P(r|x_m) = sqrt_row[...] sqrt_scale[m]
+
+
 @dataclass(frozen=True, eq=False)
 class Measurement:
     """One intermediate measurement: P(r|x_m) and its operators M(r) on a basis.
@@ -43,15 +67,24 @@ class Measurement:
     ``table[r, m]`` is the probability of outcome r given the value x_m of
     ``basis`` (whose eigenvalues are the outcome grid); columns sum to one.
     ``sqrt_table`` holds the operators' diagonals sqrt(P(r|x_m)), and
-    ``resolution`` the Gaussian width (0 for projective).  Build one with
-    ``build_measurement``, which validates the table.
+    ``resolution`` the Gaussian width (0 for projective).
+
+    Two layouts.  A table given to ``build_measurement``, which validates
+    it, is held as the dense d x d P and sqrt(P).  A Gaussian on a lattice
+    grid (``gaussian_kernel``) is held as one row of 2d - 1 weighted
+    exponentials and the d column sums (``_KernelRow``); its ``table`` and
+    ``sqrt_table`` are laid out on first read and cached.  A sweep value
+    reads neither: ``joint_distribution`` folds on the row where the
+    transfer allows, and ``nondisturbance_check`` reads P at its support
+    columns only.  ``high_res_amplitude``, the invariant suite and the
+    unfolded joint tables read the laid-out arrays.
     """
 
     basis: LabeledBasis
-    table: np.ndarray
-    sqrt_table: np.ndarray
     resolution: float
     _deviation: float
+    _dense: tuple[np.ndarray, np.ndarray] | None = None   # (P, sqrt P)
+    _lattice: _KernelRow | None = None
 
     @property
     def r_grid(self) -> np.ndarray:
@@ -61,11 +94,34 @@ class Measurement:
         """Max elementwise deviation of sum_r M(r)^dag M(r) from identity."""
         return self._deviation
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        if self._lattice is None:
+            return self._dense[0]
+        return _frozen(toeplitz_view(self._lattice.row) / self._lattice.col_sums)
+
+    @cached_property
+    def sqrt_table(self) -> np.ndarray:
+        if self._lattice is None:
+            return self._dense[1]
+        return _frozen(toeplitz_view(self._lattice.sqrt_row) * self._lattice.sqrt_scale)
+
+    def _columns(self, m: np.ndarray) -> np.ndarray:
+        """P(r|x_m) for every r, at the columns ``m`` only."""
+        if self._lattice is None:
+            return self.table[:, m]
+        return toeplitz_view(self._lattice.row)[:, m] / self._lattice.col_sums[m]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
 
 def build_measurement(
     basis: LabeledBasis, table: np.ndarray, resolution: float = 0.0
 ) -> Measurement:
-    """The measurement with P(r|x_m) = ``table[r, m]`` on ``basis``.
+    """The measurement with P(r|x_m) = ``table[r, m]`` on ``basis``, held dense.
 
     Checks the shape against the basis, finite non-negative entries, column
     sums and the completeness of the operators sqrt(P).  A float table is
@@ -82,12 +138,8 @@ def build_measurement(
         raise ValueError(f"kernel incomplete: max |sum_r P(r|x_m) - 1| = {dev:.3e}")
     sqrt_table = np.sqrt(tab)
     # sum_r M(r)^2 per state, measured on the operators without a d x d square.
-    dev = float(np.max(np.abs(np.einsum("rm,rm->m", sqrt_table, sqrt_table) - 1.0)))
-    if dev > POVM_TOLERANCE:
-        raise ValueError(f"operator completeness violated: {dev:.3e}")
-    tab.flags.writeable = False
-    sqrt_table.flags.writeable = False
-    return Measurement(basis, tab, sqrt_table, float(resolution), dev)
+    dev = _operator_deviation(np.einsum("rm,rm->m", sqrt_table, sqrt_table))
+    return Measurement(basis, float(resolution), dev, _dense=(_frozen(tab), _frozen(sqrt_table)))
 
 
 def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> Measurement:
@@ -98,13 +150,60 @@ def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> Measurement:
     the local grid weight (the quadrature rule whose continuum limit
     integrates to one per state), and each column is divided by its sum so
     completeness holds exactly on the finite grid.
+
+    On a lattice grid (``action._is_lattice``: every spin grid, the ring's
+    dyadic positions) dx_r is one number and the Gaussian one row of 2d - 1
+    exponentials, so the kernel is held as that weighted row R and its
+    column sums S.  The columns m <= 0 (indices below (d + 1) // 2) sum
+    R's length-d windows in the dense table's order, and each column m > 0
+    takes the sum of its mirror -m, the same numbers in reverse order, so
+    the kernel is mirror-symmetric bit for bit, P(-r|x_-m) = P(r|x_m), as
+    ``_folded_table`` needs.  Each is validated per value: R finite and
+    non-negative, every S finite and positive (so each column of R/S sums
+    to one), and the operators' completeness, summed over sqrt(P) laid out
+    a block of columns at a time and reported as
+    ``completeness_deviation``: the sum over a laid-out ``sqrt_table`` bit
+    for bit.  Other grids (ring momenta, positive energies) build the dense
+    table.
     """
     if not (delta_x_r > 0 and np.isfinite(delta_x_r)):
         raise ValueError(f"delta_x_r must be positive, got {delta_x_r}")
-    table = gaussian_matrix(basis.eigenvalues, delta_x_r)
-    table *= (basis.spacing_per_state() / (np.sqrt(2.0 * np.pi) * delta_x_r))[:, np.newaxis]
-    table /= table.sum(axis=0, keepdims=True)
-    return build_measurement(basis, table, delta_x_r)
+    x = basis.eigenvalues
+    weight = basis.spacing_per_state() / (np.sqrt(2.0 * np.pi) * delta_x_r)
+    if not _is_lattice(x):
+        table = gaussian_matrix(x, delta_x_r)
+        table *= weight[:, np.newaxis]
+        table /= table.sum(axis=0, keepdims=True)
+        return build_measurement(basis, table, delta_x_r)
+    row = gaussian_row(x, delta_x_r) * weight[0]
+    if not np.all(np.isfinite(row) & (row >= 0.0)):
+        raise ValueError("kernel entries must be finite and non-negative")
+    d = x.size
+    col_sums = toeplitz_view(row)[:, : (d + 1) // 2].sum(axis=0)
+    if not np.all(np.isfinite(col_sums) & (col_sums > 0.0)):
+        raise ValueError("kernel incomplete: a column sum is not finite and positive")
+    col_sums = np.concatenate([col_sums, col_sums[: d // 2][::-1]])
+    sqrt_row = np.sqrt(row)
+    sqrt_scale = 1.0 / np.sqrt(col_sums)
+    # Equal blocks of at most _LAYOUT_COLUMNS columns, at least two each: a
+    # one-column block would be summed pairwise, not in the table's order.
+    edges = np.linspace(0, d, -(-d // _LAYOUT_COLUMNS) + 1).astype(int)
+    sqrt_p = toeplitz_view(sqrt_row)
+    dev = _operator_deviation(np.concatenate([
+        np.square(sqrt_p[:, lo:hi] * sqrt_scale[lo:hi]).sum(axis=0)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]))
+    kernel = _KernelRow(*map(_frozen, (row, col_sums, sqrt_row, sqrt_scale)))
+    return Measurement(basis, float(delta_x_r), dev, _lattice=kernel)
+
+
+def _operator_deviation(sums: np.ndarray) -> float:
+    """max_m |sum_r M(r)^2 - 1| from the per-state sums, checked against
+    POVM_TOLERANCE."""
+    dev = float(np.max(np.abs(sums - 1.0)))
+    if dev > POVM_TOLERANCE:
+        raise ValueError(f"operator completeness violated: {dev:.3e}")
+    return dev
 
 
 def projective_kernel(basis: LabeledBasis) -> Measurement:
@@ -157,22 +256,25 @@ def joint_distribution(
 
     <b|M(r)|a> = sum_m sqrt(P(r|x_m)) Y[m, b], and ``_transfer`` splits Y
     into real pieces whose products with sqrt(P) are orthogonal parts of it,
-    so P(r, b|a) is the sum over pieces of (sqrt(P)[:, rows] @ piece)^2:
-    one real product per piece.  As P >= 0, the factorization residual is
-    max_b (max_r P / P_b) |P(b|a) - P_b|, with P_b the column sum; the ratio
-    is at most one, so a tiny P_b cannot overflow.
+    so P(r, b|a) is the sum over pieces of (sqrt(P)[:, rows] @ piece)^2.
+    When Y has an exact mirror sign per column and the kernel is a lattice
+    row, that sum is folded (``_folded_table``): a quarter of the products.
+    Otherwise it is one real product per piece (``_piece_table``).  As
+    P >= 0, the factorization residual is max_b (max_r P / P_b)
+    |P(b|a) - P_b|, with P_b the column sum; the ratio is at most one, so a
+    tiny P_b cannot overflow.
     """
     inter = measurement.basis
     if a.dim != inter.dim or final_basis.dim != inter.dim:
         raise ValueError("dimension mismatch between state, bases and operators")
-    pieces, baseline = _transfer(a, inter, final_basis)
-    table = None
-    for rows, piece in pieces:
-        amp = np.ascontiguousarray(measurement.sqrt_table[:, rows]) @ piece
-        np.square(amp, out=amp)
-        table = amp if table is None else np.add(table, amp, out=table)
+    transfer = _transfer(a, inter, final_basis)
+    if transfer.folds is not None and measurement._lattice is not None:
+        table = _folded_table(transfer, measurement._lattice)
+    else:
+        table = _piece_table(transfer, measurement)
     marginal_b = table.sum(axis=0)
     safe = np.where(marginal_b > 0.0, marginal_b, 1.0)
+    baseline = transfer.baseline
     return JointDistribution(
         r_grid=measurement.r_grid,
         table=table,
@@ -182,13 +284,111 @@ def joint_distribution(
     )
 
 
+def _piece_table(transfer: _Transfer, measurement: Measurement) -> np.ndarray:
+    """The sum over pieces of (sqrt(P)[:, rows] @ piece)^2."""
+    table = None
+    for rows, piece in transfer.pieces:
+        amp = np.ascontiguousarray(measurement.sqrt_table[:, rows]) @ piece
+        np.square(amp, out=amp)
+        table = amp if table is None else np.add(table, amp, out=table)
+    return table
+
+
+def _folded_table(transfer: _Transfer, kernel: _KernelRow) -> np.ndarray:
+    """The piece sum folded on the mirror m -> -m (index m -> d - 1 - m).
+
+    Each piece's rows are closed under the mirror, and its columns split by
+    their sign s (``_Transfer.folds``), with piece[-m, b] = s piece[m, b]
+    off the centre.  So a column's sum over m is a sum over the
+    rows m < 0 against K_s(r, m) = sqrt P(r|m) + s sqrt P(r|-m), plus the
+    centre once where s = +1; where s = -1 the centre holds roundoff of an
+    exact zero and is dropped.  K_s is read from two strided views of the
+    sqrt row, each column with its own 1/sqrt(S).  The kernel is
+    mirror-symmetric bit for bit (``gaussian_kernel``), so
+    P(-r, b|a) = P(r, b|a): only the rows r <= 0 are computed, and the rows
+    r > 0 are their mirror copies.
+
+    The rows m < 0 are laid out in _SPLIT interleaved runs (``_runs``, the
+    centre last), so each entry's sum over m is _SPLIT partial products
+    added pairwise (``_split_product``).  The products are taken as (b, r),
+    so a column group adds into whole rows of the accumulator.
+    """
+    scale = kernel.sqrt_scale
+    d = scale.size
+    half = (d + 1) // 2
+    sqrt_p = toeplitz_view(kernel.sqrt_row)[:half]   # times scale[m]: sqrt P(r|x_m), r <= 0
+    top_t = np.zeros((d, half))                      # P(r, b|a) at r <= 0, as [b, r]
+    for (rows, _), fold in zip(transfer.pieces, transfer.folds):
+        m = np.arange(d)[rows]
+        k = m.size // 2
+        order, starts = _runs(k)
+        low, high = m[:k][order], m[::-1][:k][order]   # the rows m < 0 and their mirrors
+        near = sqrt_p[:, low]
+        near *= scale[low]
+        far = sqrt_p[:, high]
+        far *= scale[high]
+        plus = np.empty((half, m.size - k))
+        np.add(near, far, out=plus[:, :k])
+        if m.size % 2:
+            np.multiply(sqrt_p[:, m[k]], scale[m[k]], out=plus[:, k])
+        minus = np.subtract(near, far, out=near)
+        for block, (cols, part) in zip((plus, minus), fold):
+            amp = _split_product(part, block.T, starts)
+            top_t[cols] += np.square(amp, out=amp)
+    table = np.empty((d, d))
+    table[:half] = top_t.T
+    table[half:] = table[: d - half][::-1]
+    return table
+
+
+# Interleaved runs of the sum over m in each folded product.
+_SPLIT = 4
+
+
+def _split_product(a: np.ndarray, b: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """a @ b as _SPLIT partial products, over the runs of the inner index
+    that begin at ``starts`` (the last to the end), added pairwise.
+
+    One BLAS accumulation rounds once per term of the kernel's band.  Over
+    widths 0.3 to 1000 and x or y rows, the unfolded table (one product per
+    piece) is up to 3.6e-15 of its maximum off the exact sum of the same
+    rounded sqrt(P) and Y at spin 200 (d = 401), and 4.4e-15 at spin 500.
+    With each partial sum over every _SPLIT-th term of the band, the folded
+    table is within 8.6e-16 and 1.5e-15, for the same flops.
+    """
+    runs = [(a[:, lo:hi], b[lo:hi]) for lo, hi in zip(starts, [*starts[1:], None])]
+    p = np.empty((3, a.shape[0], b.shape[1]))        # one allocation for the partials
+    np.matmul(*runs[0], out=p[0])
+    np.matmul(*runs[1], out=p[1])
+    np.add(p[0], p[1], out=p[0])
+    np.matmul(*runs[2], out=p[1])
+    np.matmul(*runs[3], out=p[2])
+    np.add(p[1], p[2], out=p[1])
+    return np.add(p[0], p[1], out=p[0])
+
+
 _EVEN, _ODD, _ALL = slice(0, None, 2), slice(1, None, 2), slice(None)
 
 
+class _Transfer(NamedTuple):
+    """Y's real pieces (rows, piece), the baseline, and the folded pieces.
+
+    ``folds`` holds per piece two (columns, part) pairs: first for its
+    columns of mirror sign +1, then for those of sign -1 (for spin x and y
+    rows, the even and the odd columns).  A part is the piece at those
+    columns and its rows m < 0 in ``_runs`` order, with the centre last for
+    sign +1, laid out as [b, m] for ``_folded_table``.  ``folds`` is None
+    when some piece has no exact mirror sign per column, or rows that do
+    not map onto themselves under m -> d - 1 - m.
+    """
+
+    pieces: tuple[tuple[slice, np.ndarray], ...]
+    baseline: np.ndarray
+    folds: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...] | None
+
+
 @lru_cache(maxsize=1)
-def _transfer(
-    a: StateVector, inter: LabeledBasis, final: LabeledBasis
-) -> tuple[tuple[tuple[slice, np.ndarray], ...], np.ndarray]:
+def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis) -> _Transfer:
     """Y[m, b] = <m|a><b|m> as real pieces (rows, piece), and the baseline
     |<b|a>|^2.
 
@@ -202,6 +402,15 @@ def _transfer(
       one half-height piece holding its nonzero parts as re + im, exact as
       the other term is +-0: half the work of the next case;
     - any other Y is the two full pieces Re Y and Im Y.
+    Alongside, each piece's column mirror signs are read off its off-centre
+    rows, exactly (``_sign_groups``: spin x and y rows are exact mirrors,
+    and a y row's sign alternates with m, so each parity has its own).
+    Where every piece has them and its rows map onto themselves under the
+    mirror (full-height pieces, or even and odd rows at odd d), the
+    columns split by sign and the halves are laid out (``_Transfer.folds``)
+    for ``_folded_table``.
+    Half-integer spins (even d) with even/odd pieces are not folded: the
+    mirror swaps those pieces' rows.
     Independent of the kernel, so a sweep builds them once: the keys are
     immutable and hash by identity.  The arrays are read-only and
     C-contiguous.
@@ -209,15 +418,37 @@ def _transfer(
     y = scaled_overlaps(expand(a, inter), inter, final)
     re, im = y.real, y.imag
     if not im.any():
-        pieces = ((_ALL, re.copy()),)
+        parts = ((_ALL, re),)
     elif _parity_axes(re, im):
-        pieces = tuple((rows, re[rows] + im[rows]) for rows in (_EVEN, _ODD))
+        parts = tuple((rows, re[rows] + im[rows]) for rows in (_EVEN, _ODD))
     else:
-        pieces = ((_ALL, re.copy()), (_ALL, im.copy()))
+        parts = ((_ALL, re), (_ALL, im))
+    pieces = tuple((rows, np.ascontiguousarray(piece)) for rows, piece in parts)
+    groups = [_sign_groups(piece) if rows is _ALL or len(y) % 2 else None
+              for rows, piece in pieces]
+    folds = None
+    if None not in groups:
+        folds = tuple(_fold_parts(piece, signs) for (_, piece), signs in zip(pieces, groups))
     baseline = np.abs(expand(a, final)) ** 2
     for arr in (*(piece for _, piece in pieces), baseline):
         arr.flags.writeable = False
-    return pieces, baseline
+    return _Transfer(pieces, baseline, folds)
+
+
+def _fold_parts(piece: np.ndarray, signs: tuple[np.ndarray, np.ndarray]):
+    """The (columns, part) pairs of ``_Transfer.folds`` for one piece."""
+    k = len(piece) // 2
+    order, _ = _runs(k)
+    heads = (np.append(order, k)[: len(piece) - k], order)   # the centre with sign +1 only
+    return tuple((cols, _frozen(np.ascontiguousarray(piece[np.ix_(head, cols)].T)))
+                 for head, cols in zip(heads, signs))
+
+
+def _runs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows 0..k-1 in _SPLIT interleaved runs (every _SPLIT-th row
+    each), and where each run starts."""
+    runs = [np.arange(i, k, _SPLIT) for i in range(_SPLIT)]
+    return np.concatenate(runs), np.cumsum([0, *map(len, runs[:-1])])
 
 
 def _parity_axes(re: np.ndarray, im: np.ndarray) -> bool:
@@ -227,6 +458,20 @@ def _parity_axes(re: np.ndarray, im: np.ndarray) -> bool:
     even_real, odd_real = (~im[rows].any(axis=0) for rows in (_EVEN, _ODD))
     even_imag, odd_imag = (~re[rows].any(axis=0) for rows in (_EVEN, _ODD))
     return bool(np.all((even_real & odd_imag) | (even_imag & odd_real)))
+
+
+def _sign_groups(piece: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The indices of a piece's columns of mirror sign +1 and of sign -1,
+    read bit for bit off its off-centre rows (piece[n - 1 - l] = +-piece[l]);
+    None when some column has neither.  A column that is zero off the
+    centre has both signs and goes with +1, which keeps the centre.
+    """
+    k = len(piece) // 2
+    low, high = piece[:k], piece[::-1][:k]
+    even, odd = (high == low).all(axis=0), (high == -low).all(axis=0)
+    if not np.all(even | odd):
+        return None
+    return np.flatnonzero(even), np.flatnonzero(~even)
 
 
 @dataclass(frozen=True)
@@ -257,7 +502,8 @@ def nondisturbance_check(
     survive and the separation argument must hold), intersected with points
     of finite action curvature (all of them when ``points`` is empty).
     Kernel curvature is differenced along x_m for every outcome row, on the
-    support columns only; the edge columns take their neighbour's value.
+    support columns only, which a lattice kernel reads from its row (no
+    d x d P is laid out); the edge columns take their neighbour's value.
     The check passes when the ratio stays under NONDISTURBANCE_THRESHOLD.
     hbar is the profile's.
     """
@@ -280,11 +526,9 @@ def nondisturbance_check(
     # Second difference of each kernel row at the support columns c, with
     # the ufunc sequence of np.diff(table, 2, axis=1); the edge columns are
     # clipped onto their neighbour.
-    t = measurement.table
     c = np.clip(np.flatnonzero(support), 1, profile.dim - 2)
-    pcurv = np.abs((t[:, c + 1] - t[:, c]) - (t[:, c] - t[:, c - 1])) / (
-        profile.spacing[c] ** 2
-    )
+    left, mid, right = np.split(measurement._columns(np.concatenate([c - 1, c, c + 1])), 3, axis=1)
+    pcurv = np.abs((right - mid) - (mid - left)) / (profile.spacing[c] ** 2)
     max_ratio = float(np.max(pcurv / scurv[np.newaxis, :]))
     passed = bool(max_ratio < NONDISTURBANCE_THRESHOLD)
     return SlowKernelReport(max_ratio, passed, n_support)

@@ -1,5 +1,7 @@
 import copy
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from actionlab.hilbert import (
     expand,
     inner,
 )
+import actionlab.measurement as measurement_module
 from actionlab.measurement import Measurement
 from actionlab.models import (
     RingParameters,
@@ -259,6 +262,48 @@ def gaussian_kernel_raw(basis, delta_x_r: float) -> np.ndarray:
         / (np.sqrt(2.0 * np.pi) * delta_x_r)
         * np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * delta_x_r**2))
     )
+
+
+def bench_module(name: str):
+    """A module of ``perfbench/``, loaded from its file without touching sys.path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def table_paths(monkeypatch):
+    """The names of the table builders ``joint_distribution`` runs, in order:
+    ``_folded_table`` or ``_piece_table``."""
+    ran = []
+    for name in ("_folded_table", "_piece_table"):
+        def spy(*args, _name=name, _builder=getattr(measurement_module, name)):
+            ran.append(_name)
+            return _builder(*args)
+        monkeypatch.setattr(measurement_module, name, spy)
+    return ran
+
+
+def textbook_joint_table(a: StateVector, inter, final, measurement: Measurement) -> np.ndarray:
+    """|sum_m <b|m> sqrt(P(r|x_m)) <m|a>|^2 for every (r, b): the reference for
+    ``joint_distribution``.
+
+    Every overlap is formed explicitly from the basis rows, and the sums
+    over m run in extended precision (np.longdouble) on the measurement's
+    own sqrt(P), so the reference carries the rounding of its inputs only,
+    not that of a float64 accumulation.  Rows m where a part of Y is zero
+    add exact zeros, and are skipped.
+    """
+    y = ((final.vectors.conj() @ inter.vectors.T).T
+         * (inter.vectors.conj() @ a.amplitudes)[:, np.newaxis])
+    sqrt_p = measurement.sqrt_table.astype(np.longdouble)
+    table = np.zeros(y.shape, dtype=np.longdouble)
+    for part in (y.real, y.imag):
+        rows = part.any(axis=1)
+        table += (sqrt_p[:, rows] @ part[rows].astype(np.longdouble)) ** 2
+    return table.astype(float)
 
 
 def dense_overlap_scan(windowed, rates, half: float, n: int) -> tuple[np.ndarray, np.ndarray]:

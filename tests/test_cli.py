@@ -165,11 +165,36 @@ class TestExitCodes:
         (QUBIT_CFG, "schema_version", True, "schema_version"),
         (QUBIT_CFG, "model.name", DELETE, "model.name"),
         (QUBIT_CFG, "a.basis", DELETE, "a.basis"),
+        # A valid field that gives no usable action profile: on a ring
+        # position intermediate the position eigenstates a and b leave fewer
+        # than 2 valid phases.  With pairs configured the scan names the pair.
+        (RING_EMERGENCE_CFG, "intermediate", "position", "intermediate"),
+        (dict(RING_EMERGENCE_CFG, emergence={"pairs": [[100.0, 120.0]]}), "intermediate",
+         "position", "emergence.pairs[0]"),
     ])
     def test_malformed_value_reports_field(self, tmp_path, capsys, base, path, value, field):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(mutated(base, path, value)))
         command = "propagate" if base is RING_PROPAGATION_CFG else "emerge"
+        out = tmp_path / "out"
+        assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field}:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    # Unusable action profiles under the other commands that build one: b
+    # orthogonal to a, so <b|a> vanishes, and the ring position intermediate.
+    @pytest.mark.parametrize("command, base, path, value, field", [
+        *((command, QUBIT_CFG, "b", {"basis": "x", "eigenvalue": -0.5}, "b")
+          for command in ("profile", "sweep", "propagate")),
+        *((command, dict(RING_EMERGENCE_CFG, sweep={"values": [1.0], "units": "absolute"}),
+           "intermediate", "position", "intermediate") for command in ("profile", "sweep")),
+    ])
+    def test_unusable_profile_reports_field(self, tmp_path, capsys, command, base, path, value,
+                                            field):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(mutated(base, path, value)))
         out = tmp_path / "out"
         assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -8,9 +8,9 @@ import pytest
 
 from actionlab.action import action_profile, stationary_points
 from actionlab.errors import ConfigError, ScanBoundaryError
-from actionlab.hilbert import DiagonalUnitary, apply_diagonal, orthonormality_deviation
+from actionlab.hilbert import DiagonalUnitary, apply_diagonal, expand, orthonormality_deviation
 from actionlab.cli import load_config
-from actionlab.measurement import _transfer, gaussian_kernel, joint_distribution
+from actionlab.measurement import Measurement, _transfer, gaussian_kernel, joint_distribution
 from actionlab.models import SPIN_PROFILE_SMOOTHING_SPACINGS, make_packet
 from actionlab.experiments import (
     MAX_J,
@@ -29,7 +29,7 @@ from actionlab.experiments import (
     run_propagation_time_experiment,
     run_resolution_sweep,
 )
-from conftest import UNIT, dense_overlap_scan, mutated, per_pair_emergence
+from conftest import UNIT, bench_module, dense_overlap_scan, mutated, per_pair_emergence
 
 SPIN20_SWEEP = {
     "model": {"name": "spin", "j": 20},
@@ -183,15 +183,76 @@ class TestResolutionSweep:
         z, y = system.basis("z"), system.basis("y")
         cached = _transfer(a, z, y)
         assert _transfer(a, z, y) is cached
-        pieces, baseline = cached
-        # An x eigenstate through z into y: the even/odd half-height pieces.
+        pieces, baseline, folds = cached
+        # An x eigenstate through z into y: the even/odd half-height pieces,
+        # each an exact mirror whose sign alternates with the column.
         assert [rows for rows, _ in pieces] == [slice(0, None, 2), slice(1, None, 2)]
-        for _, piece in pieces:
+        even, odd = list(range(0, 41, 2)), list(range(1, 40, 2))
+        # The odd rows are zero in the column of y eigenvalue 0 (index 20): it
+        # has both signs and goes with +1.
+        assert [[cols.tolist() for cols, _ in fold] for fold in folds] == [
+            [even, odd], [sorted(odd + [20]), [b for b in even if b != 20]]]
+        for _, piece in (*pieces, *(pair for fold in folds for pair in fold)):
             assert not piece.flags.writeable and piece.flags.c_contiguous
         assert not baseline.flags.writeable
         misses = _transfer.cache_info().misses
         _transfer(system.basis("x").state_at(5.0), z, y)
         assert _transfer.cache_info().misses == misses + 1
+
+
+    def test_sweeps_fold_and_lay_out_no_kernel_table(self, monkeypatch, table_paths):
+        # The bundled sweep and the benchmark's spin sweep (j = 200, x -> z
+        # -> y) take the folded product for every value, and no value lays
+        # out the d x d P or sqrt(P): each kernel is read from its row.
+        def refuse(kernel):
+            raise AssertionError("a sweep value laid out a d x d kernel table")
+
+        monkeypatch.setattr(Measurement, "table", property(refuse))
+        monkeypatch.setattr(Measurement, "sqrt_table", property(refuse))
+        workloads = bench_module("workloads")
+        ((_, bench),) = workloads.spin_sweep(workloads.DEFAULT_SEED)
+        for raw in (json.loads((CONFIGS / "spin20_sweep.json").read_text()), bench):
+            cfg, _ = config_from_dict(raw)
+            table_paths.clear()
+            run_resolution_sweep(cfg)
+            assert table_paths == ["_folded_table"] * len(cfg.sweep.values)
+
+
+class TestSweepClosedFormsAtSize:
+    """The sweep's closed forms at j = 1000 (d = 2001): an x eigenstate at
+    0.4 j through z into y, on the folded product."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        cfg, _ = config_from_dict({
+            "model": {"name": "spin", "j": 1000},
+            "a": {"basis": "x", "eigenvalue": 400.0},
+            "b": {"basis": "y", "eigenvalue": 400.0},
+            "intermediate": "z",
+            "sweep": {"values": [1e-12, 4000.0, 40000.0], "units": "absolute"},
+        })
+        system = build_system(cfg.model, cfg.constants)
+        a = build_state(system, cfg.a, "a")
+        z, y = system.basis("z"), system.basis("y")
+        table = run_resolution_sweep(cfg)
+        assert _transfer(a, z, y).folds is not None
+        return expand(a, z)[:, np.newaxis] * y.vectors.conj().T, table
+
+    def test_projective_limit(self, sweep):
+        # At the config's smallest width every off-centre exponential
+        # underflows, so P is the identity, P(r, b|a) = |Y[r, b]|^2 with
+        # Y[m, b] = <m|a><b|m>, and TV = 1/2 sum_b |sum_m |Y|^2 - |sum_m Y|^2|.
+        y, table = sweep
+        closed = 0.5 * np.sum(np.abs(np.sum(np.abs(y) ** 2, axis=0) - np.abs(y.sum(axis=0)) ** 2))
+        assert table.column("tv_disturbance")[0] == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert abs(table.column("total_probability")[0] - 1.0) <= 1e-10
+
+    def test_wide_limit_falls_as_inverse_fourth_power(self, sweep):
+        # Once the width exceeds the spectrum the disturbance falls like
+        # width^-4: ten times wider is 1e4 times less.
+        _, table = sweep
+        tv = table.column("tv_disturbance")
+        assert tv[1] / tv[2] == pytest.approx(1e4, rel=0.01)
 
 
 class TestRingResolutionSweep:

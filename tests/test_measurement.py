@@ -29,6 +29,7 @@ from conftest import (
     gaussian_kernel_raw,
     measurement_amplitude,
     stationary_phase_overlap,
+    textbook_joint_table,
 )
 
 
@@ -106,8 +107,17 @@ class TestGaussianKernel:
         assert _is_lattice(basis.eigenvalues) is lattice
         delta = spacings * float(np.median(basis.spacing))
         raw = gaussian_kernel_raw(basis, delta)
-        assert np.array_equal(gaussian_kernel(basis, delta).table,
-                              raw / raw.sum(axis=0, keepdims=True))
+        sums = raw.sum(axis=0)
+        table = gaussian_kernel(basis, delta).table
+        if lattice:
+            # The columns m > 0 take the sums of their mirrors -m, the same
+            # numbers in reverse order, so the kernel is mirror-symmetric
+            # bit for bit; they stay within roundoff of their own sums.
+            d = sums.size
+            assert np.max(np.abs(table - raw / sums)) <= 1e-15 * np.max(table)
+            sums = np.concatenate([sums[: (d + 1) // 2], sums[: d // 2][::-1]])
+            assert np.array_equal(table[::-1, ::-1], table)
+        assert np.array_equal(table, raw / sums)
 
     def test_closed_form_prefactor_from_gaussian_integral(self):
         # Independent derivation of the (8 pi d^2/dx^2)^(1/4) prefactor: the
@@ -141,12 +151,17 @@ class TestBuildMeasurement:
             ops = gaussian_kernel(z, delta)
             assert ops.completeness_deviation() < 1e-10
 
-    def test_completeness_deviation_equals_recomputed_sum(self, spin20):
-        z = spin20.basis("z")
-        for delta in (0.5, 2.0, 10.0):
-            ops = gaussian_kernel(z, delta)
-            fresh = float(np.max(np.abs((ops.sqrt_table**2).sum(axis=0) - 1.0)))
-            assert ops.completeness_deviation() == fresh
+    def test_completeness_deviation_equals_recomputed_sum(self, spin20, ring256):
+        # A lattice kernel sums sqrt(P) laid out at most 256 columns at a time
+        # (d = 41, 258, 401, 2001 and the ring's 256 positions), a dense one
+        # (ring momenta) its whole table: the sum over the table bit for bit.
+        bases = [spin20.basis("z"), *(spin_system(j).basis("z") for j in (128.5, 200.0, 1000.0)),
+                 ring256.basis("position"), ring256.basis("momentum")]
+        for basis in bases:
+            for delta in (0.5, 2.0, 10.0):
+                ops = gaussian_kernel(basis, delta * float(np.median(basis.spacing)))
+                fresh = float(np.max(np.abs((ops.sqrt_table**2).sum(axis=0) - 1.0)))
+                assert ops.completeness_deviation() == fresh
 
     def test_qubit_binary_kernel_amplitude(self, qubit):
         # Hand arithmetic: <b|M(0)|a> = sqrt(1-q)/2 - i sqrt(q)/2.
@@ -231,14 +246,18 @@ class TestJointDistribution:
         # The dense formula builds the transfer matrix Y[m, b] = <m|a><b|m>
         # with the materialized identity.  With a real a and x-derived final
         # rows, each column's even-m entries of Y lie on one axis and its
-        # odd-m entries on the other, so the table is the sum of the squared
-        # half products sqrt(P)[:, rows] @ (Re + Im) Y[rows] over the even
-        # and odd rows; the identity path skips the identity product and must
-        # not move a bit of it.  The old single product, re^2 + im^2 of
-        # sqrt(P) Y on Y's interleaved parts, agrees within 1e-15 of the
-        # table maximum.  The final basis is a complex-row copy of y, whose
-        # product is the dense formula's; the phased y itself is checked in
-        # TestTransferPieces.
+        # odd-m entries on the other, so the table is the sum over the even
+        # and odd rows of the squared products with the pieces (Re + Im)
+        # Y[rows].  Each piece is an exact mirror, piece[-m] = s piece[m],
+        # with one sign s per column (the even and the odd columns here), so
+        # its product folds onto the rows m < 0 against
+        # sqrt(P)[:, m] + s sqrt(P)[:, -m], the centre once for s = +1, each
+        # sum over m taken as four partial sums over every fourth row m < 0
+        # (the centre in the last), added pairwise, and only the rows r <= 0
+        # are computed; the rows r > 0 are their mirror.  The identity path
+        # skips the identity product and must not move a bit of that.  The
+        # final basis is a complex-row copy of y, whose product is the dense
+        # formula's; the phased y itself is checked in TestTransferPieces.
         a, _, _ = spin20_profile
         z = spin20.basis("z")
         y = LabeledBasis(spin20.basis("y").vectors, spin20.basis("y").eigenvalues)
@@ -247,15 +266,47 @@ class TestJointDistribution:
         dense_y = alpha[:, np.newaxis] * (z.vectors @ y.vectors.conj().T)
         assert np.array_equal(np.conj(np.conj(np.diag(alpha)) @ y.vectors.T).view(float),
                               dense_y.view(float))
-        even, odd = (np.ascontiguousarray(ops.sqrt_table[:, rows])
-                     @ (dense_y.real[rows] + dense_y.imag[rows])
-                     for rows in (slice(0, None, 2), slice(1, None, 2)))
+        groups = [[cols for cols, _ in fold] for fold in _transfer(a, z, y).folds]
+        even, odd = list(range(0, 41, 2)), list(range(1, 40, 2))
+        # The odd rows are zero in the column of y eigenvalue 0 (index 20): it
+        # has both signs and goes with +1.
+        assert [[cols.tolist() for cols in pair] for pair in groups] == [
+            [even, odd], [sorted(odd + [20]), [b for b in even if b != 20]]]
+        sqrt_p = ops.sqrt_table[:21]                     # the rows r <= 0
+        top_t = np.zeros((41, 21))                       # as [b, r]
+        for rows, pair in zip((slice(0, None, 2), slice(1, None, 2)), groups):
+            piece = (dense_y.real + dense_y.imag)[rows]
+            m = np.arange(41)[rows]
+            k = m.size // 2
+            order = np.concatenate([np.arange(i, k, 4) for i in range(4)])
+            starts = [0, *np.cumsum([len(range(i, k, 4)) for i in range(3)])]
+            near, far = sqrt_p[:, m[:k][order]], sqrt_p[:, m[::-1][:k][order]]
+            plus = np.column_stack([near + far, sqrt_p[:, m[k:k + m.size % 2]]])
+            head = np.append(order, k)
+            for block, cols in zip((plus, near - far), pair):
+                part = np.ascontiguousarray(piece[np.ix_(head[:block.shape[1]], cols)].T)
+                amp = [part[:, lo:hi] @ block[:, lo:hi].T
+                       for lo, hi in zip(starts, [*starts[1:], None])]
+                top_t[cols] += ((amp[0] + amp[1]) + (amp[2] + amp[3])) ** 2
         joint = joint_distribution(a, y, ops)
-        assert np.array_equal(joint.table, even**2 + odd**2)
-        amp = ops.sqrt_table @ dense_y.view(float)
-        interleaved = amp[:, 0::2] ** 2 + amp[:, 1::2] ** 2
-        assert np.max(np.abs(joint.table - interleaved)) <= 1e-15 * np.max(interleaved)
+        assert np.array_equal(joint.table, np.vstack([top_t.T, top_t.T[:20][::-1]]))
+        textbook = textbook_joint_table(a, z, y, ops)
+        assert np.max(np.abs(joint.table - textbook)) <= 1e-15 * np.max(textbook)
         assert np.array_equal(joint.baseline, np.abs(y.vectors.conj() @ a.amplitudes) ** 2)
+
+    @pytest.mark.parametrize("final_name", ["x", "y"])
+    def test_folded_rows_mirror_and_ties_take_largest_x(self, spin20, spin20_profile,
+                                                        final_name):
+        # The folded table's rows r > 0 are copies of its rows r < 0, so
+        # every column's maximum is an exact tie at -r and +r, and it
+        # resolves to +r, the largest tied x_r.
+        a, _, _ = spin20_profile
+        joint = joint_distribution(a, spin20.basis(final_name),
+                                   gaussian_kernel(spin20.basis("z"), 3.0))
+        assert np.array_equal(joint.table, joint.table[::-1])
+        for b_index in range(41):
+            peak = joint.r_grid[np.argmax(joint.table[:, b_index])]
+            assert joint.conditional_argmax(b_index) == abs(peak)
 
     @pytest.mark.parametrize("inter_name, final_name", [("x", "y"), ("x", "z"), ("z", "y")])
     def test_dense_intermediate_matches_textbook_sum(self, spin20, inter_name, final_name):
@@ -339,11 +390,10 @@ class TestJointDistribution:
 
 
 
-def _interleaved_stats(ops, y, baseline):
-    """The table, TV and factorization residual of the single real product
-    sqrt(P) @ Y.view(float) on Y's interleaved real and imaginary parts."""
-    amp = ops.sqrt_table @ np.ascontiguousarray(y).view(float)
-    table = amp[:, 0::2] ** 2 + amp[:, 1::2] ** 2
+def _textbook_stats(a, inter, final, ops, baseline):
+    """The textbook table (``textbook_joint_table``), its TV and its
+    factorization residual."""
+    table = textbook_joint_table(a, inter, final, ops)
     marginal = table.sum(axis=0)
     tv = 0.5 * float(np.abs(marginal - baseline).sum())
     residual = float(np.max(table.max(axis=0) / marginal * np.abs(baseline - marginal)))
@@ -351,14 +401,15 @@ def _interleaved_stats(ops, y, baseline):
 
 
 class TestTransferPieces:
-    """``_transfer`` reads its real pieces off Y's exact zeros; every split
-    gives the table of the full complex product within roundoff."""
+    """``_transfer`` reads its real pieces and their column mirror signs off
+    Y's exact zeros and exact mirror; every split, folded or not, gives the
+    textbook table within roundoff."""
 
     EVEN_ODD = [slice(0, None, 2), slice(1, None, 2)]
 
     @pytest.mark.parametrize("j", [20.0, 20.5, 200.0])
     @pytest.mark.parametrize("final_name", ["x", "y", "complex-row y"])
-    def test_x_eigenstate_through_z_splits_by_parity(self, j, final_name):
+    def test_x_eigenstate_through_z_splits_by_parity(self, table_paths, j, final_name):
         system = spin_system(j)
         z = system.basis("z")
         final = system.basis(final_name.removeprefix("complex-row "))
@@ -366,32 +417,36 @@ class TestTransferPieces:
             final = LabeledBasis(final.vectors, final.eigenvalues)
         a = system.basis("x").state_at(0.4 * j)
         ops = gaussian_kernel(z, 3.0)
-        pieces, baseline = _transfer(a, z, final)
+        pieces, baseline, folds = _transfer(a, z, final)
         # x rows make Y real: one full-height piece, the same product work
         # as the split that the y phases allow.
         expected = [slice(None)] if final_name == "x" else self.EVEN_ODD
         assert [rows for rows, _ in pieces] == expected
         assert sum(piece.shape[0] for _, piece in pieces) == system.dimension
+        # Every piece folds but the even/odd pieces at even d (j = 20.5),
+        # whose rows the mirror swaps.
+        folded = final_name == "x" or j % 1 == 0
+        assert (folds is not None) is folded
         joint = joint_distribution(a, final, ops)
-        y = expand(a, z)[:, np.newaxis] * final.vectors.conj().T
-        table, tv, residual = _interleaved_stats(ops, y, baseline)
+        assert table_paths == ["_folded_table" if folded else "_piece_table"]
+        table, tv, residual = _textbook_stats(a, z, final, ops, baseline)
         assert np.max(np.abs(joint.table - table)) <= 1e-15 * np.max(table)
         assert abs(joint.total_variation - tv) <= 1e-15
         assert abs(joint.factorization_residual - residual) <= 1e-15
 
     @pytest.mark.parametrize("j", [20.0, 20.5])
     @pytest.mark.parametrize("final_name", ["y", "z"])
-    def test_complex_state_through_x_takes_general_pieces(self, j, final_name):
+    def test_complex_state_through_x_takes_general_pieces(self, table_paths, j, final_name):
         system = spin_system(j)
         inter, final = system.basis("x"), system.basis(final_name)
         a = random_state(system.dimension, np.random.default_rng(int(2 * j)))
         ops = gaussian_kernel(inter, 3.0)
-        pieces, _ = _transfer(a, inter, final)
+        pieces, _, folds = _transfer(a, inter, final)
         assert [rows for rows, _ in pieces] == [slice(None), slice(None)]
+        assert folds is None
         joint = joint_distribution(a, final, ops)
-        b_m = final.vectors.conj() @ inter.vectors.T
-        m_a = inter.vectors.conj() @ a.amplitudes
-        textbook = np.abs(np.einsum("bm,rm,m->rb", b_m, ops.sqrt_table, m_a)) ** 2
+        assert table_paths == ["_piece_table"]
+        textbook = textbook_joint_table(a, inter, final, ops)
         assert np.max(np.abs(joint.table - textbook)) <= 1e-15
 
 
