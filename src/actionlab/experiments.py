@@ -486,15 +486,15 @@ def _profile_for(cfg: ExperimentConfig):
     return system, a, b, basis, profile
 
 
-def _profile(a, basis, b, constants, smoothing, pair=None):
+def _profile(a, basis, b, constants, smoothing, pair=None, values=None):
     """``action_profile``; a config with no usable profile names ``b`` when
     <b|a> vanishes and ``intermediate`` when too few phases are valid, or
-    ``pair`` (an ``emergence.pairs[i]`` field) where given."""
+    where given the emergence field ``pair`` and the pair's ``values``."""
     try:
         return action_profile(a, basis, b, constants, smoothing=smoothing)
     except (UndefinedPhaseError, ProfileTooSparseError) as err:
         field = "b" if isinstance(err, UndefinedPhaseError) else "intermediate"
-        raise ConfigError(str(err), field=pair or field) from err
+        raise ConfigError(f"pair {values}: {err}" if pair else str(err), field=pair or field) from err
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +531,7 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
     b_index = final_basis.index_at(float(cfg.b.eigenvalue))
     unit = points[0].delta_x_m if cfg.sweep.units == "delta_x_m" else 1.0
     stars = np.array([p.x_star for p in points]) if points else np.array([])
-    dominant_x = points[0].x_star if points else float(np.nan)
+    dominant_x = points[0].x_star if points else np.nan
 
     # One call per value, so each value's d x d arrays are freed before the
     # next value builds its own; a plain loop would hold two sets at once.
@@ -546,8 +546,8 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
             offset = float(np.min(np.abs(stars - argmax)))
         else:
             regime = "n/a"
-            argmax = float(np.nan)
-            offset = float(np.nan)
+            argmax = np.nan
+            offset = np.nan
         return {
             "sweep_value": value,
             "delta_x_r": delta,
@@ -560,8 +560,8 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
             "argmax_offset": offset,
             "povm_deviation": kernel.completeness_deviation(),
             "total_probability": joint.total_probability,
-            "delta_x_m": points[0].delta_x_m if points else float(np.nan),
-            "delta_n": points[0].delta_n if points else float(np.nan),
+            "delta_x_m": points[0].delta_x_m if points else np.nan,
+            "delta_n": points[0].delta_n if points else np.nan,
         }
 
     return ResultTable(
@@ -610,11 +610,14 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
         amps_a = expand(a_basis.states(a_index), basis)
         rows = []
         for i, amp_a, amp_b in zip(block, amps_a, amps_b):
-            pair = f"emergence.pairs[{i}]" if cfg.emergence else None
-            points = stationary_points(_profile(amp_a, basis, amp_b, constants, smoothing, pair))
+            # A model's default pair names the field that would replace it.
+            pair = (f"emergence.pairs[{i}]" if cfg.emergence
+                    else "emergence.pairs" if system.emergence_pairs else None)
+            points = stationary_points(_profile(amp_a, basis, amp_b, constants, smoothing,
+                                                pair, pairs[i]))
             x_a, x_b = pairs[i]
             predicted = system.classical_oracle(x_a, x_b)
-            template = dict.fromkeys(EMERGENCE_COLUMNS, float(np.nan))
+            template = dict.fromkeys(EMERGENCE_COLUMNS, np.nan)
             template.update(x_a=x_a, x_b=x_b, found=False, classically_allowed=bool(predicted))
             if not predicted:
                 rows.append(dict(template, branch=0.0, found=len(points) > 0))

@@ -5,22 +5,22 @@ conditional probabilities P(r|x_m) of obtaining outcome r when the system
 sits at x_m.  The minimal-decoherence implementation applies the diagonal
 operator with entries sqrt(P(r|x_m)); anything noisier adds decoherence the
 statistics do not require.  This module builds one ``Measurement`` per
-kernel (its basis with P and sqrt(P), held dense or, for a Gaussian on a
-lattice grid, as one row of exponentials and the column sums), exact joint
-outcome statistics (one P(r, b|a) table, a sum of squared real products of
-sqrt(P) with the real pieces of a transfer matrix that does not depend on
-the kernel and is built once per sweep, folded on the spin mirror where the
-pieces allow, with the disturbance and factorization metrics read off it
-once), the slow-kernel (non-disturbance) condition, and the
-high-resolution regime where the measurement resolves the action gradient
-instead of the intermediate value.
+kernel (its basis with P and sqrt(P), read through one accessor and held
+dense or, for a Gaussian on a lattice grid, as one row of exponentials and
+the column sums), exact joint outcome statistics (one P(r, b|a) table, a
+sum of squared real products of sqrt(P) with the real pieces of a transfer
+matrix that does not depend on the kernel and is laid out once per sweep,
+folded on the spin mirror where the pieces allow, with the disturbance and
+factorization metrics read off it once), the slow-kernel
+(non-disturbance) condition, and the high-resolution regime where the
+measurement resolves the action gradient instead of the intermediate value.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -64,20 +64,17 @@ class _KernelRow(NamedTuple):
 class Measurement:
     """One intermediate measurement: P(r|x_m) and its operators M(r) on a basis.
 
-    ``table[r, m]`` is the probability of outcome r given the value x_m of
-    ``basis`` (whose eigenvalues are the outcome grid); columns sum to one.
-    ``sqrt_table`` holds the operators' diagonals sqrt(P(r|x_m)), and
-    ``resolution`` the Gaussian width (0 for projective).
+    ``at(r, m)`` reads P(r|x_m), the probability of outcome r given the
+    value x_m of ``basis`` (whose eigenvalues are the outcome grid; columns
+    sum to one), and ``at(r, m, sqrt=True)`` the operators' diagonals
+    sqrt(P(r|x_m)).  ``resolution`` is the Gaussian width (0 for projective).
 
-    Two layouts.  A table given to ``build_measurement``, which validates
-    it, is held as the dense d x d P and sqrt(P).  A Gaussian on a lattice
-    grid (``gaussian_kernel``) is held as one row of 2d - 1 weighted
-    exponentials and the d column sums (``_KernelRow``); its ``table`` and
-    ``sqrt_table`` are laid out on first read and cached.  A sweep value
-    reads neither: ``joint_distribution`` folds on the row where the
-    transfer allows, and ``nondisturbance_check`` reads P at its support
-    columns only.  ``high_res_amplitude``, the invariant suite and the
-    unfolded joint tables read the laid-out arrays.
+    Two layouts, which only this class and its constructors read.  A table
+    given to ``build_measurement``, which validates it, is held as the dense
+    d x d P and sqrt(P).  A Gaussian on a lattice grid (``gaussian_kernel``)
+    is held as one row of 2d - 1 weighted exponentials and the d column sums
+    (``_KernelRow``), and ``at`` lays out only the entries asked for.  Such
+    a kernel is ``mirrored``: P(-r|x_-m) = P(r|x_m) bit for bit.
     """
 
     basis: LabeledBasis
@@ -90,27 +87,25 @@ class Measurement:
     def r_grid(self) -> np.ndarray:
         return self.basis.eigenvalues
 
+    @property
+    def mirrored(self) -> bool:
+        return self._lattice is not None
+
     def completeness_deviation(self) -> float:
         """Max elementwise deviation of sum_r M(r)^dag M(r) from identity."""
         return self._deviation
 
-    @cached_property
-    def table(self) -> np.ndarray:
+    def at(self, r, m, sqrt: bool = False) -> np.ndarray:
+        """P(r|x_m), or sqrt(P) with ``sqrt``, at the outcome rows ``r`` and
+        the state columns ``m`` (each an index or a slice, or for ``m`` an
+        index array).  A dense kernel returns a read-only view wherever
+        numpy indexing gives one; a lattice kernel a new array."""
         if self._lattice is None:
-            return self._dense[0]
-        return _frozen(toeplitz_view(self._lattice.row) / self._lattice.col_sums)
-
-    @cached_property
-    def sqrt_table(self) -> np.ndarray:
-        if self._lattice is None:
-            return self._dense[1]
-        return _frozen(toeplitz_view(self._lattice.sqrt_row) * self._lattice.sqrt_scale)
-
-    def _columns(self, m: np.ndarray) -> np.ndarray:
-        """P(r|x_m) for every r, at the columns ``m`` only."""
-        if self._lattice is None:
-            return self.table[:, m]
-        return toeplitz_view(self._lattice.row)[:, m] / self._lattice.col_sums[m]
+            return self._dense[int(sqrt)][r, m]
+        kernel = self._lattice
+        if sqrt:
+            return toeplitz_view(kernel.sqrt_row)[r, m] * kernel.sqrt_scale[m]
+        return toeplitz_view(kernel.row)[r, m] / kernel.col_sums[m]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -158,13 +153,13 @@ def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> Measurement:
     R's length-d windows in the dense table's order, and each column m > 0
     takes the sum of its mirror -m, the same numbers in reverse order, so
     the kernel is mirror-symmetric bit for bit, P(-r|x_-m) = P(r|x_m), as
-    ``_folded_table`` needs.  Each is validated per value: R finite and
-    non-negative, every S finite and positive (so each column of R/S sums
-    to one), and the operators' completeness, summed over sqrt(P) laid out
-    a block of columns at a time and reported as
-    ``completeness_deviation``: the sum over a laid-out ``sqrt_table`` bit
-    for bit.  Other grids (ring momenta, positive energies) build the dense
-    table.
+    the folded joint table needs (``Measurement.mirrored``).  Each is
+    validated per value: R finite and non-negative, every S finite and
+    positive (so each column of R/S sums to one), and the operators'
+    completeness, summed over sqrt(P) laid out a block of columns at a time
+    and reported as ``completeness_deviation``: the sum over the whole
+    laid-out sqrt(P) bit for bit.  Other grids (ring momenta, positive
+    energies) build the dense table.
     """
     if not (delta_x_r > 0 and np.isfinite(delta_x_r)):
         raise ValueError(f"delta_x_r must be positive, got {delta_x_r}")
@@ -256,22 +251,17 @@ def joint_distribution(
 
     <b|M(r)|a> = sum_m sqrt(P(r|x_m)) Y[m, b], and ``_transfer`` splits Y
     into real pieces whose products with sqrt(P) are orthogonal parts of it,
-    so P(r, b|a) is the sum over pieces of (sqrt(P)[:, rows] @ piece)^2.
-    When Y has an exact mirror sign per column and the kernel is a lattice
-    row, that sum is folded (``_folded_table``): a quarter of the products.
-    Otherwise it is one real product per piece (``_piece_table``).  As
-    P >= 0, the factorization residual is max_b (max_r P / P_b)
+    so P(r, b|a) is the sum over pieces of (sqrt(P)[:, rows] @ piece)^2
+    (``_joint_table``), folded on the mirror where Y and the kernel allow.
+    As P >= 0, the factorization residual is max_b (max_r P / P_b)
     |P(b|a) - P_b|, with P_b the column sum; the ratio is at most one, so a
     tiny P_b cannot overflow.
     """
     inter = measurement.basis
     if a.dim != inter.dim or final_basis.dim != inter.dim:
         raise ValueError("dimension mismatch between state, bases and operators")
-    transfer = _transfer(a, inter, final_basis)
-    if transfer.folds is not None and measurement._lattice is not None:
-        table = _folded_table(transfer, measurement._lattice)
-    else:
-        table = _piece_table(transfer, measurement)
+    transfer = _transfer(a, inter, final_basis, measurement.mirrored)
+    table = _joint_table(transfer, measurement)
     marginal_b = table.sum(axis=0)
     safe = np.where(marginal_b > 0.0, marginal_b, 1.0)
     baseline = transfer.baseline
@@ -284,56 +274,40 @@ def joint_distribution(
     )
 
 
-def _piece_table(transfer: _Transfer, measurement: Measurement) -> np.ndarray:
-    """The sum over pieces of (sqrt(P)[:, rows] @ piece)^2."""
-    table = None
-    for rows, piece in transfer.pieces:
-        amp = np.ascontiguousarray(measurement.sqrt_table[:, rows]) @ piece
-        np.square(amp, out=amp)
-        table = amp if table is None else np.add(table, amp, out=table)
-    return table
+def _joint_table(transfer: _Transfer, measurement: Measurement) -> np.ndarray:
+    """The sum over pieces of (sqrt(P)[:, rows] @ piece)^2, each product
+    taken as [b, r] so a column group adds into whole rows of the
+    accumulator, and each sum over m as _SPLIT partial products over
+    interleaved runs of m, added pairwise (``_split_product``).
 
-
-def _folded_table(transfer: _Transfer, kernel: _KernelRow) -> np.ndarray:
-    """The piece sum folded on the mirror m -> -m (index m -> d - 1 - m).
-
-    Each piece's rows are closed under the mirror, and its columns split by
-    their sign s (``_Transfer.folds``), with piece[-m, b] = s piece[m, b]
-    off the centre.  So a column's sum over m is a sum over the
-    rows m < 0 against K_s(r, m) = sqrt P(r|m) + s sqrt P(r|-m), plus the
-    centre once where s = +1; where s = -1 the centre holds roundoff of an
-    exact zero and is dropped.  K_s is read from two strided views of the
-    sqrt row, each column with its own 1/sqrt(S).  The kernel is
-    mirror-symmetric bit for bit (``gaussian_kernel``), so
-    P(-r, b|a) = P(r, b|a): only the rows r <= 0 are computed, and the rows
-    r > 0 are their mirror copies.
-
-    The rows m < 0 are laid out in _SPLIT interleaved runs (``_runs``, the
-    centre last), so each entry's sum over m is _SPLIT partial products
-    added pairwise (``_split_product``).  The products are taken as (b, r),
-    so a column group adds into whole rows of the accumulator.
+    Folded (``_Transfer.folded``), each piece's rows are closed under the
+    mirror m -> -m (index m -> d - 1 - m), and its columns split by their
+    sign s, with piece[-m, b] = s piece[m, b] off the centre.  So a
+    column's sum over m is a sum over the rows m < 0 against
+    K_s(r, m) = sqrt P(r|m) + s sqrt P(r|-m), plus the centre once where
+    s = +1; where s = -1 the centre holds roundoff of an exact zero and is
+    dropped.  The kernel is mirror-symmetric bit for bit
+    (``gaussian_kernel``), so P(-r, b|a) = P(r, b|a): only the rows r <= 0
+    are computed, and the rows r > 0 are their mirror copies.  Unfolded, a
+    piece's block is sqrt(P) at its rows, every r: Re Y and Im Y read the
+    same rows, so they share one block.
     """
-    scale = kernel.sqrt_scale
-    d = scale.size
-    half = (d + 1) // 2
-    sqrt_p = toeplitz_view(kernel.sqrt_row)[:half]   # times scale[m]: sqrt P(r|x_m), r <= 0
-    top_t = np.zeros((d, half))                      # P(r, b|a) at r <= 0, as [b, r]
-    for (rows, _), fold in zip(transfer.pieces, transfer.folds):
-        m = np.arange(d)[rows]
-        k = m.size // 2
-        order, starts = _runs(k)
-        low, high = m[:k][order], m[::-1][:k][order]   # the rows m < 0 and their mirrors
-        near = sqrt_p[:, low]
-        near *= scale[low]
-        far = sqrt_p[:, high]
-        far *= scale[high]
-        plus = np.empty((half, m.size - k))
-        np.add(near, far, out=plus[:, :k])
-        if m.size % 2:
-            np.multiply(sqrt_p[:, m[k]], scale[m[k]], out=plus[:, k])
-        minus = np.subtract(near, far, out=near)
-        for block, (cols, part) in zip((plus, minus), fold):
-            amp = _split_product(part, block.T, starts)
+    d = transfer.baseline.size
+    half = (d + 1) // 2 if transfer.folded else d
+    top_t = np.zeros((d, half))                      # P(r, b|a) at the rows computed, as [b, r]
+    near = rows = None
+    for piece in transfer.pieces:
+        if transfer.folded or not np.array_equal(piece.rows, rows):
+            near = measurement.at(slice(0, half), piece.rows, sqrt=True)
+        rows = piece.rows
+        blocks = [near] * len(piece.parts)
+        if transfer.folded:                          # K_+ for the first part, K_- for the second
+            far = measurement.at(slice(0, half), piece.mirrors, sqrt=True)
+            k = piece.mirrors.size
+            blocks[1] = np.subtract(near[:, :k], far)
+            near[:, :k] += far
+        for block, (cols, part) in zip(blocks, piece.parts):
+            amp = _split_product(part, block.T, piece.starts)
             top_t[cols] += np.square(amp, out=amp)
     table = np.empty((d, d))
     table[:half] = top_t.T
@@ -341,7 +315,7 @@ def _folded_table(transfer: _Transfer, kernel: _KernelRow) -> np.ndarray:
     return table
 
 
-# Interleaved runs of the sum over m in each folded product.
+# Interleaved runs of the sum over m in each product.
 _SPLIT = 4
 
 
@@ -350,10 +324,10 @@ def _split_product(a: np.ndarray, b: np.ndarray, starts: np.ndarray) -> np.ndarr
     that begin at ``starts`` (the last to the end), added pairwise.
 
     One BLAS accumulation rounds once per term of the kernel's band.  Over
-    widths 0.3 to 1000 and x or y rows, the unfolded table (one product per
-    piece) is up to 3.6e-15 of its maximum off the exact sum of the same
-    rounded sqrt(P) and Y at spin 200 (d = 401), and 4.4e-15 at spin 500.
-    With each partial sum over every _SPLIT-th term of the band, the folded
+    widths 0.3 to 1000 and x or y rows, one product per piece is up to
+    3.6e-15 of the table's maximum off the exact sum of the same rounded
+    sqrt(P) and Y at spin 200 (d = 401), and 4.4e-15 at spin 500.  With
+    each partial sum over every _SPLIT-th term of the band, the folded
     table is within 8.6e-16 and 1.5e-15, for the same flops.
     """
     runs = [(a[:, lo:hi], b[lo:hi]) for lo, hi in zip(starts, [*starts[1:], None])]
@@ -370,27 +344,39 @@ def _split_product(a: np.ndarray, b: np.ndarray, starts: np.ndarray) -> np.ndarr
 _EVEN, _ODD, _ALL = slice(0, None, 2), slice(1, None, 2), slice(None)
 
 
-class _Transfer(NamedTuple):
-    """Y's real pieces (rows, piece), the baseline, and the folded pieces.
+class _Piece(NamedTuple):
+    """One real piece of Y as ``_joint_table`` reads it.
 
-    ``folds`` holds per piece two (columns, part) pairs: first for its
-    columns of mirror sign +1, then for those of sign -1 (for spin x and y
-    rows, the even and the odd columns).  A part is the piece at those
-    columns and its rows m < 0 in ``_runs`` order, with the centre last for
-    sign +1, laid out as [b, m] for ``_folded_table``.  ``folds`` is None
-    when some piece has no exact mirror sign per column, or rows that do
-    not map onto themselves under m -> d - 1 - m.
+    ``rows`` are the indices m of the kernel columns the piece is summed
+    against, in ``_runs`` order (run i begins at ``starts[i]``); ``parts``
+    are (columns, part) pairs, each part the piece at those rows and
+    columns laid out as [b, m].  Folded, ``rows`` are the piece's rows
+    m < 0 with the centre last, if it has one, ``mirrors`` their mirror
+    rows -m (without the centre), and ``parts`` the columns of sign +1 at
+    every row, then those of sign -1 without the centre.  Unfolded, ``rows``
+    are all the piece's rows, ``mirrors`` None, and the parts hold the
+    columns in four contiguous groups.
     """
 
-    pieces: tuple[tuple[slice, np.ndarray], ...]
+    rows: np.ndarray
+    mirrors: np.ndarray | None
+    starts: np.ndarray
+    parts: tuple[tuple[np.ndarray | slice, np.ndarray], ...]
+
+
+class _Transfer(NamedTuple):
+    """Y's real pieces, laid out once (``_Piece``), whether they fold, and
+    the baseline |<b|a>|^2."""
+
+    pieces: tuple[_Piece, ...]
     baseline: np.ndarray
-    folds: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...] | None
+    folded: bool
 
 
 @lru_cache(maxsize=1)
-def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis) -> _Transfer:
-    """Y[m, b] = <m|a><b|m> as real pieces (rows, piece), and the baseline
-    |<b|a>|^2.
+def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis,
+              mirrored: bool) -> _Transfer:
+    """Y[m, b] = <m|a><b|m> as real pieces, and the baseline |<b|a>|^2.
 
     P(r, b|a) = sum over pieces of (sqrt(P)[:, rows] @ piece)^2.  The pieces
     are read off Y's exact zeros, never off basis names:
@@ -402,17 +388,16 @@ def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis) -> _Tran
       one half-height piece holding its nonzero parts as re + im, exact as
       the other term is +-0: half the work of the next case;
     - any other Y is the two full pieces Re Y and Im Y.
-    Alongside, each piece's column mirror signs are read off its off-centre
-    rows, exactly (``_sign_groups``: spin x and y rows are exact mirrors,
-    and a y row's sign alternates with m, so each parity has its own).
-    Where every piece has them and its rows map onto themselves under the
-    mirror (full-height pieces, or even and odd rows at odd d), the
-    columns split by sign and the halves are laid out (``_Transfer.folds``)
-    for ``_folded_table``.
-    Half-integer spins (even d) with even/odd pieces are not folded: the
-    mirror swaps those pieces' rows.
-    Independent of the kernel, so a sweep builds them once: the keys are
-    immutable and hash by identity.  The arrays are read-only and
+    For a ``mirrored`` kernel, each piece's column mirror signs are read
+    off its off-centre rows, exactly (``_sign_groups``: spin x and y rows
+    are exact mirrors, and a y row's sign alternates with m, so each parity
+    has its own).  Y folds where every piece has them and its rows map onto
+    themselves under the mirror (full-height pieces, or even and odd rows
+    at odd d); half-integer spins (even d) with even/odd pieces do not, as
+    the mirror swaps those pieces' rows.  Each piece is laid out once, in
+    the form the product reads (``_Piece``).
+    Independent of the kernel's values, so a sweep builds them once: the
+    keys are immutable and hash by identity.  The arrays are read-only and
     C-contiguous.
     """
     y = scaled_overlaps(expand(a, inter), inter, final)
@@ -423,25 +408,35 @@ def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis) -> _Tran
         parts = tuple((rows, re[rows] + im[rows]) for rows in (_EVEN, _ODD))
     else:
         parts = ((_ALL, re), (_ALL, im))
-    pieces = tuple((rows, np.ascontiguousarray(piece)) for rows, piece in parts)
-    groups = [_sign_groups(piece) if rows is _ALL or len(y) % 2 else None
-              for rows, piece in pieces]
-    folds = None
-    if None not in groups:
-        folds = tuple(_fold_parts(piece, signs) for (_, piece), signs in zip(pieces, groups))
+    d = len(y)
+    groups = [_sign_groups(piece) if mirrored and (rows is _ALL or d % 2) else None
+              for rows, piece in parts]
+    folded = None not in groups
+    pieces = tuple(_lay_out(np.arange(d)[rows], piece, signs if folded else None)
+                   for (rows, piece), signs in zip(parts, groups))
     baseline = np.abs(expand(a, final)) ** 2
-    for arr in (*(piece for _, piece in pieces), baseline):
-        arr.flags.writeable = False
-    return _Transfer(pieces, baseline, folds)
+    baseline.flags.writeable = False
+    return _Transfer(pieces, baseline, folded)
 
 
-def _fold_parts(piece: np.ndarray, signs: tuple[np.ndarray, np.ndarray]):
-    """The (columns, part) pairs of ``_Transfer.folds`` for one piece."""
-    k = len(piece) // 2
-    order, _ = _runs(k)
-    heads = (np.append(order, k)[: len(piece) - k], order)   # the centre with sign +1 only
-    return tuple((cols, _frozen(np.ascontiguousarray(piece[np.ix_(head, cols)].T)))
-                 for head, cols in zip(heads, signs))
+def _lay_out(m: np.ndarray, piece: np.ndarray, signs) -> _Piece:
+    """The ``_Piece`` of a piece at the rows ``m``, folded on its column
+    ``signs`` (``_sign_groups``) or, where they are None, not."""
+    if signs is None:
+        # The columns in quarters, so each product's partials are the size of
+        # a folded one's: d/4 columns by d rows, against d/2 by d/2.
+        order, starts = _runs(m.size)
+        heads, mirrors = [order] * 4, None
+        edges = np.linspace(0, piece.shape[1], 5).astype(int)
+        groups = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    else:
+        k = m.size // 2
+        order, starts = _runs(k)
+        heads = (np.append(order, k)[: m.size - k], order)   # the centre with sign +1 only
+        groups, mirrors = signs, m[::-1][:k][order]
+    parts = tuple((cols, _frozen(np.ascontiguousarray(piece[rows][:, cols].T)))
+                  for rows, cols in zip(heads, groups))
+    return _Piece(m[heads[0]], mirrors, starts, parts)
 
 
 def _runs(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -527,7 +522,7 @@ def nondisturbance_check(
     # the ufunc sequence of np.diff(table, 2, axis=1); the edge columns are
     # clipped onto their neighbour.
     c = np.clip(np.flatnonzero(support), 1, profile.dim - 2)
-    left, mid, right = np.split(measurement._columns(np.concatenate([c - 1, c, c + 1])), 3, axis=1)
+    left, mid, right = np.split(measurement.at(_ALL, np.concatenate([c - 1, c, c + 1])), 3, axis=1)
     pcurv = np.abs((right - mid) - (mid - left)) / (profile.spacing[c] ** 2)
     max_ratio = float(np.max(pcurv / scurv[np.newaxis, :]))
     passed = bool(max_ratio < NONDISTURBANCE_THRESHOLD)
@@ -602,7 +597,7 @@ def high_res_amplitude(
     t_local = complex(profile.amp_product[r_idx])
     x = profile.x_grid
     w = profile.spacing
-    sqrt_row = measurement.sqrt_table[r_idx]
+    sqrt_row = measurement.at(r_idx, _ALL, sqrt=True)
     phase = np.exp(1j * grad * (x - x_r) / hbar)
     dx_local = float(w[r_idx])
     fourier = t_local / dx_local * complex(np.sum(sqrt_row * phase * w))

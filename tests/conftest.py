@@ -23,7 +23,6 @@ from actionlab.hilbert import (
     expand,
     inner,
 )
-import actionlab.measurement as measurement_module
 from actionlab.measurement import Measurement
 from actionlab.models import (
     RingParameters,
@@ -239,7 +238,7 @@ def dense_nondisturbance_ratio(kernel, profile, points) -> float:
             near |= np.abs(x - pt.x_star) <= pt.delta_x_m
         support &= near
     scurv = np.abs(profile.curvature[support]) / (2.0 * np.pi)
-    table = kernel.table
+    table = kernel_table(kernel)
     pcurv = np.empty_like(table)
     pcurv[:, 1:-1] = np.abs(np.diff(table, 2, axis=1)) / (profile.spacing[1:-1] ** 2)
     pcurv[:, 0] = pcurv[:, 1]
@@ -273,17 +272,10 @@ def bench_module(name: str):
     return module
 
 
-@pytest.fixture()
-def table_paths(monkeypatch):
-    """The names of the table builders ``joint_distribution`` runs, in order:
-    ``_folded_table`` or ``_piece_table``."""
-    ran = []
-    for name in ("_folded_table", "_piece_table"):
-        def spy(*args, _name=name, _builder=getattr(measurement_module, name)):
-            ran.append(_name)
-            return _builder(*args)
-        monkeypatch.setattr(measurement_module, name, spy)
-    return ran
+def kernel_table(measurement: Measurement, sqrt: bool = False) -> np.ndarray:
+    """The whole d x d P(r|x_m), or sqrt(P) with ``sqrt``, of either layout:
+    what the oracles and the kernel checks read, and no package code does."""
+    return measurement.at(slice(None), slice(None), sqrt=sqrt)
 
 
 def textbook_joint_table(a: StateVector, inter, final, measurement: Measurement) -> np.ndarray:
@@ -298,7 +290,7 @@ def textbook_joint_table(a: StateVector, inter, final, measurement: Measurement)
     """
     y = ((final.vectors.conj() @ inter.vectors.T).T
          * (inter.vectors.conj() @ a.amplitudes)[:, np.newaxis])
-    sqrt_p = measurement.sqrt_table.astype(np.longdouble)
+    sqrt_p = kernel_table(measurement, sqrt=True).astype(np.longdouble)
     table = np.zeros(y.shape, dtype=np.longdouble)
     for part in (y.real, y.imag):
         rows = part.any(axis=1)
@@ -361,7 +353,7 @@ def per_pair_emergence(system, a_basis: str, b_basis: str, intermediate: str, pa
 def measurement_amplitude(measurement: Measurement, a: StateVector, b: StateVector) -> np.ndarray:
     """<b|M(r)|a> for every outcome r."""
     basis = measurement.basis
-    return measurement.sqrt_table @ (np.conj(expand(b, basis)) * expand(a, basis))
+    return kernel_table(measurement, sqrt=True) @ (np.conj(expand(b, basis)) * expand(a, basis))
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_failing_default_pair_names_itself(self, tmp_path, capsys):
+        # Spin j = 1 has one default emergence pair, (0, 0), and <y_0|x_0> = 0
+        # there.  The configured a and b have a profile; the pair that fails
+        # is named by its values and by the field that would replace it.
+        config = tmp_path / "spin1.json"
+        config.write_text(json.dumps(dict(SPIN_CFG, model={"name": "spin", "j": 1},
+                                          a={"basis": "x", "eigenvalue": 1.0},
+                                          b={"basis": "y", "eigenvalue": 1.0})))
+        assert dispatch(["profile", "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert dispatch(["emerge", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: emergence.pairs: pair (0.0, 0.0): <b|a> vanishes" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     # A packet centre that passes the field rules but lies off the built
     # model's spectrum: via the ring propagation runner and via build_state.
     @pytest.mark.parametrize("command, base, path, value", [

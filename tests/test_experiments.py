@@ -10,6 +10,7 @@ from actionlab.action import action_profile, stationary_points
 from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, expand, orthonormality_deviation
 from actionlab.cli import load_config
+import actionlab.measurement as measurement_module
 from actionlab.measurement import Measurement, _transfer, gaussian_kernel, joint_distribution
 from actionlab.models import SPIN_PROFILE_SMOOTHING_SPACINGS, make_packet
 from actionlab.experiments import (
@@ -181,41 +182,78 @@ class TestResolutionSweep:
         system = build_system(cfg.model, cfg.constants)
         a = build_state(system, cfg.a, "a")
         z, y = system.basis("z"), system.basis("y")
-        cached = _transfer(a, z, y)
-        assert _transfer(a, z, y) is cached
-        pieces, baseline, folds = cached
+        cached = _transfer(a, z, y, True)
+        assert _transfer(a, z, y, True) is cached
+        pieces, baseline, folded = cached
         # An x eigenstate through z into y: the even/odd half-height pieces,
-        # each an exact mirror whose sign alternates with the column.
-        assert [rows for rows, _ in pieces] == [slice(0, None, 2), slice(1, None, 2)]
+        # each an exact mirror whose sign alternates with the column, so the
+        # table folds.
+        assert folded
         even, odd = list(range(0, 41, 2)), list(range(1, 40, 2))
+        assert [sorted([*piece.rows, *piece.mirrors]) for piece in pieces] == [even, odd]
         # The odd rows are zero in the column of y eigenvalue 0 (index 20): it
         # has both signs and goes with +1.
-        assert [[cols.tolist() for cols, _ in fold] for fold in folds] == [
+        assert [[cols.tolist() for cols, _ in piece.parts] for piece in pieces] == [
             [even, odd], [sorted(odd + [20]), [b for b in even if b != 20]]]
-        for _, piece in (*pieces, *(pair for fold in folds for pair in fold)):
-            assert not piece.flags.writeable and piece.flags.c_contiguous
+        for _, part in (pair for piece in pieces for pair in piece.parts):
+            assert not part.flags.writeable and part.flags.c_contiguous
         assert not baseline.flags.writeable
         misses = _transfer.cache_info().misses
-        _transfer(system.basis("x").state_at(5.0), z, y)
+        _transfer(system.basis("x").state_at(5.0), z, y, True)
         assert _transfer.cache_info().misses == misses + 1
 
+    @pytest.mark.parametrize("j", [20.0, 20.5])
+    def test_transfer_holds_each_piece_of_y_once(self, j):
+        # The bundled sweep's transfer (j = 20, d = 41) folds: it holds Y's
+        # rows m < 0 and, at the columns of sign +1, the centre row, each
+        # entry once.  At j = 20.5 (d = 42) the even/odd pieces do not fold,
+        # and the transfer holds each of them once: d^2 floats in all.
+        raw = SPIN20_SWEEP
+        if j % 1:
+            for path, value in (("model.j", j), ("a.eigenvalue", 10.5), ("b.eigenvalue", 10.5)):
+                raw = mutated(raw, path, value)
+        cfg = cfg_of(raw)
+        system = build_system(cfg.model, cfg.constants)
+        a = build_state(system, cfg.a, "a")
+        transfer = _transfer(a, system.basis("z"), system.basis("y"), True)
+        d = system.dimension
+        held = sum(part.size for piece in transfer.pieces for _, part in piece.parts)
+        if transfer.folded:
+            centre_plus = transfer.pieces[0].parts[0][0].size
+            assert (d, held) == (41, d // 2 * d + centre_plus)
+        else:
+            assert (d, held) == (42, d * d)
 
-    def test_sweeps_fold_and_lay_out_no_kernel_table(self, monkeypatch, table_paths):
+    def test_sweeps_fold_and_lay_out_no_kernel_table(self, monkeypatch):
         # The bundled sweep and the benchmark's spin sweep (j = 200, x -> z
-        # -> y) take the folded product for every value, and no value lays
-        # out the d x d P or sqrt(P): each kernel is read from its row.
-        def refuse(kernel):
-            raise AssertionError("a sweep value laid out a d x d kernel table")
+        # -> y) build every value's table from a lattice kernel on a folded
+        # transfer, and neither they nor the invariant suite read a lattice
+        # kernel as a whole d x d block: each kernel is read from its row.
+        at, joint_table = Measurement.at, measurement_module._joint_table
 
-        monkeypatch.setattr(Measurement, "table", property(refuse))
-        monkeypatch.setattr(Measurement, "sqrt_table", property(refuse))
+        def checked(kernel, r, m, sqrt=False):
+            block = at(kernel, r, m, sqrt)
+            d = kernel.basis.n_states
+            if kernel.mirrored and np.shape(block) == (d, d):
+                raise AssertionError("a lattice kernel was laid out as a d x d table")
+            return block
+
+        ran = []
+
+        def recorded(transfer, measurement):
+            ran.append((transfer.folded, measurement.mirrored))
+            return joint_table(transfer, measurement)
+
+        monkeypatch.setattr(Measurement, "at", checked)
+        monkeypatch.setattr(measurement_module, "_joint_table", recorded)
         workloads = bench_module("workloads")
         ((_, bench),) = workloads.spin_sweep(workloads.DEFAULT_SEED)
         for raw in (json.loads((CONFIGS / "spin20_sweep.json").read_text()), bench):
             cfg, _ = config_from_dict(raw)
-            table_paths.clear()
+            ran.clear()
             run_resolution_sweep(cfg)
-            assert table_paths == ["_folded_table"] * len(cfg.sweep.values)
+            assert ran == [(True, True)] * len(cfg.sweep.values)
+        assert all(run_invariant_suite().column("passed"))
 
 
 class TestSweepClosedFormsAtSize:
@@ -235,7 +273,7 @@ class TestSweepClosedFormsAtSize:
         a = build_state(system, cfg.a, "a")
         z, y = system.basis("z"), system.basis("y")
         table = run_resolution_sweep(cfg)
-        assert _transfer(a, z, y).folds is not None
+        assert _transfer(a, z, y, True).folded
         return expand(a, z)[:, np.newaxis] * y.vectors.conj().T, table
 
     def test_projective_limit(self, sweep):

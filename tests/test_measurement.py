@@ -27,6 +27,7 @@ from conftest import (
     action_gradient_recovery,
     dense_nondisturbance_ratio,
     gaussian_kernel_raw,
+    kernel_table,
     measurement_amplitude,
     stationary_phase_overlap,
     textbook_joint_table,
@@ -53,13 +54,13 @@ class TestGaussianKernel:
     def test_narrow_limit_is_projective(self, spin20):
         z = spin20.basis("z")
         kern = gaussian_kernel(z, 0.01)
-        assert np.max(np.abs(kern.table - np.eye(41))) < 1e-12
+        assert np.max(np.abs(kernel_table(kern) - np.eye(41))) < 1e-12
 
     def test_interior_row_symmetric_peak(self, spin20):
         z = spin20.basis("z")
         kern = gaussian_kernel(z, 2.0)
         for m in (15, 20, 25):
-            row = kern.table[:, m]
+            row = kernel_table(kern)[:, m]
             assert np.argmax(row) == m
             width = 6
             left = row[m - width : m]
@@ -108,7 +109,7 @@ class TestGaussianKernel:
         delta = spacings * float(np.median(basis.spacing))
         raw = gaussian_kernel_raw(basis, delta)
         sums = raw.sum(axis=0)
-        table = gaussian_kernel(basis, delta).table
+        table = kernel_table(gaussian_kernel(basis, delta))
         if lattice:
             # The columns m > 0 take the sums of their mirrors -m, the same
             # numbers in reverse order, so the kernel is mirror-symmetric
@@ -132,7 +133,7 @@ class TestGaussianKernel:
 
     def test_completeness_exact(self, spin20):
         kern = gaussian_kernel(spin20.basis("z"), 5.0)
-        assert np.max(np.abs(kern.table.sum(axis=0) - 1.0)) < 1e-12
+        assert np.max(np.abs(kernel_table(kern).sum(axis=0) - 1.0)) < 1e-12
 
     def test_invalid_width(self, spin20):
         with pytest.raises(ValueError):
@@ -143,7 +144,7 @@ class TestBuildMeasurement:
     def test_identity_kernel_gives_projectors(self, spin20):
         z = spin20.basis("z")
         ops = projective_kernel(z)
-        assert np.allclose(ops.sqrt_table, np.eye(41))
+        assert np.allclose(kernel_table(ops, sqrt=True), np.eye(41))
 
     def test_povm_completeness(self, spin20):
         z = spin20.basis("z")
@@ -160,7 +161,7 @@ class TestBuildMeasurement:
         for basis in bases:
             for delta in (0.5, 2.0, 10.0):
                 ops = gaussian_kernel(basis, delta * float(np.median(basis.spacing)))
-                fresh = float(np.max(np.abs((ops.sqrt_table**2).sum(axis=0) - 1.0)))
+                fresh = float(np.max(np.abs((kernel_table(ops, sqrt=True) ** 2).sum(axis=0) - 1.0)))
                 assert ops.completeness_deviation() == fresh
 
     def test_qubit_binary_kernel_amplitude(self, qubit):
@@ -176,7 +177,7 @@ class TestBuildMeasurement:
         assert amp[0] == pytest.approx(np.sqrt(1 - q) / 2 - 1j * np.sqrt(q) / 2, abs=1e-14)
 
     def test_table_shape_must_match_basis(self, spin20, qubit):
-        z41 = gaussian_kernel(spin20.basis("z"), 2.0).table
+        z41 = kernel_table(gaussian_kernel(spin20.basis("z"), 2.0))
         with pytest.raises(ValueError, match="does not match 2 states"):
             build_measurement(qubit.basis("z"), z41)
         with pytest.raises(ValueError, match="does not match 41 states"):
@@ -266,13 +267,13 @@ class TestJointDistribution:
         dense_y = alpha[:, np.newaxis] * (z.vectors @ y.vectors.conj().T)
         assert np.array_equal(np.conj(np.conj(np.diag(alpha)) @ y.vectors.T).view(float),
                               dense_y.view(float))
-        groups = [[cols for cols, _ in fold] for fold in _transfer(a, z, y).folds]
+        groups = [[cols for cols, _ in piece.parts] for piece in _transfer(a, z, y, True).pieces]
         even, odd = list(range(0, 41, 2)), list(range(1, 40, 2))
         # The odd rows are zero in the column of y eigenvalue 0 (index 20): it
         # has both signs and goes with +1.
         assert [[cols.tolist() for cols in pair] for pair in groups] == [
             [even, odd], [sorted(odd + [20]), [b for b in even if b != 20]]]
-        sqrt_p = ops.sqrt_table[:21]                     # the rows r <= 0
+        sqrt_p = kernel_table(ops, sqrt=True)[:21]       # the rows r <= 0
         top_t = np.zeros((41, 21))                       # as [b, r]
         for rows, pair in zip((slice(0, None, 2), slice(1, None, 2)), groups):
             piece = (dense_y.real + dense_y.imag)[rows]
@@ -317,7 +318,7 @@ class TestJointDistribution:
         joint = joint_distribution(a, final, ops)
         b_m = final.vectors.conj() @ inter.vectors.T
         m_a = inter.vectors.conj() @ a.amplitudes
-        textbook = np.abs(np.einsum("bm,rm,m->rb", b_m, ops.sqrt_table, m_a)) ** 2
+        textbook = np.abs(np.einsum("bm,rm,m->rb", b_m, kernel_table(ops, sqrt=True), m_a)) ** 2
         assert np.max(np.abs(joint.table - textbook)) <= 1e-15
         assert np.max(np.abs(joint.baseline - np.abs(final.vectors.conj() @ a.amplitudes) ** 2)) <= 1e-15
 
@@ -355,7 +356,7 @@ class TestJointDistribution:
         a = z.state_at(0.5)
         ops = gaussian_kernel(z, width) if width else projective_kernel(z)
         joint = joint_distribution(a, z, ops)
-        textbook = np.column_stack([np.zeros(2), ops.table[:, 1]])
+        textbook = np.column_stack([np.zeros(2), kernel_table(ops)[:, 1]])
         assert np.max(np.abs(joint.table - textbook)) <= 1e-15
         assert np.array_equal(joint.baseline, [0.0, 1.0])
         assert joint.factorization_residual <= 1e-15
@@ -369,7 +370,7 @@ class TestJointDistribution:
         a = ring_arrival_state(ring256, 90.0)
         ops = gaussian_kernel(pos, 3.0)
         joint = joint_distribution(a, ring_arrival_basis(ring256), ops)
-        weighted = ops.sqrt_table * a.amplitudes[np.newaxis, :]
+        weighted = kernel_table(ops, sqrt=True) * a.amplitudes[np.newaxis, :]
         assert np.max(np.abs(joint.table - np.abs(weighted @ flight.T) ** 2)) < 1e-13
         assert np.max(np.abs(joint.baseline - np.abs(flight @ a.amplitudes) ** 2)) < 1e-13
 
@@ -405,47 +406,51 @@ class TestTransferPieces:
     Y's exact zeros and exact mirror; every split, folded or not, gives the
     textbook table within roundoff."""
 
-    EVEN_ODD = [slice(0, None, 2), slice(1, None, 2)]
+    @staticmethod
+    def rows_read(transfer):
+        """The rows m of Y each piece is summed over, mirrors included."""
+        return [sorted([*piece.rows.tolist(), *([] if piece.mirrors is None
+                                                else piece.mirrors.tolist())])
+                for piece in transfer.pieces]
 
     @pytest.mark.parametrize("j", [20.0, 20.5, 200.0])
     @pytest.mark.parametrize("final_name", ["x", "y", "complex-row y"])
-    def test_x_eigenstate_through_z_splits_by_parity(self, table_paths, j, final_name):
+    def test_x_eigenstate_through_z_splits_by_parity(self, j, final_name):
         system = spin_system(j)
+        d = system.dimension
         z = system.basis("z")
         final = system.basis(final_name.removeprefix("complex-row "))
         if final_name.startswith("complex-row"):
             final = LabeledBasis(final.vectors, final.eigenvalues)
         a = system.basis("x").state_at(0.4 * j)
         ops = gaussian_kernel(z, 3.0)
-        pieces, baseline, folds = _transfer(a, z, final)
+        assert ops.mirrored
+        transfer = _transfer(a, z, final, True)
         # x rows make Y real: one full-height piece, the same product work
         # as the split that the y phases allow.
-        expected = [slice(None)] if final_name == "x" else self.EVEN_ODD
-        assert [rows for rows, _ in pieces] == expected
-        assert sum(piece.shape[0] for _, piece in pieces) == system.dimension
+        expected = ([list(range(d))] if final_name == "x"
+                    else [list(range(0, d, 2)), list(range(1, d, 2))])
+        assert self.rows_read(transfer) == expected
         # Every piece folds but the even/odd pieces at even d (j = 20.5),
         # whose rows the mirror swaps.
-        folded = final_name == "x" or j % 1 == 0
-        assert (folds is not None) is folded
+        assert transfer.folded is (final_name == "x" or j % 1 == 0)
         joint = joint_distribution(a, final, ops)
-        assert table_paths == ["_folded_table" if folded else "_piece_table"]
-        table, tv, residual = _textbook_stats(a, z, final, ops, baseline)
+        table, tv, residual = _textbook_stats(a, z, final, ops, transfer.baseline)
         assert np.max(np.abs(joint.table - table)) <= 1e-15 * np.max(table)
         assert abs(joint.total_variation - tv) <= 1e-15
         assert abs(joint.factorization_residual - residual) <= 1e-15
 
     @pytest.mark.parametrize("j", [20.0, 20.5])
     @pytest.mark.parametrize("final_name", ["y", "z"])
-    def test_complex_state_through_x_takes_general_pieces(self, table_paths, j, final_name):
+    def test_complex_state_through_x_takes_general_pieces(self, j, final_name):
         system = spin_system(j)
         inter, final = system.basis("x"), system.basis(final_name)
         a = random_state(system.dimension, np.random.default_rng(int(2 * j)))
         ops = gaussian_kernel(inter, 3.0)
-        pieces, _, folds = _transfer(a, inter, final)
-        assert [rows for rows, _ in pieces] == [slice(None), slice(None)]
-        assert folds is None
+        transfer = _transfer(a, inter, final, ops.mirrored)
+        assert self.rows_read(transfer) == [list(range(system.dimension))] * 2
+        assert not transfer.folded
         joint = joint_distribution(a, final, ops)
-        assert table_paths == ["_piece_table"]
         textbook = textbook_joint_table(a, inter, final, ops)
         assert np.max(np.abs(joint.table - textbook)) <= 1e-15
 
