@@ -111,9 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the JSON experiment config")
         p.add_argument("--out", help="output directory (default: config value, "
                                      f"or ${OUTPUT_ENV_VAR}, or '.')")
-        p.add_argument("--format", choices=("csv", "json", "both"),
-                       help="output format override")
-        p.add_argument("--seed", type=int, help="seed override")
+        if name != "models":  # a model dump is always JSON and draws no random numbers
+            p.add_argument("--format", choices=("csv", "json", "both"),
+                           help="output format override")
+            p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--quiet", action="store_true", help="suppress the summary")
         if name == "verify":
             p.add_argument("--scope", default="all",
@@ -144,6 +145,8 @@ def _resolve_out(args, cfg: ExperimentConfig | None) -> tuple[Path, str | None]:
 
 def _run(args) -> int:
     command = args.command
+    if command == "models":
+        return _run_models(args, load_config(args.config)[0] if args.config else None)
     needs_config = command in ("profile", "sweep", "emerge", "propagate")
     cfg = None
     defaults: list[str] = []
@@ -157,9 +160,6 @@ def _run(args) -> int:
         print(f"error: '{command}' requires --config <path>", file=sys.stderr)
         print(_build_parser().format_usage().rstrip(), file=sys.stderr)
         return EXIT_USAGE
-
-    if command == "models":
-        return _run_models(args, cfg)
 
     t0 = time.perf_counter()
     if command == "verify":

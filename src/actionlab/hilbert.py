@@ -15,8 +15,8 @@ either complex or real; a real-row basis may also carry one unit phase per
 state and one per reference component, so that a second basis differing
 from it only by such phases shares its rows.  ``_to_reference`` (z V) and
 ``_from_reference`` (z conj(V)^T) are the only products that read the
-storage form; ``expand``, ``synthesize`` and ``change_basis`` are built on
-them.  Products with real rows are real products on the stacked real and
+storage form; ``expand``, ``synthesize`` and ``scaled_overlaps`` are built
+on them.  Products with real rows are real products on the stacked real and
 imaginary parts of the other factor.
 """
 
@@ -97,8 +97,9 @@ class LabeledBasis:
     degenerate spectrum) is also allowed and spans a proper subspace, so
     expansions in it are not complete.
 
-    The constructor takes arbitrary rows, stores a complex copy and checks
-    their Gram matrix.  ``identity``, ``fourier``, ``subset``, ``rephased``
+    The constructor, for rows from outside the package (no model calls it),
+    takes arbitrary rows, stores a complex copy and checks their Gram
+    matrix.  ``identity``, ``fourier``, ``subset``, ``rephased``
     and the package's own builders make bases that are orthonormal by
     construction and skip that O(n^2 d) check; an identity basis stores no
     matrix at all, and a rephased one shares the real rows it came from.
@@ -451,21 +452,13 @@ def synthesize(coeffs: np.ndarray, basis: LabeledBasis) -> np.ndarray:
     return _to_reference(np.asarray(coeffs), basis)
 
 
-def change_basis(rows: np.ndarray, source: LabeledBasis, target: LabeledBasis) -> np.ndarray:
-    """Amplitudes in ``target`` of the vectors whose ``source`` coefficients are ``rows``.
-
-    Row i of the result holds <t_k|v_i> with |v_i> = sum_m rows[i, m] |s_m>,
-    that is rows S conj(T)^T; an identity basis skips its product.
-    """
-    return _from_reference(_to_reference(rows, source), target)
-
-
 def scaled_overlaps(coeffs: np.ndarray, source: LabeledBasis, target: LabeledBasis) -> np.ndarray:
-    """Y[m, k] = coeffs[m] <t_k|s_m> (``change_basis(np.diag(coeffs), ...)``), C-contiguous;
-    from the reference basis it is the elementwise coeffs[m] conj(T[k, m]), with no product."""
+    """Y[m, k] = coeffs[m] <t_k|s_m>, C-contiguous: the ``target`` coefficients of
+    the source rows scaled by ``coeffs``.  From the reference basis it is the
+    elementwise coeffs[m] conj(T[k, m]), with no product."""
     if source.is_identity:
         return np.multiply(coeffs[:, np.newaxis], np.conj(target.vectors).T, order="C")
-    return np.ascontiguousarray(change_basis(np.diag(coeffs), source, target))
+    return np.ascontiguousarray(_from_reference(coeffs[:, np.newaxis] * source.vectors, target))
 
 
 def apply_diagonal(unitary: DiagonalUnitary,

@@ -3,8 +3,8 @@
 Three families, each exposing named labeled bases over a common reference
 basis:
 
-* ``qubit_system`` — hand-checkable two-level system with mutually unbiased
-  x, y, z bases (eigenvalues ±1/2).
+* ``qubit_system`` — the hand-checkable two-level system: spin 1/2 under
+  its own name, with mutually unbiased x, y, z bases (eigenvalues ±1/2).
 * ``spin_system(j)`` — angular momentum j: canonical z basis, real x basis
   from the three-term recurrence of the tridiagonal Jx, y basis rotated from
   x about z (the x rows with two phase vectors).
@@ -20,7 +20,7 @@ the canonical basis in ascending order (for spin, index 0 is m = -j).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Callable, Mapping
 
@@ -137,14 +137,8 @@ def free_flight(params: RingParameters, x_a: float, x_b: float) -> tuple[float, 
 
 @lru_cache(maxsize=1)
 def qubit_system() -> ModelSystem:
-    """Two-level system with hand-built mutually unbiased x, y, z bases (cached)."""
-    s = 1.0 / np.sqrt(2.0)
-    ev = np.array([-0.5, 0.5])
-    z = LabeledBasis.identity(ev)
-    x = LabeledBasis(np.array([[s, -s], [s, s]]), ev)
-    y = LabeledBasis(np.array([[s, 1j * s], [1j * s, s]]), ev)
-    return ModelSystem("qubit", 2, {"x": x, "y": y, "z": z},
-                       classical_oracle=partial(spin_cone, 0.5), emergence_pairs=((0.5, 0.5),))
+    """The two-level system: spin 1/2 under its own name (cached)."""
+    return replace(spin_system(0.5), name="qubit", metadata={})
 
 
 def angular_momentum_matrices(j: float) -> tuple[np.ndarray, np.ndarray]:
@@ -276,9 +270,11 @@ def spin_system(j: float) -> ModelSystem:
     z = LabeledBasis.identity(k)
     # Default pairs at 0.3, 0.4, 0.5 of j keep every stationary point well
     # away from the spectral edge, where the semiclassical structure survives;
-    # each is snapped onto the grid, which is half-integer for half-integer j.
+    # each is snapped onto the grid, which is half-integer for half-integer j,
+    # and kept off 0: at odd integer j, <y_0|x_0> = 0, so (0, 0) has no
+    # profile.  Only j = 1 would reach 0; it takes the pair (1, 1).
     offset = j % 1
-    vals = sorted({round(f * j - offset) + offset for f in (0.3, 0.4, 0.5)})
+    vals = sorted({max(round(f * j - offset) + offset, 1.0 - offset) for f in (0.3, 0.4, 0.5)})
     return ModelSystem(f"spin{j:g}", d, {"x": x, "y": y, "z": z},
                        classical_oracle=partial(spin_cone, j),
                        emergence_pairs=tuple((float(va), float(vb)) for va in vals for vb in vals),
@@ -332,22 +328,18 @@ def _centered_indices(n: int) -> np.ndarray:
     return np.arange(-(n - 1) // 2, (n - 1) // 2 + 1)
 
 
-def ring_arrival_state(system: ModelSystem, x_b: float) -> StateVector:
-    """The position eigenstate at x_b carried back over the flight (``arrival``)."""
-    return apply_diagonal(system.arrival, system.basis("position").state_at(x_b))
-
-
 def ring_arrival_basis(system: ModelSystem) -> LabeledBasis:
     """Arrival states at every site, labeled by the position grid.
 
-    Row b is ``ring_arrival_state`` at x_b.  The free flight commutes with
-    translations, so it is row 0 shifted by b sites.  The rows are a unitary
-    image of the position basis, so there is no Gram check.  Reading final
-    outcomes in this basis reads them on arrival: <x_b|U(T)|v> for each b.
+    Row b is the position eigenstate at x_b carried back over the flight
+    (``arrival``).  The free flight commutes with translations, so it is
+    row 0 shifted by b sites.  The rows are a unitary image of the position
+    basis, so there is no Gram check.  Reading final outcomes in this basis
+    reads them on arrival: <x_b|U(T)|v> for each b.
     """
     position = system.basis("position")
     n = system.dimension
-    first = ring_arrival_state(system, position.eigenvalues[0]).amplitudes
+    first = apply_diagonal(system.arrival, position.state(0)).amplitudes
     rows = np.empty((n, n), dtype=complex)
     for b in range(n):
         rows[b] = np.roll(first, b)

@@ -19,6 +19,9 @@ from actionlab.hilbert import (
     PhysicalConstants,
     StateVector,
     _canonical_phases,
+    _from_reference,
+    _to_reference,
+    apply_diagonal,
     eigh_hermitian,
     expand,
     inner,
@@ -27,7 +30,6 @@ from actionlab.measurement import Measurement
 from actionlab.models import (
     RingParameters,
     qubit_system,
-    ring_arrival_state,
     ring_system,
     spin_system,
 )
@@ -78,6 +80,22 @@ def haar_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return (q * (np.diagonal(r) / np.abs(np.diagonal(r)))).T
+
+
+def change_basis(rows: np.ndarray, source: LabeledBasis, target: LabeledBasis) -> np.ndarray:
+    """Amplitudes in ``target`` of the vectors whose ``source`` coefficients are ``rows``.
+
+    Row i holds <t_k|v_i> with |v_i> = sum_m rows[i, m] |s_m>, that is
+    rows S conj(T)^T, through the package's two stored-form products; an
+    identity basis skips its product.  With rows = diag(c) it is the oracle
+    of ``hilbert.scaled_overlaps``.
+    """
+    return _from_reference(_to_reference(rows, source), target)
+
+
+def ring_arrival_state(system, x_b: float) -> StateVector:
+    """The ring's position eigenstate at x_b carried back over the flight (``arrival``)."""
+    return apply_diagonal(system.arrival, system.basis("position").state_at(x_b))
 
 
 def jacobi_eigh(H, tol: float = 1e-14, max_sweeps: int = 40) -> tuple[np.ndarray, np.ndarray]:

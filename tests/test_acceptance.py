@@ -40,12 +40,13 @@ from actionlab.measurement import (
     joint_distribution,
     projective_kernel,
 )
-from actionlab.models import qubit_system, ring_arrival_state, ring_system, spin_system
+from actionlab.models import qubit_system, ring_system, spin_system
 from conftest import (
     RING_PARAMS,
     UNIT,
     action_gradient_recovery,
     measurement_amplitude,
+    ring_arrival_state,
     stationary_phase_overlap,
 )
 

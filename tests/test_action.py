@@ -26,13 +26,14 @@ from actionlab.hilbert import (
     expand,
     inner,
 )
-from actionlab.models import make_packet, ring_arrival_state, ring_system
+from actionlab.models import make_packet, ring_system
 from conftest import (
     RING_PARAMS,
     UNIT,
     curvature_weak_value,
     loop_segments_of,
     loop_unwrap_segment,
+    ring_arrival_state,
     stationary_phase_overlap,
 )
 

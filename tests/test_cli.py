@@ -1,14 +1,17 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from actionlab import experiments
 from actionlab.cli import dispatch, load_config
 from actionlab.experiments import config_from_dict
 from actionlab.hilbert import LabeledBasis
+from actionlab.models import spin_system
 from conftest import DELETE, mutated
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -61,6 +64,19 @@ class TestExitCodes:
     def test_missing_config(self, capsys):
         assert dispatch(["sweep"]) == 2
         assert "requires --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "3"]])
+    def test_models_rejects_flags_it_does_not_read(self, tmp_path, capsys, flag):
+        # A model dump is always JSON and draws no random numbers.
+        out = tmp_path / "m"
+        with pytest.raises(SystemExit) as err:
+            dispatch(["models", "--config", str(CONFIGS / "qubit_profile.json"),
+                      "--out", str(out), *flag])
+        assert err.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: actionlab")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert not out.exists()
 
     def test_nonexistent_config(self, tmp_path):
         assert dispatch(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
@@ -202,10 +218,28 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_failing_default_pair_names_itself(self, tmp_path, capsys):
-        # Spin j = 1 has one default emergence pair, (0, 0), and <y_0|x_0> = 0
-        # there.  The configured a and b have a profile; the pair that fails
-        # is named by its values and by the field that would replace it.
+    def test_spin1_default_pair_runs(self, tmp_path):
+        # Spin j = 1 defaults to the pair (1, 1), not (0, 0), where
+        # <y_0|x_0> = 0.  On the cone's edge, j(j + 1) = 1 + 1, so the table
+        # is one classically forbidden row.
+        config = tmp_path / "spin1.json"
+        config.write_text(json.dumps(dict(SPIN_CFG, model={"name": "spin", "j": 1},
+                                          a={"basis": "x", "eigenvalue": 1.0},
+                                          b={"basis": "y", "eigenvalue": 1.0})))
+        out = tmp_path / "out"
+        assert dispatch(["emerge", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        rows = [line for line in (out / "emergence.csv").read_text().splitlines()
+                if not line.startswith("#")]
+        header, (row,) = rows[0].split(","), rows[1:]
+        cells = dict(zip(header, row.split(",")))
+        assert (cells["x_a"], cells["x_b"], cells["classically_allowed"]) == ("1", "1", "0")
+
+    def test_failing_default_pair_names_itself(self, tmp_path, capsys, monkeypatch):
+        # Spin j = 1 given the default emergence pair (0, 0), where
+        # <y_0|x_0> = 0.  The configured a and b have a profile; the pair that
+        # fails is named by its values and by the field that would replace it.
+        monkeypatch.setattr(experiments, "spin_system",
+                            lambda j: replace(spin_system(j), emergence_pairs=((0.0, 0.0),)))
         config = tmp_path / "spin1.json"
         config.write_text(json.dumps(dict(SPIN_CFG, model={"name": "spin", "j": 1},
                                           a={"basis": "x", "eigenvalue": 1.0},

@@ -10,7 +10,6 @@ from actionlab.hilbert import (
     PhysicalConstants,
     StateVector,
     apply_diagonal,
-    change_basis,
     eigh_hermitian,
     expand,
     frame_shift,
@@ -23,6 +22,7 @@ from actionlab.hilbert import (
 from conftest import (
     DegenerateSpectrumError,
     bitwise_equal,
+    change_basis,
     dense_expand,
     dft_rows,
     haar_basis,
@@ -377,6 +377,34 @@ class TestStructuredBases:
         got = scaled_overlaps(coeffs, source, target)
         assert got.flags.c_contiguous
         assert np.array_equal(got, change_basis(np.diag(coeffs), source, target))
+
+    @pytest.mark.parametrize("source_name, target_name",
+                             [("x", "y"), ("x", "z"), ("y", "x"), ("y", "z")])
+    def test_scaled_overlaps_from_spin_rows_bitwise_at_size(self, source_name, target_name):
+        # The rows c_m <.|s_m> are scaled in place of the product with
+        # diag(c): each entry of that product has one nonzero term, and the
+        # phases of y are exact powers of i, so the bits are the same.
+        from actionlab.models import spin_system
+
+        system = spin_system(200.0)
+        source, target = system.basis(source_name), system.basis(target_name)
+        rng = np.random.default_rng(12)
+        coeffs = rng.normal(size=401) + 1j * rng.normal(size=401)
+        got = scaled_overlaps(coeffs, source, target)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, change_basis(np.diag(coeffs), source, target))
+
+    @pytest.mark.parametrize("target_name", ["position", "momentum"])
+    def test_scaled_overlaps_from_dft_rows_match_diagonal_product(self, ring256, target_name):
+        # Complex rows: the BLAS may round the product with diag(c) in
+        # another order, so the agreement is to roundoff.
+        source, target = ring256.basis("momentum"), ring256.basis(target_name)
+        rng = np.random.default_rng(13)
+        coeffs = rng.normal(size=256) + 1j * rng.normal(size=256)
+        got = scaled_overlaps(coeffs, source, target)
+        want = change_basis(np.diag(coeffs), source, target)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_identity_stores_no_matrix(self, spin20):
         z = spin20.basis("z")

@@ -17,7 +17,6 @@ from actionlab.measurement import (
 )
 from actionlab.models import (
     ring_arrival_basis,
-    ring_arrival_state,
     ring_system,
     spin_system,
 )
@@ -29,6 +28,7 @@ from conftest import (
     gaussian_kernel_raw,
     kernel_table,
     measurement_amplitude,
+    ring_arrival_state,
     stationary_phase_overlap,
     textbook_joint_table,
 )
@@ -165,7 +165,9 @@ class TestBuildMeasurement:
                 assert ops.completeness_deviation() == fresh
 
     def test_qubit_binary_kernel_amplitude(self, qubit):
-        # Hand arithmetic: <b|M(0)|a> = sqrt(1-q)/2 - i sqrt(q)/2.
+        # Hand arithmetic with a = (1, 1)/sqrt 2 and b = (1, -i)/sqrt 2 (canonical
+        # phase: leading component real positive): <b|M(0)|a> =
+        # (sqrt(q) + i sqrt(1-q))/2.
         z = qubit.basis("z")
         q = 0.3
         table = np.array([[q, 1 - q], [1 - q, q]])  # ascending m: (down, up)
@@ -174,7 +176,7 @@ class TestBuildMeasurement:
         a = qubit.basis("x").state_at(0.5)
         b = qubit.basis("y").state_at(0.5)
         amp = measurement_amplitude(ops, a, b)
-        assert amp[0] == pytest.approx(np.sqrt(1 - q) / 2 - 1j * np.sqrt(q) / 2, abs=1e-14)
+        assert amp[0] == pytest.approx(np.sqrt(q) / 2 + 1j * np.sqrt(1 - q) / 2, abs=1e-14)
 
     def test_table_shape_must_match_basis(self, spin20, qubit):
         z41 = kernel_table(gaussian_kernel(spin20.basis("z"), 2.0))

@@ -3,17 +3,16 @@ import pytest
 
 from actionlab import models
 from actionlab.errors import EigensolverError
-from actionlab.hilbert import LabeledBasis, expand, inner, orthonormality_deviation
+from actionlab.hilbert import LabeledBasis, _lead_index, expand, inner, orthonormality_deviation
 from actionlab.models import (
     RingParameters,
     angular_momentum_matrices,
     make_packet,
     ring_arrival_basis,
-    ring_arrival_state,
     spin_system,
     wrap_displacement,
 )
-from conftest import jacobi_eigh, lapack_spin_bases
+from conftest import jacobi_eigh, lapack_spin_bases, ring_arrival_state
 
 
 def assert_matches_lapack(system, j: float):
@@ -44,7 +43,9 @@ class TestQubit:
     def test_golden_inner_product(self, qubit):
         a = qubit.basis("x").state_at(0.5)
         b = qubit.basis("y").state_at(0.5)
-        assert inner(b, a) == pytest.approx((1 - 1j) / 2, abs=1e-15)
+        # x(+1/2) = (1, 1)/sqrt 2 and y(+1/2) = (1, -i)/sqrt 2, whose leading
+        # component is real positive (the canonical phase).
+        assert inner(b, a) == pytest.approx((1 + 1j) / 2, abs=1e-15)
 
     def test_mutually_unbiased(self, qubit):
         for n1, n2 in (("x", "y"), ("x", "z"), ("y", "z")):
@@ -52,6 +53,18 @@ class TestQubit:
                 for k in range(2):
                     p = abs(inner(qubit.basis(n1).state(i), qubit.basis(n2).state(k))) ** 2
                     assert p == pytest.approx(0.5, abs=1e-14)
+
+    def test_is_spin_half_with_canonical_phases(self, qubit):
+        # The qubit is spin 1/2 under its own name, so each state's leading
+        # component (hilbert._lead_index) is real positive.
+        half = spin_system(0.5)
+        assert (qubit.name, dict(qubit.metadata)) == ("qubit", {})
+        assert qubit.bases is half.bases
+        assert qubit.emergence_pairs == half.emergence_pairs == ((0.5, 0.5),)
+        for name in ("x", "y", "z"):
+            rows = qubit.basis(name).vectors
+            lead = rows[np.arange(2), _lead_index(rows.T)]
+            assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
 
     def test_change_of_basis_residual(self, qubit):
         assert qubit.change_of_basis_residual() < 1e-12
