@@ -206,7 +206,10 @@ def action_profile(
     amps_b = _amplitudes(b, basis)
     bare_product = np.conj(amps_b) * amps_a
     inner_ab = complex(np.sum(bare_product))
-    if abs(inner_ab) < MAGNITUDE_FLOOR_ABSOLUTE:
+    # Below d eps times the sum of the magnitudes it adds up, <b|a> is the
+    # roundoff of an exact zero, and its phase is noise.
+    floor = bare_product.size * np.finfo(float).eps * float(np.sum(np.abs(bare_product)))
+    if abs(inner_ab) < max(floor, MAGNITUDE_FLOOR_ABSOLUTE):
         raise UndefinedPhaseError("<b|a> vanishes; action phases are undefined")
     x = basis.eigenvalues
     weights = basis.spacing_per_state()

@@ -9,6 +9,9 @@ Subcommands map onto the experiment runners:
     actionlab verify                         invariant suite (exit 1 on failures)
     actionlab models                         list built-in models / dump one
 
+The runners live in ``experiments``.  The invariant suite lives in
+``verify``, which only the ``verify`` command imports.
+
 Exit codes: 0 success, 1 check failures, 2 usage or configuration errors.
 Every run writes the result table plus a manifest (inputs, constants,
 defaults applied, timings) into the output directory.  The default output
@@ -28,19 +31,9 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError
-from .experiments import (
-    SCOPE_RULE,
-    SEED_RULE,
-    ExperimentConfig,
-    ResultTable,
-    config_from_dict,
-    build_system,
-    run_emergence_experiment,
-    run_invariant_suite,
-    run_profile,
-    run_propagation_time_experiment,
-    run_resolution_sweep,
-)
+from .experiments import (DEFAULT_SEED, SEED_RULE, ExperimentConfig, ResultTable, build_system,
+                          config_from_dict, run_emergence_experiment, run_profile,
+                          run_propagation_time_experiment, run_resolution_sweep)
 
 OUTPUT_ENV_VAR = "ACTIONLAB_OUT"
 
@@ -163,9 +156,11 @@ def _run(args) -> int:
 
     t0 = time.perf_counter()
     if command == "verify":
+        from .verify import SCOPE_RULE, run_invariant_suite
+
         scope = "all" if args.scope == "all" else SCOPE_RULE(
             [s.strip() for s in args.scope.split(",")], "--scope")
-        seed = args.seed if args.seed is not None else (cfg.seed if cfg else 20260808)
+        seed = args.seed if args.seed is not None else (cfg.seed if cfg else DEFAULT_SEED)
         table = run_invariant_suite(scope, seed=seed)
     elif command == "profile":
         table = run_profile(cfg)
@@ -192,8 +187,7 @@ def _run(args) -> int:
 
     failures = 0
     if command == "verify":
-        passed_col = table.column("passed")
-        failures = sum(1 for v in passed_col if not v)
+        failures = table.column("passed").count(False)
         if not args.quiet:
             for i in range(table.n_rows):
                 status = "PASS" if table.column("passed")[i] else "FAIL"

@@ -22,7 +22,6 @@ from actionlab.action import (
 )
 from actionlab.experiments import (
     config_from_dict,
-    philox_stream,
     run_emergence_experiment,
     run_profile,
     run_resolution_sweep,
@@ -41,6 +40,7 @@ from actionlab.measurement import (
     projective_kernel,
 )
 from actionlab.models import qubit_system, ring_system, spin_system
+from actionlab.verify import philox_stream
 from conftest import (
     RING_PARAMS,
     UNIT,

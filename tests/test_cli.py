@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -55,6 +58,27 @@ def spin_config(tmp_path):
 class TestExitCodes:
     def test_verify_clean_build(self, tmp_path):
         assert dispatch(["verify", "--quiet", "--out", str(tmp_path)]) == 0
+
+    def test_only_verify_imports_the_suite(self, tmp_path):
+        # No runner calls the invariant suite, so in a fresh interpreter the
+        # other commands never import (and never compile) actionlab.verify.
+        script = (
+            "import sys\n"
+            "from actionlab.cli import dispatch\n"
+            "out, config = sys.argv[1:]\n"
+            "assert dispatch(['models', '--quiet']) == 0\n"
+            "assert dispatch(['models', '--config', config, '--quiet', '--out', out]) == 0\n"
+            "assert dispatch(['profile', '--config', config, '--quiet', '--out', out]) == 0\n"
+            "assert 'actionlab.verify' not in sys.modules\n"
+            "assert dispatch(['verify', '--scope', 'models', '--quiet', '--out', out]) == 0\n"
+            "assert 'actionlab.verify' in sys.modules\n"
+        )
+        src = str(CONFIGS.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script, str(tmp_path),
+                              str(CONFIGS / "qubit_profile.json")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -250,6 +274,21 @@ class TestExitCodes:
         assert dispatch(["emerge", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error: emergence.pairs: pair (0.0, 0.0): <b|a> vanishes" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_roundoff_default_pair_is_refused(self, tmp_path, capsys):
+        # Spin j = 4.5's default pairs (1.5, 2.5) and (2.5, 1.5) have
+        # <y|x> = 0 exactly; its roundoff, 4.5e-17, lies below d eps times
+        # the summed magnitudes of the contributions, so it has no phase.
+        config = tmp_path / "spin4.5.json"
+        config.write_text(json.dumps(dict(SPIN_CFG, model={"name": "spin", "j": 4.5},
+                                          a={"basis": "x", "eigenvalue": 1.5},
+                                          b={"basis": "y", "eigenvalue": 1.5})))
+        out = tmp_path / "out"
+        assert dispatch(["emerge", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: emergence.pairs: pair (1.5, 2.5): <b|a> vanishes" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -12,7 +12,7 @@ from actionlab.hilbert import DiagonalUnitary, apply_diagonal, expand, orthonorm
 from actionlab.cli import load_config
 import actionlab.measurement as measurement_module
 from actionlab.measurement import Measurement, _transfer, gaussian_kernel, joint_distribution
-from actionlab.models import SPIN_PROFILE_SMOOTHING_SPACINGS, make_packet
+from actionlab.models import SPIN_PROFILE_SMOOTHING_SPACINGS, make_packet, spin_cone
 from actionlab.experiments import (
     MAX_J,
     MAX_LIST_ITEMS,
@@ -23,13 +23,12 @@ from actionlab.experiments import (
     build_state,
     build_system,
     config_from_dict,
-    philox_stream,
     run_emergence_experiment,
-    run_invariant_suite,
     run_profile,
     run_propagation_time_experiment,
     run_resolution_sweep,
 )
+from actionlab.verify import philox_stream, run_invariant_suite
 from conftest import UNIT, bench_module, dense_overlap_scan, mutated, per_pair_emergence
 
 SPIN20_SWEEP = {
@@ -291,6 +290,52 @@ class TestSweepClosedFormsAtSize:
         _, table = sweep
         tv = table.column("tv_disturbance")
         assert tv[1] / tv[2] == pytest.approx(1e4, rel=0.01)
+
+
+class TestDisturbanceScale:
+    """The disturbance of x_a -> z -> y_b is set by the branch separation
+    2x* = 2m*, the distance between the two classical values of Jz
+    (``models.spin_cone``), not by delta_x_m = sqrt(2 pi hbar / |S''|).
+    Measured through the sweep in absolute units."""
+
+    # (x_a, x_b) / j: TV at sigma = g 2x*, g = 0.5, 1, 2, at j = 1000 (measured).
+    REFERENCE = {(0.5, 0.5): (0.05125, 0.004603, 3.068e-4),
+                 (0.4, 0.3): (0.02997, 0.002352, 1.531e-4)}
+
+    @staticmethod
+    def tv(j: int, fractions: tuple[float, float], unit: str, multiples) -> list[float]:
+        """TV at sigma = each multiple of 2x* ("separation") or of the
+        closed-form delta_x_m, with |S''| = hbar m* / |x_a x_b|."""
+        x_a, x_b = (f * j for f in fractions)
+        m_star = spin_cone(j, x_a, x_b)[1]
+        scale = (2.0 * m_star if unit == "separation"
+                 else float(np.sqrt(2.0 * np.pi * abs(x_a * x_b) / m_star)))
+        cfg, _ = config_from_dict({
+            "model": {"name": "spin", "j": j},
+            "a": {"basis": "x", "eigenvalue": x_a},
+            "b": {"basis": "y", "eigenvalue": x_b},
+            "intermediate": "z",
+            "sweep": {"values": [g * scale for g in multiples], "units": "absolute"},
+        })
+        return run_resolution_sweep(cfg).column("tv_disturbance")
+
+    @pytest.mark.parametrize("fractions", list(REFERENCE))
+    def test_collapses_on_branch_separation(self, fractions):
+        # From j = 50 to 1000, TV(g 2x*) is one curve: within 3% of the
+        # j = 1000 values at j = 50 and 200 (measured: at most 2.5%).
+        reference = self.REFERENCE[fractions]
+        tv50, tv200 = (self.tv(j, fractions, "separation", (0.5, 1.0, 2.0)) for j in (50, 200))
+        assert tv50 == pytest.approx(tv200, rel=0.03)
+        assert tv50 == pytest.approx(reference, rel=0.03)
+        assert tv200 == pytest.approx(reference, rel=0.03)
+
+    @pytest.mark.parametrize("fractions", list(REFERENCE))
+    def test_does_not_collapse_on_delta_x_m(self, fractions):
+        # 2x* / delta_x_m grows like sqrt(j), so at a fixed 4 delta_x_m the
+        # branches are resolved better and better: TV rises from j = 50 to
+        # 200 (measured: 0.032 -> 0.162 and 0.120 -> 0.239).
+        (tv50,), (tv200,) = (self.tv(j, fractions, "delta_x_m", (4.0,)) for j in (50, 200))
+        assert tv200 > 1.5 * tv50
 
 
 class TestRingResolutionSweep:

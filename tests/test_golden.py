@@ -30,11 +30,11 @@ import pytest
 from actionlab.cli import dispatch, load_config
 from actionlab.experiments import (
     run_emergence_experiment,
-    run_invariant_suite,
     run_profile,
     run_propagation_time_experiment,
     run_resolution_sweep,
 )
+from actionlab.verify import run_invariant_suite
 from conftest import bench_module
 
 ROOT = Path(__file__).resolve().parent.parent
