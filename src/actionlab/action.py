@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ProfileTooSparseError, UndefinedPhaseError
 from .hilbert import (
@@ -30,11 +29,12 @@ from .hilbert import (
     expand,
     inner,
 )
+from .measurement import gaussian_kernel
 
 # A grid point is phase-valid when its contribution magnitude is above this
 # fraction of the largest one; Arg is numerically meaningless near nodes.
 MAGNITUDE_FLOOR_RELATIVE = 1e-10
-# Absolute floor for single-point phase evaluation.
+# Absolute floor below which no overlap or triple product has a phase.
 MAGNITUDE_FLOOR_ABSOLUTE = 1e-150
 
 
@@ -44,13 +44,31 @@ def action_phase(
     b: StateVector,
     constants: PhysicalConstants,
 ) -> float:
-    """Action of one intermediate contribution, in (-pi*hbar, pi*hbar]."""
-    triple = inner(b, m) * inner(m, a) * inner(a, b)
+    """Action of one intermediate contribution, in (-pi*hbar, pi*hbar].
+
+    Refused where one of the three overlaps is the roundoff of an exact
+    zero (``_vanishes`` on its reference components): its phase, and so the
+    triple's, would change with the global phases of the states.
+    """
+    triple = 1.0
+    for (left, right), name in zip(((b, m), (m, a), (a, b)), ("<b|m>", "<m|a>", "<a|b>")):
+        overlap = inner(left, right)
+        if _vanishes(overlap, np.conj(left.amplitudes) * right.amplitudes):
+            raise UndefinedPhaseError(f"{name} vanishes ({abs(overlap):.3e}); no phase")
+        triple *= overlap
     if abs(triple) < MAGNITUDE_FLOOR_ABSOLUTE:
         raise UndefinedPhaseError(
             f"triple-product magnitude {abs(triple):.3e} too small for a phase"
         )
     return constants.hbar * float(np.angle(triple))
+
+
+def _vanishes(total: complex, terms: np.ndarray) -> bool:
+    """True when ``total``, the sum of ``terms``, is the roundoff of an exact
+    zero: below d eps times the sum of the magnitudes it adds up (or below
+    MAGNITUDE_FLOOR_ABSOLUTE), so its phase is noise."""
+    floor = terms.size * np.finfo(float).eps * float(np.sum(np.abs(terms)))
+    return abs(total) < max(floor, MAGNITUDE_FLOOR_ABSOLUTE)
 
 
 @dataclass(frozen=True)
@@ -206,10 +224,7 @@ def action_profile(
     amps_b = _amplitudes(b, basis)
     bare_product = np.conj(amps_b) * amps_a
     inner_ab = complex(np.sum(bare_product))
-    # Below d eps times the sum of the magnitudes it adds up, <b|a> is the
-    # roundoff of an exact zero, and its phase is noise.
-    floor = bare_product.size * np.finfo(float).eps * float(np.sum(np.abs(bare_product)))
-    if abs(inner_ab) < max(floor, MAGNITUDE_FLOOR_ABSOLUTE):
+    if _vanishes(inner_ab, bare_product):
         raise UndefinedPhaseError("<b|a> vanishes; action phases are undefined")
     x = basis.eigenvalues
     weights = basis.spacing_per_state()
@@ -219,15 +234,12 @@ def action_profile(
     rho_b_vals = np.abs(amps_b) ** 2 / weights
     amp_product = bare_product
     if smoothing > 0.0:
-        # One real product filters all four real columns; the real kernel
-        # is never upcast to complex.
-        kern, norm = _branch_filter(basis, smoothing)
-        filtered = kern @ np.column_stack(
-            [bare_product.real, bare_product.imag, rho_a_vals, rho_b_vals])
-        filtered /= norm[:, np.newaxis]
-        amp_product = filtered[:, 0] + 1j * filtered[:, 1]
-        rho_a_vals = filtered[:, 2]
-        rho_b_vals = filtered[:, 3]
+        # One real product filters all four real rows; the real kernel is
+        # never upcast to complex.
+        kernel = _branch_filter(basis, smoothing)
+        re, im, rho_a_vals, rho_b_vals = np.stack(
+            [bare_product.real, bare_product.imag, rho_a_vals, rho_b_vals]) @ kernel
+        amp_product = re + 1j * im
     magnitude = np.abs(amp_product)
     peak = float(np.max(magnitude))
     if peak <= 0.0:
@@ -298,64 +310,16 @@ def _amplitudes(psi: StateVector | np.ndarray, basis: LabeledBasis) -> np.ndarra
     return psi
 
 
-def gaussian_matrix(x: np.ndarray, width: float) -> np.ndarray:
-    """Fresh symmetric d x d array exp(-(x_j - x_i)^2 / (2 width^2)) over a grid.
-
-    The one Gaussian of grid differences: the branch filter weights its
-    columns and sums its rows, the measurement kernel
-    (``measurement.gaussian_kernel``) weights its rows and sums its columns.
-    On a lattice grid (``_is_lattice``: every spin grid, a ring position
-    grid with dyadic L/N) x_j - x_i is the exact float x_|j-i| - x_0, and
-    (-v)^2 is v^2, so the d exponentials of the first row, mirrored and laid
-    out as a Toeplitz matrix, are the dense expression bit for bit.  Every
-    other grid (ring momenta, positive energies) evaluates all d^2 entries.
-    """
-    if _is_lattice(x):
-        return toeplitz_view(gaussian_row(x, width)).copy()
-    return np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * width**2))
-
-
-def gaussian_row(x: np.ndarray, width: float) -> np.ndarray:
-    """The 2d - 1 distinct entries of ``gaussian_matrix`` on a lattice grid:
-    the d exponentials of its first row, mirrored about their first entry."""
-    half = np.exp(-((x - x[0]) ** 2) / (2.0 * width**2))
-    return np.concatenate([half[:0:-1], half])
-
-
-def toeplitz_view(row: np.ndarray) -> np.ndarray:
-    """Read-only d x d view with entry (i, j) = row[d - 1 + j - i] of a
-    symmetric row of 2d - 1 entries (so also row[d - 1 + i - j])."""
-    return sliding_window_view(row, (row.size + 1) // 2)[::-1]
-
-
-def _is_lattice(x: np.ndarray) -> bool:
-    """True when the grid is uniform and every difference x_j - x_i is an
-    exact float: each x_k is an integer q_k, |q_k| <= 2^52, times one power
-    of two (the finer of those of x_0 and x_1 - x_0), in equal steps."""
-    den = max(float(v).as_integer_ratio()[1] for v in (x[0], x[1] - x[0]))
-    if den > 2**52:
-        return False
-    q = x * den
-    return bool(np.all(q == np.rint(q)) and np.max(np.abs(q)) <= 2.0**52
-                and np.all(np.diff(q) == q[1] - q[0]))
-
-
 @lru_cache(maxsize=4)
-def _branch_filter(basis: LabeledBasis, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted Gaussian branch-filter kernel over the basis grid and its row sums.
-
-    The measurement kernel's Gaussian read along the other axis: entry (i, j)
-    is w_j exp(-(x_j - x_i)^2 / 2 smoothing^2), normalized per row i, so the
-    filter averages amplitudes over neighbouring states j.  Cached per
-    (basis, width): an emergence scan filters every pair over the same basis.
-    Holds at most four d x d kernels; the arrays are read-only.
-    """
-    kern = gaussian_matrix(basis.eigenvalues, smoothing)
-    kern *= basis.spacing_per_state()[np.newaxis, :]
-    norm = kern.sum(axis=1)
-    kern.flags.writeable = False
-    norm.flags.writeable = False
-    return kern, norm
+def _branch_filter(basis: LabeledBasis, smoothing: float) -> np.ndarray:
+    """The branch filter: ``gaussian_kernel(basis, smoothing)``'s d x d P,
+    whose entry (j, i) = P(j|x_i) weights amplitude j in the average around
+    state i (a row vector times P).  Cached per (basis, width), as an
+    emergence scan filters every pair over one basis; at most four
+    read-only d x d arrays."""
+    table = gaussian_kernel(basis, smoothing).at(slice(None), slice(None))
+    table.flags.writeable = False
+    return table
 
 
 def _fit_halfwidth(profile: ActionProfile, idx: int) -> int:
@@ -477,10 +441,7 @@ def aligned_unitary(
     valid = magnitude >= MAGNITUDE_FLOOR_RELATIVE * peak
     if peak <= 0.0 or not np.any(valid):
         raise UndefinedPhaseError("every contribution is masked; nothing to align")
-    if abs(inner_ab) < MAGNITUDE_FLOOR_ABSOLUTE:
-        gauge = 0.0
-    else:
-        gauge = float(np.angle(inner_ab))
+    gauge = 0.0 if _vanishes(inner_ab, amp_product) else float(np.angle(inner_ab))
     phases = np.zeros(basis.n_states)
     phases[valid] = -(np.angle(amp_product[valid]) - gauge)
     unitary = DiagonalUnitary(basis, phases)

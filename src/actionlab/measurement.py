@@ -14,6 +14,9 @@ folded on the spin mirror where the pieces allow, with the disturbance and
 factorization metrics read off it once), the slow-kernel
 (non-disturbance) condition, and the high-resolution regime where the
 measurement resolves the action gradient instead of the intermediate value.
+The Gaussian kernel is also the action layer's branch filter, read along
+its other axis (``action._branch_filter``), so this module owns the one
+Gaussian of grid differences and imports ``action`` for annotations only.
 """
 
 from __future__ import annotations
@@ -21,20 +24,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .action import (
-    ActionProfile,
-    StationaryPoint,
-    _is_lattice,
-    gaussian_matrix,
-    gaussian_row,
-    toeplitz_view,
-)
 from .errors import NotApplicableError
 from .hilbert import LabeledBasis, StateVector, expand, scaled_overlaps
+
+if TYPE_CHECKING:   # annotations only: action imports this module
+    from .action import ActionProfile, StationaryPoint
 
 KERNEL_COMPLETENESS_TOLERANCE = 1e-12
 POVM_TOLERANCE = 1e-10
@@ -44,11 +43,6 @@ NONDISTURBANCE_THRESHOLD = 0.1
 REGIME_GUARD_BAND = 10.0
 # Conditional probabilities within this relative distance of the maximum tie.
 ARGMAX_TIE_RELATIVE = 1e-12
-
-
-# Most columns of sqrt(P) laid out at a time when a lattice kernel's
-# operator completeness is measured.
-_LAYOUT_COLUMNS = 256
 
 
 class _KernelRow(NamedTuple):
@@ -140,33 +134,28 @@ def build_measurement(
 def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> Measurement:
     """Gaussian resolution kernel on the basis eigenvalue grid.
 
-    The branch filter's Gaussian (``action.gaussian_matrix``) read along the
-    other axis: row r is weighted by dx_r / (sqrt(2 pi) delta_x_r), with dx_r
-    the local grid weight (the quadrature rule whose continuum limit
-    integrates to one per state), and each column is divided by its sum so
-    completeness holds exactly on the finite grid.
+    Row r is exp(-(x_r - x_m)^2 / 2 delta_x_r^2) weighted by
+    dx_r / (sqrt(2 pi) delta_x_r), dx_r the local grid weight, and each
+    column is divided by its sum, so completeness holds exactly on the
+    finite grid.  The constant cancels there: P(j|x_i) is also the branch
+    filter's weight w_j g(x_j - x_i) / sum_j w_j g(x_j - x_i)
+    (``action._branch_filter``).
 
-    On a lattice grid (``action._is_lattice``: every spin grid, the ring's
-    dyadic positions) dx_r is one number and the Gaussian one row of 2d - 1
-    exponentials, so the kernel is held as that weighted row R and its
-    column sums S.  The columns m <= 0 (indices below (d + 1) // 2) sum
-    R's length-d windows in the dense table's order, and each column m > 0
-    takes the sum of its mirror -m, the same numbers in reverse order, so
-    the kernel is mirror-symmetric bit for bit, P(-r|x_-m) = P(r|x_m), as
-    the folded joint table needs (``Measurement.mirrored``).  Each is
-    validated per value: R finite and non-negative, every S finite and
-    positive (so each column of R/S sums to one), and the operators'
-    completeness, summed over sqrt(P) laid out a block of columns at a time
-    and reported as ``completeness_deviation``: the sum over the whole
-    laid-out sqrt(P) bit for bit.  Other grids (ring momenta, positive
-    energies) build the dense table.
+    On a lattice grid (``_is_lattice``: every spin grid, the ring's dyadic
+    positions) the kernel is held as the weighted row R (``gaussian_row``)
+    and its column sums S.  The columns m <= 0 sum R's windows in the dense
+    table's order and each column m > 0 takes the sum of its mirror -m, so
+    P(-r|x_-m) = P(r|x_m) bit for bit (``Measurement.mirrored``).  Each
+    value checks R finite and non-negative, S finite and positive, and the
+    operators' completeness: sum_r sqrt(R)^2 in one strided sum along the
+    row, times 1/S.  Other grids build the dense d x d table.
     """
     if not (delta_x_r > 0 and np.isfinite(delta_x_r)):
         raise ValueError(f"delta_x_r must be positive, got {delta_x_r}")
     x = basis.eigenvalues
     weight = basis.spacing_per_state() / (np.sqrt(2.0 * np.pi) * delta_x_r)
     if not _is_lattice(x):
-        table = gaussian_matrix(x, delta_x_r)
+        table = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * delta_x_r**2))
         table *= weight[:, np.newaxis]
         table /= table.sum(axis=0, keepdims=True)
         return build_measurement(basis, table, delta_x_r)
@@ -180,16 +169,37 @@ def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> Measurement:
     col_sums = np.concatenate([col_sums, col_sums[: d // 2][::-1]])
     sqrt_row = np.sqrt(row)
     sqrt_scale = 1.0 / np.sqrt(col_sums)
-    # Equal blocks of at most _LAYOUT_COLUMNS columns, at least two each: a
-    # one-column block would be summed pairwise, not in the table's order.
-    edges = np.linspace(0, d, -(-d // _LAYOUT_COLUMNS) + 1).astype(int)
-    sqrt_p = toeplitz_view(sqrt_row)
-    dev = _operator_deviation(np.concatenate([
-        np.square(sqrt_p[:, lo:hi] * sqrt_scale[lo:hi]).sum(axis=0)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]))
+    dev = _operator_deviation(toeplitz_view(np.square(sqrt_row)).sum(axis=0) * np.square(sqrt_scale))
     kernel = _KernelRow(*map(_frozen, (row, col_sums, sqrt_row, sqrt_scale)))
     return Measurement(basis, float(delta_x_r), dev, _lattice=kernel)
+
+
+def gaussian_row(x: np.ndarray, width: float) -> np.ndarray:
+    """The 2d - 1 distinct entries of exp(-(x_j - x_i)^2 / 2 width^2) on a
+    lattice grid: the d exponentials of its first row, mirrored about their
+    first entry.  There x_j - x_i is the exact float x_|j-i| - x_0 and
+    (-v)^2 is v^2, so laid out by ``toeplitz_view`` they are the dense
+    d x d expression bit for bit."""
+    half = np.exp(-((x - x[0]) ** 2) / (2.0 * width**2))
+    return np.concatenate([half[:0:-1], half])
+
+
+def toeplitz_view(row: np.ndarray) -> np.ndarray:
+    """Read-only d x d view with entry (i, j) = row[d - 1 + j - i] of a
+    symmetric row of 2d - 1 entries (so also row[d - 1 + i - j])."""
+    return sliding_window_view(row, (row.size + 1) // 2)[::-1]
+
+
+def _is_lattice(x: np.ndarray) -> bool:
+    """True when the grid is uniform and every difference x_j - x_i is an
+    exact float: each x_k is an integer q_k, |q_k| <= 2^52, times one power
+    of two (the finer of those of x_0 and x_1 - x_0), in equal steps."""
+    den = max(float(v).as_integer_ratio()[1] for v in (x[0], x[1] - x[0]))
+    if den > 2**52:
+        return False
+    q = x * den
+    return bool(np.all(q == np.rint(q)) and np.max(np.abs(q)) <= 2.0**52
+                and np.all(np.diff(q) == q[1] - q[0]))
 
 
 def _operator_deviation(sums: np.ndarray) -> float:

@@ -269,8 +269,8 @@ def gaussian_kernel_raw(basis, delta_x_r: float) -> np.ndarray:
     """Gaussian kernel entries before the column renormalization.
 
     dx_r / (sqrt(2 pi) delta_x_r) * exp(-(x_m - x_r)^2 / (2 delta_x_r^2)) in
-    one expression, independent of ``action.gaussian_matrix``; divided by its
-    column sums it must equal ``gaussian_kernel``'s table bit for bit.
+    one expression, independent of ``measurement.gaussian_row``; divided by
+    its column sums it must equal ``gaussian_kernel``'s table bit for bit.
     """
     x = basis.eigenvalues
     w = basis.spacing_per_state()
@@ -279,6 +279,17 @@ def gaussian_kernel_raw(basis, delta_x_r: float) -> np.ndarray:
         / (np.sqrt(2.0 * np.pi) * delta_x_r)
         * np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * delta_x_r**2))
     )
+
+
+def row_normalized_filter(basis, smoothing: float, stack: np.ndarray) -> np.ndarray:
+    """The columns of ``stack`` branch-filtered as the d x d product of the
+    Gaussian of grid differences weighted by w_j per column, divided by its
+    row sums: the reference for ``action._branch_filter``, which reads the
+    same quotients off ``gaussian_kernel``'s column-normalized table."""
+    x = basis.eigenvalues
+    kern = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * smoothing**2))
+    kern *= basis.spacing_per_state()[np.newaxis, :]
+    return (kern @ stack) / kern.sum(axis=1)[:, np.newaxis]
 
 
 def bench_module(name: str):

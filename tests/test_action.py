@@ -26,14 +26,17 @@ from actionlab.hilbert import (
     expand,
     inner,
 )
-from actionlab.models import make_packet, ring_system
+from actionlab.measurement import gaussian_kernel
+from actionlab.models import make_packet, ring_system, spin_system
 from conftest import (
     RING_PARAMS,
     UNIT,
     curvature_weak_value,
+    kernel_table,
     loop_segments_of,
     loop_unwrap_segment,
     ring_arrival_state,
+    row_normalized_filter,
     stationary_phase_overlap,
 )
 
@@ -93,6 +96,17 @@ class TestActionPhase:
             wrapped = abs((fwd + rev + np.pi) % (2 * np.pi) - np.pi)
             assert wrapped < 1e-12
 
+    def test_roundoff_overlap_rejected_in_every_gauge(self):
+        # At spin 4.5, <x(1.5)|y(2.5)> = 4.5e-17 is the roundoff of an exact
+        # zero (the floor d eps sum_k |a_k b_k| is 1.6e-15); its phase, and
+        # the triple's, follows the global phase of a, so none is returned.
+        system = spin_system(4.5)
+        a, b = spin_pair(system, 1.5, 2.5)
+        m = system.basis("z").state_at(0.5)
+        for theta in np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False):
+            with pytest.raises(UndefinedPhaseError, match=r"<a\|b> vanishes"):
+                action_phase(StateVector(a.amplitudes * np.exp(1j * theta)), m, b, UNIT)
+
     def test_orthogonal_triple_rejected(self):
         a = StateVector([1.0, 0.0])
         m = StateVector([0.0, 1.0])
@@ -120,17 +134,30 @@ class TestActionProfile:
         assert abs(np.sum(prof.amp_product_bare) - inner(b, a)) < 1e-14
 
     @pytest.mark.parametrize("smoothing", [2.0, 3.7])
-    def test_branch_filter_bitwise_equals_dense_product(self, spin50, smoothing):
-        # The spin grid is a lattice, so gaussian_matrix lays one row of
-        # exponentials out as a Toeplitz matrix; the weighted kernel and its
-        # row sums are the dense d x d expression's, bit for bit.
-        z = spin50.basis("z")
-        x = z.eigenvalues
-        dense = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * smoothing**2))
-        dense *= z.spacing_per_state()[np.newaxis, :]
-        kern, norm = _branch_filter(z, smoothing)
-        assert np.array_equal(kern, dense)
-        assert np.array_equal(norm, dense.sum(axis=1))
+    def test_branch_filter_bitwise_equals_dense_product(self, spin50, ring256, smoothing):
+        # The filter is the measurement kernel read along its other axis:
+        # the cached array is gaussian_kernel's d x d P bit for bit, on the
+        # spin lattice and on the dense ring-momentum and energy grids.
+        for basis in (spin50.basis("z"), ring256.basis("momentum"), ring256.energy_basis()):
+            width = smoothing * float(np.median(basis.spacing))
+            kern = _branch_filter(basis, width)
+            assert np.array_equal(kern, kernel_table(gaussian_kernel(basis, width)))
+
+    @pytest.mark.parametrize("j", [50.0, 200.0])
+    @pytest.mark.parametrize("smoothing", [2.0, 3.7])
+    def test_branch_filter_within_roundoff_of_row_normalized_product(self, j, smoothing):
+        # Column- and row-normalized, the same Gaussian filters the four real
+        # columns alike up to roundoff of each column's largest entry.
+        system = spin_system(j)
+        a, b = spin_pair(system, 0.4 * j, 0.3 * j)
+        z = system.basis("z")
+        prof = action_profile(a, z, b, UNIT, smoothing=smoothing)
+        w = z.spacing_per_state()
+        bare = prof.amp_product_bare
+        want = row_normalized_filter(z, smoothing, np.column_stack(
+            [bare.real, bare.imag, np.abs(expand(a, z)) ** 2 / w, np.abs(expand(b, z)) ** 2 / w]))
+        got = np.column_stack([prof.amp_product.real, prof.amp_product.imag, prof.rho_a, prof.rho_b])
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 2e-15 * np.max(np.abs(want), axis=0))
 
     def test_branch_filter_cached_with_unchanged_profiles(self, spin20):
         a, b = spin_pair(spin20, 10.0, 10.0)
@@ -145,22 +172,18 @@ class TestActionProfile:
                 assert np.array_equal(one, two, equal_nan=True), f.name
             else:
                 assert one == two, f.name
-        # Oracle: the kernel built inline, as before it was cached, applied
-        # to the same real stack (Re, Im, rho_a, rho_b) bit for bit, and to
-        # the complex product within roundoff.
-        x = z.eigenvalues
+        # Oracle: the kernel built afresh, as before it was cached, applied
+        # to the same real stack (Re, Im, rho_a, rho_b) bit for bit,
         w = z.spacing_per_state()
-        kern = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * 2.0**2))
-        kern *= w[np.newaxis, :]
-        norm = kern.sum(axis=1)
         bare = first.amp_product_bare
-        stack = np.column_stack([bare.real, bare.imag, np.abs(expand(a, z)) ** 2 / w,
-                                 np.abs(expand(b, z)) ** 2 / w])
-        filtered = (kern @ stack) / norm[:, np.newaxis]
-        assert np.array_equal(first.amp_product, filtered[:, 0] + 1j * filtered[:, 1])
-        assert np.array_equal(first.rho_a, filtered[:, 2])
-        assert np.array_equal(first.rho_b, filtered[:, 3])
-        assert np.max(np.abs(first.amp_product - (kern @ bare) / norm)) < 1e-15
+        kern = kernel_table(gaussian_kernel(z, 2.0))
+        filtered = np.stack([bare.real, bare.imag, np.abs(expand(a, z)) ** 2 / w,
+                             np.abs(expand(b, z)) ** 2 / w]) @ kern
+        assert np.array_equal(first.amp_product, filtered[0] + 1j * filtered[1])
+        assert np.array_equal(first.rho_a, filtered[2])
+        assert np.array_equal(first.rho_b, filtered[3])
+        # and to the complex product within roundoff.
+        assert np.max(np.abs(first.amp_product - bare @ kern)) < 1e-15
 
     def test_spin50_gradient_sign_change_near_oracle(self, spin50):
         # Brute-force profile against the classical cone-intersection oracle.

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actionlab.action import action_profile, stationary_points
+import actionlab.action as action_module
+from actionlab.action import _branch_filter, action_profile, stationary_points
 from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, expand, orthonormality_deviation
 from actionlab.cli import load_config
@@ -228,12 +229,20 @@ class TestResolutionSweep:
         # -> y) build every value's table from a lattice kernel on a folded
         # transfer, and neither they nor the invariant suite read a lattice
         # kernel as a whole d x d block: each kernel is read from its row.
+        # The one exemption is the branch filter, which holds the d x d P
+        # of its own kernel once per (basis, width).
         at, joint_table = Measurement.at, measurement_module._joint_table
+        filters = []
+
+        def filter_kernel(basis, width):
+            filters.append(gaussian_kernel(basis, width))
+            return filters[-1]
 
         def checked(kernel, r, m, sqrt=False):
             block = at(kernel, r, m, sqrt)
             d = kernel.basis.n_states
-            if kernel.mirrored and np.shape(block) == (d, d):
+            if (kernel.mirrored and np.shape(block) == (d, d)
+                    and not any(kernel is f for f in filters)):
                 raise AssertionError("a lattice kernel was laid out as a d x d table")
             return block
 
@@ -245,6 +254,8 @@ class TestResolutionSweep:
 
         monkeypatch.setattr(Measurement, "at", checked)
         monkeypatch.setattr(measurement_module, "_joint_table", recorded)
+        monkeypatch.setattr(action_module, "gaussian_kernel", filter_kernel)
+        _branch_filter.cache_clear()
         workloads = bench_module("workloads")
         ((_, bench),) = workloads.spin_sweep(workloads.DEFAULT_SEED)
         for raw in (json.loads((CONFIGS / "spin20_sweep.json").read_text()), bench):
@@ -253,6 +264,7 @@ class TestResolutionSweep:
             run_resolution_sweep(cfg)
             assert ran == [(True, True)] * len(cfg.sweep.values)
         assert all(run_invariant_suite().column("passed"))
+        assert len({(f.basis, f.resolution) for f in filters}) == len(filters)
 
 
 class TestSweepClosedFormsAtSize:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from actionlab.action import _is_lattice, action_profile, stationary_points
+from actionlab.action import action_profile, stationary_points
 from actionlab.errors import NotApplicableError
 from actionlab.hilbert import LabeledBasis, PhysicalConstants, expand, random_state
 from actionlab.measurement import (
     Regime,
+    _is_lattice,
     _transfer,
     build_measurement,
     gaussian_kernel,
@@ -14,6 +15,7 @@ from actionlab.measurement import (
     nondisturbance_check,
     projective_kernel,
     regime_classifier,
+    toeplitz_view,
 )
 from actionlab.models import (
     ring_arrival_basis,
@@ -153,16 +155,24 @@ class TestBuildMeasurement:
             assert ops.completeness_deviation() < 1e-10
 
     def test_completeness_deviation_equals_recomputed_sum(self, spin20, ring256):
-        # A lattice kernel sums sqrt(P) laid out at most 256 columns at a time
-        # (d = 41, 258, 401, 2001 and the ring's 256 positions), a dense one
-        # (ring momenta) its whole table: the sum over the table bit for bit.
+        # A lattice kernel (d = 41, 258, 401, 2001 and the ring's 256
+        # positions) sums sqrt(R)^2 along its row's windows, times 1/S: the
+        # row formula bit for bit, within roundoff of the sum over the
+        # laid-out sqrt(P).  A dense one (ring momenta) sums its whole
+        # table: that sum bit for bit.
         bases = [spin20.basis("z"), *(spin_system(j).basis("z") for j in (128.5, 200.0, 1000.0)),
                  ring256.basis("position"), ring256.basis("momentum")]
         for basis in bases:
             for delta in (0.5, 2.0, 10.0):
                 ops = gaussian_kernel(basis, delta * float(np.median(basis.spacing)))
-                fresh = float(np.max(np.abs((kernel_table(ops, sqrt=True) ** 2).sum(axis=0) - 1.0)))
-                assert ops.completeness_deviation() == fresh
+                laid_out = (kernel_table(ops, sqrt=True) ** 2).sum(axis=0)
+                assert ops.mirrored is (basis is not bases[-1])
+                if ops.mirrored:
+                    row = ops._lattice
+                    sums = toeplitz_view(np.square(row.sqrt_row)).sum(axis=0) * np.square(row.sqrt_scale)
+                    assert np.max(np.abs(sums - laid_out)) <= 2e-15
+                    laid_out = sums
+                assert ops.completeness_deviation() == float(np.max(np.abs(laid_out - 1.0)))
 
     def test_qubit_binary_kernel_amplitude(self, qubit):
         # Hand arithmetic with a = (1, 1)/sqrt 2 and b = (1, -i)/sqrt 2 (canonical

@@ -1,7 +1,10 @@
 """Source scans over the package and the code that runs it."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +35,18 @@ def public_definitions() -> list[tuple[str, str, Path, int, int]]:
                              for item in node.body
                              if isinstance(item, ast.FunctionDef) and _public(item.name))
     return found
+
+
+def test_measurement_imports_without_action():
+    # action builds its branch filter on measurement's Gaussian kernel, so
+    # measurement reads action's types for annotations only: in a fresh
+    # interpreter importing it leaves action unloaded.
+    script = "import sys, actionlab.measurement\nassert 'actionlab.action' not in sys.modules\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def references() -> dict[str, dict[str, list[tuple[Path, int]]]]:
