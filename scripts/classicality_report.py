@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
 """Condensed console report: where classical causality emerges and fails.
 
-For a spin system this prints, per boundary-condition pair, the stationary
-intermediate values against the classical cone-intersection formula, the
-disturbance-free resolution, and the measured disturbance across a
-resolution sweep.  A quick way to eyeball the whole story without opening
-the CSV tables.
+For a spin system this prints the ``emerge`` rows of one boundary-condition
+pair (the stationary intermediate values against the classical
+cone-intersection formula, with the disturbance-free resolution), then the
+``sweep`` rows: the measured disturbance across a resolution sweep.  A quick
+way to eyeball the whole story without opening the CSV tables.
 """
 
 import argparse
 
-from actionlab.action import action_profile, stationary_points
-from actionlab.experiments import (
-    config_from_dict,
-    profile_smoothing_for,
-    run_resolution_sweep,
-)
-from actionlab.models import spin_system
+from actionlab.experiments import config_from_dict, run_emergence_experiment, run_resolution_sweep
 
 
 def main():
@@ -31,32 +25,25 @@ def main():
         "a": {"basis": "x", "eigenvalue": args.xa},
         "b": {"basis": "y", "eigenvalue": args.xb},
         "intermediate": "z",
-        "seed": 20260808,
+        "emergence": {"pairs": [[args.xa, args.xb]]},
     })
-    system = spin_system(args.j)
-    a = system.basis("x").state_at(args.xa)
-    b = system.basis("y").state_at(args.xb)
-    z = system.basis("z")
-    profile = action_profile(a, z, b, cfg.constants,
-                             smoothing=profile_smoothing_for(cfg, system, z))
-    points = stationary_points(profile)
-    oracle = system.classical_oracle(args.xa, args.xb)
+    columns = run_emergence_experiment(cfg).columns
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
 
     print(f"spin j={args.j:g}, x_a={args.xa:g} (x basis), x_b={args.xb:g} (y basis)")
-    if not oracle:
-        print("  classically forbidden pair (x_a^2 + x_b^2 > j(j+1))")
-    for branch in oracle:
-        best = min(points, key=lambda p: abs(p.x_star - branch)) if points else None
-        if best is None:
-            print(f"  classical x* = {branch:+8.3f}: no stationary point found")
-            continue
-        print(
-            f"  classical x* = {branch:+8.3f}  found {best.x_star:+8.3f} "
-            f"(off {abs(best.x_star - branch):.2f})  S'' = {best.curvature_at:+.4f}  "
-            f"dx_m = {best.delta_x_m:.2f}  dn = {best.delta_n:.1f}  "
-            f"weak value = {best.weak_value_magnitude:.3f}"
-        )
-    if not points:
+    for row in rows:
+        if not row["classically_allowed"]:
+            print("  classically forbidden pair (x_a^2 + x_b^2 > j(j+1))")
+        elif not row["found"]:
+            print(f"  classical x* = {row['classical']:+8.3f}: no stationary point found")
+        else:
+            print(
+                f"  classical x* = {row['classical']:+8.3f}  found {row['x_star']:+8.3f} "
+                f"(off {abs(row['x_star'] - row['classical']):.2f})  "
+                f"S'' = {row['curvature']:+.4f}  dx_m = {row['delta_x_m']:.2f}  "
+                f"dn = {row['delta_n']:.1f}  weak value = {row['weak_value']:.3f}"
+            )
+    if not any(row["found"] for row in rows):
         return
 
     table = run_resolution_sweep(cfg)

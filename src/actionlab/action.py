@@ -36,6 +36,10 @@ from .measurement import gaussian_kernel
 MAGNITUDE_FLOOR_RELATIVE = 1e-10
 # Absolute floor below which no overlap or triple product has a phase.
 MAGNITUDE_FLOOR_ABSOLUTE = 1e-150
+# Largest action step between neighbouring grid points, in units of hbar,
+# that the nearest-multiple unwrapping takes as it is; past it the step is
+# alias-suspect and ``action_profile`` masks the derivatives beside it.
+ALIAS_LIMIT = 0.8 * np.pi
 
 
 def action_phase(
@@ -260,7 +264,6 @@ def action_profile(
     gradient = np.full(basis.n_states, np.nan)
     curvature = np.full(basis.n_states, np.nan)
     segment_id = np.full(basis.n_states, -1, dtype=int)
-    alias_limit = 0.8 * np.pi * hbar
     for sid, (lo, hi) in enumerate(segments):
         sl = slice(lo, hi)
         # Canonical anchor: the strongest contribution keeps its raw value,
@@ -272,7 +275,7 @@ def action_profile(
         # Steps near the half-turn limit are alias-suspect: the nearest-
         # multiple chaining is no longer well posed there, so derivatives
         # across such steps would be sampling artifacts.
-        big = np.abs(np.diff(seg)) > alias_limit
+        big = np.abs(np.diff(seg)) > ALIAS_LIMIT * hbar
         bad = np.zeros(hi - lo, dtype=bool)
         bad[:-1] |= big
         bad[1:] |= big

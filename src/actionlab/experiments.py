@@ -1,7 +1,8 @@
 """Reproducible experiment harness.
 
 Four experiment families over the model systems, each returning a
-``ResultTable`` with provenance (config hash, constants, code version):
+``ResultTable`` built by ``_table`` with the provenance of ``_provenance``
+(config hash, constants, code version), which ``verify`` shares:
 
 * ``run_profile`` — action profile of one a -> b pair over an intermediate
   basis, ready for CSV/JSON dumps.
@@ -25,16 +26,9 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import __version__
-from .action import action_profile, stationary_points
+from .action import ALIAS_LIMIT, action_profile, stationary_points
 from .errors import ConfigError, ProfileTooSparseError, ScanBoundaryError, UndefinedPhaseError
-from .hilbert import (
-    DiagonalUnitary,
-    LabeledBasis,
-    PhysicalConstants,
-    StateVector,
-    apply_diagonal,
-    expand,
-)
+from .hilbert import LabeledBasis, PhysicalConstants, StateVector, apply_diagonal, expand
 from .measurement import gaussian_kernel, joint_distribution, nondisturbance_check, regime_classifier
 from .models import (
     ModelSystem,
@@ -362,15 +356,21 @@ def _json_cell(v):
     return str(v)
 
 
-def _provenance(cfg: ExperimentConfig, experiment: str) -> dict[str, str]:
+def _provenance(experiment: str, config_hash: str, hbar: float, seed: int) -> dict[str, str]:
     return {
         "experiment": experiment,
-        "config_hash": cfg.config_hash(),
+        "config_hash": config_hash,
         "schema_version": str(SCHEMA_VERSION),
-        "hbar": f"{cfg.constants.hbar:.17g}",
-        "seed": str(cfg.seed),
+        "hbar": f"{hbar:.17g}",
+        "seed": str(seed),
         "version": __version__,
     }
+
+
+def _table(cfg: ExperimentConfig, name: str, columns: dict[str, list]) -> ResultTable:
+    """A runner's table ``name``, with the config's provenance."""
+    return ResultTable(name, columns, _provenance(name, cfg.config_hash(), cfg.constants.hbar,
+                                                  cfg.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +474,8 @@ def _profile(a, basis, b, constants, smoothing, pair=None, values=None):
 
 def run_profile(cfg: ExperimentConfig) -> ResultTable:
     """Action profile of the configured pair over the intermediate basis."""
-    _, _, _, _, profile = _profile_for(cfg)
-    cols = {k: list(v) for k, v in profile.to_columns().items()}
-    return ResultTable(
-        name="profile",
-        columns=cols,
-        provenance=_provenance(cfg, "profile"),
-    )
+    profile = _profile_for(cfg)[-1]
+    return _table(cfg, "profile", {k: list(v) for k, v in profile.to_columns().items()})
 
 
 def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
@@ -534,11 +529,7 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
             "delta_n": points[0].delta_n if points else np.nan,
         }
 
-    return ResultTable(
-        name="resolution_sweep",
-        columns=_rows_to_columns([one(value) for value in cfg.sweep.values]),
-        provenance=_provenance(cfg, "resolution_sweep"),
-    )
+    return _table(cfg, "resolution_sweep", _rows_to_columns([one(v) for v in cfg.sweep.values]))
 
 
 def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -607,12 +598,8 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
 
     n = len(pairs)
     blocks = np.array_split(range(n), -(-n // EMERGENCE_BLOCK)) if n else []
-    return ResultTable(
-        name="emergence",
-        columns=_rows_to_columns([row for block in blocks for row in block_rows(block)],
-                                 EMERGENCE_COLUMNS),
-        provenance=_provenance(cfg, "emergence"),
-    )
+    return _table(cfg, "emergence", _rows_to_columns(
+        [row for block in blocks for row in block_rows(block)], EMERGENCE_COLUMNS))
 
 
 def _default_emergence_pairs(cfg: ExperimentConfig, system: ModelSystem):
@@ -633,79 +620,79 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
     evolution exp(-i x_m t / hbar) locates the parameter t_peak that best
     maps one onto the other, which the action profile predicts as dS/dx at
     the window center.  Each scan is one small product (``_overlap_scan``).
+    On the ring the states are a's energy amplitudes and those amplitudes
+    times exp(-i E tau / hbar); ``b`` and ``intermediate`` are not read.
     """
     constants = cfg.constants
     system = build_system(cfg.model, constants)
     hbar = constants.hbar
-    centers = cfg.propagation.centers
+    prop = cfg.propagation
+    centers = prop.centers
     if system.energy_basis is not None:
         try:
             basis = system.energy_basis()
         except ValueError as err:
             raise ConfigError(str(err), field="model.sites") from err
-        spec_a = cfg.a
-        if spec_a.basis != "energy" or spec_a.packet_center is None:
+        if cfg.a.basis != "energy" or cfg.a.packet_center is None:
             raise ConfigError(
                 "ring propagation needs a = {basis: 'energy', packet_center, packet_width}",
                 field="a",
             )
-        a = _config_packet(basis, spec_a, "a")
-        tau = cfg.propagation.tau
-        evolved = DiagonalUnitary(basis, -basis.eigenvalues * tau / hbar)
-        b = apply_diagonal(evolved, a)
+        a = expand(_config_packet(basis, cfg.a, "a"), basis)
         if centers is None:
-            centers = (float(spec_a.packet_center),)
+            centers = (float(cfg.a.packet_center),)
+        # The action steps by tau dE between levels; past the alias limit the
+        # profile masks those steps and the gradient there is aliased.
+        gaps = basis.spacing_per_state()
+        for center in centers:
+            turn = abs(prop.tau) * gaps[basis.index_at(center)] / hbar
+            if turn >= ALIAS_LIMIT:
+                raise ConfigError(f"{turn:.3g} rad per level at {center:g} reaches the alias "
+                                  f"limit {ALIAS_LIMIT:.3g} rad", field="propagation.tau")
+        b = a * np.exp(1j * (-basis.eigenvalues * prop.tau / hbar))
     else:
         basis = _config_basis(system, cfg.intermediate, "intermediate")
         a = build_state(system, cfg.a, "a")
         b = build_state(system, cfg.b, "b")
     profile = _profile(a, basis, b, constants, profile_smoothing_for(cfg, system, basis))
-    if not np.any(np.isfinite(profile.gradient)):
+    support = profile.x_grid[np.isfinite(profile.gradient)]
+    if not support.size:
         raise ConfigError("the action profile has no finite gradient; it needs three "
                           "contiguous phase-valid points", field="intermediate")
     step = float(np.median(basis.spacing))
-    window = cfg.propagation.window_width
-    if window is None:
-        window = 4.0 * step
+    window = 4.0 * step if prop.window_width is None else prop.window_width
     if centers is None:
-        pts = stationary_points(profile)
+        # Each stationary point, and each probe 3 steps beside it that lies
+        # inside the gradient's support.
         centers = []
-        for pt in pts:
-            centers.append(pt.x_star)
-            for side in (-1.0, 1.0):
-                probe = pt.x_star + side * 3.0 * step
-                try:
-                    profile.gradient_at(float(probe))
-                except ValueError:
-                    continue
-                centers.append(probe)
-        if not centers:
-            centers = [float(profile.x_grid[profile.dim // 2])]
-        centers = tuple(centers)
+        for pt in stationary_points(profile):
+            probes = (pt.x_star - 3.0 * step, pt.x_star + 3.0 * step)
+            centers += [pt.x_star, *(p for p in probes if support[0] <= p <= support[-1])]
+        centers = centers or [float(profile.x_grid[profile.dim // 2])]
     rows = []
     for i, center in enumerate(centers):
+        field = None if prop.centers is None else f"propagation.centers[{i}]"
         try:
             expected = profile.gradient_at(float(center))
         except ValueError as err:
-            if cfg.propagation.centers is None:  # defaulted centres name no field
-                raise
-            raise ConfigError(str(err), field=f"propagation.centers[{i}]") from err
+            raise ConfigError(str(err), field=field) from err
         gauss = np.exp(-((basis.eigenvalues - center) ** 2) / (4.0 * window * window))
         # Window the (branch-filtered) contribution amplitudes: the scan is
         # then the windowed Fourier transform of one smooth action branch.
         weights = gauss * gauss * np.abs(profile.amp_product)
         norm = float(np.sum(weights))
-        if norm < 1e-15:  # a defaulted centre names the width if that was set, else no field
-            field = None if cfg.propagation.window_width is None else "propagation.window_width"
-            if cfg.propagation.centers is not None:
-                field = f"propagation.centers[{i}]"
-            raise ConfigError(f"window at {center:g} captures no amplitude", field=field)
+        if norm < 1e-15:  # a defaulted centre names the width if that was set
+            raise ConfigError(f"window at {center:g} captures no amplitude", field=field or (
+                None if prop.window_width is None else "propagation.window_width"))
         windowed = gauss * gauss * profile.amp_product / norm
-        half = cfg.propagation.scan_halfwidth
+        half = prop.scan_halfwidth
         if half is None:
             half = 3.0 * abs(expected) + 12.0 * hbar / window
-        t_grid, overlap = _overlap_scan(windowed, basis.eigenvalues / hbar, half,
-                                        cfg.propagation.scan_points)
+        elif abs(expected) >= half:
+            raise ScanBoundaryError(f"scan half-width {half:g} does not reach the predicted peak "
+                                    f"{expected:g} for center {center:g}; widen the scan",
+                                    field="propagation.scan_halfwidth")
+        t_grid, overlap = _overlap_scan(windowed, basis.eigenvalues / hbar, half, prop.scan_points)
         peak = int(np.argmax(overlap))
         if peak in (0, len(t_grid) - 1):
             raise ScanBoundaryError(
@@ -725,11 +712,7 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
             "deviation": abs(t_peak - expected),
             "peak_overlap": float(overlap[peak]),
         })
-    return ResultTable(
-        name="propagation_time",
-        columns=_rows_to_columns(rows, PROPAGATION_COLUMNS),
-        provenance=_provenance(cfg, "propagation_time"),
-    )
+    return _table(cfg, "propagation_time", _rows_to_columns(rows, PROPAGATION_COLUMNS))
 
 
 def _overlap_scan(windowed: np.ndarray, rates: np.ndarray, half: float,

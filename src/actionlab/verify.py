@@ -3,10 +3,11 @@
 ``run_invariant_suite`` executes the library's exact identities (basis
 reconstruction, completeness, probability conservation, gauge invariance)
 and its calibrated regime checks, one row per check; the spin-20
-measurement checks read the table of ``run_resolution_sweep``.  Randomized
-checks draw from the Philox (4x64) counter-based generator keyed by the
-seed and a per-purpose stream index, so runs are reproducible bit-for-bit
-across platforms.
+measurement checks read the table of ``run_resolution_sweep``, and its
+provenance is the runners' ``_provenance`` over a hash of scope and seed.
+Randomized checks draw from the Philox (4x64) counter-based generator keyed
+by the seed and a per-purpose stream index, so runs are reproducible
+bit-for-bit across platforms.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import hashlib
 
 import numpy as np
 
-from . import __version__
 from .action import action_phase, action_profile, aligned_unitary, stationary_points, unwrap_segment
-from .experiments import (DEFAULT_SEED, SCHEMA_VERSION, ExperimentConfig, ModelConfig, ResultTable,
-                          StateSpec, _list, _rows_to_columns, _string, run_resolution_sweep)
+from .experiments import (DEFAULT_SEED, ExperimentConfig, ModelConfig, ResultTable, StateSpec,
+                          _list, _provenance, _rows_to_columns, _string, run_resolution_sweep)
 from .hilbert import DiagonalUnitary, PhysicalConstants, StateVector, expand, frame_shift, inner, random_state
 from .measurement import gaussian_kernel, high_res_amplitude, joint_distribution, projective_kernel
 from .models import (ModelSystem, RingParameters, angular_momentum_matrices, make_packet,
@@ -217,15 +217,5 @@ def run_invariant_suite(scope: str | list[str] = "all", seed: int = DEFAULT_SEED
 
     scope_tag = scope if isinstance(scope, str) else ",".join(scope)
     fake_cfg_hash = hashlib.sha256(f"invariants:{scope_tag}:{seed}".encode()).hexdigest()[:16]
-    return ResultTable(
-        name="invariants",
-        columns=_rows_to_columns(rows),
-        provenance={
-            "experiment": "invariants",
-            "config_hash": fake_cfg_hash,
-            "schema_version": str(SCHEMA_VERSION),
-            "hbar": "1",
-            "seed": str(seed),
-            "version": __version__,
-        },
-    )
+    return ResultTable("invariants", _rows_to_columns(rows),
+                       _provenance("invariants", fake_cfg_hash, 1.0, seed))

@@ -334,6 +334,23 @@ def dense_overlap_scan(windowed, rates, half: float, n: int) -> tuple[np.ndarray
     return t_grid, np.abs(np.exp(-1j * np.outer(t_grid, rates)) @ windowed)
 
 
+def probed_default_centers(profile, step: float) -> list[float]:
+    """Reference for the propagation runner's default centres: each
+    stationary point, then each probe 3 steps beside it at which
+    ``gradient_at`` answers; the middle grid point when there are none."""
+    centers = []
+    for pt in stationary_points(profile):
+        centers.append(pt.x_star)
+        for side in (-1.0, 1.0):
+            probe = pt.x_star + side * 3.0 * step
+            try:
+                profile.gradient_at(float(probe))
+            except ValueError:
+                continue
+            centers.append(probe)
+    return centers or [float(profile.x_grid[profile.dim // 2])]
+
+
 def dense_expand(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The complex-row expansion of reference amplitudes z as one d^2 product,
     conj(conj(z) rows^T): what ``expand`` computes for a state that is not

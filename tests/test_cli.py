@@ -211,6 +211,15 @@ class TestExitCodes:
         (RING_EMERGENCE_CFG, "intermediate", "position", "intermediate"),
         (dict(RING_EMERGENCE_CFG, emergence={"pairs": [[100.0, 120.0]]}), "intermediate",
          "position", "emergence.pairs[0]"),
+        # Refused before any scan.  A configured half-width that does not
+        # reach the predicted peak (dS/dE = tau = 5): its scan is flat to
+        # roundoff, and the argmax of that was reported.  A ring tau whose
+        # phase step per energy level (0.025 at the 0.5 centre) reaches the
+        # alias limit 0.8 pi: the profile masks those steps, and tau 120
+        # reported a gradient of 60, tau 300 one of 43.9.
+        (RING_PROPAGATION_CFG, "propagation.scan_halfwidth", 1e-12, "propagation.scan_halfwidth"),
+        (RING_PROPAGATION_CFG, "propagation.tau", 120.0, "propagation.tau"),
+        (RING_PROPAGATION_CFG, "propagation.tau", 300.0, "propagation.tau"),
     ])
     def test_malformed_value_reports_field(self, tmp_path, capsys, base, path, value, field):
         config = tmp_path / "bad.json"
@@ -291,6 +300,16 @@ class TestExitCodes:
         assert "error: emergence.pairs: pair (1.5, 2.5): <b|a> vanishes" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_tau_below_alias_limit_is_recovered(self, tmp_path):
+        # 2.25 rad per level at the 0.5 centre, below the alias limit 0.8 pi.
+        config = tmp_path / "tau90.json"
+        config.write_text(json.dumps(dict(RING_PROPAGATION_CFG, propagation={"tau": 90.0})))
+        out = tmp_path / "out"
+        assert dispatch(["propagate", "--config", str(config), "--out", str(out),
+                         "--format", "json", "--quiet"]) == 0
+        columns = json.loads((out / "propagation_time.json").read_text())["columns"]
+        assert columns["expected_gradient"] == [pytest.approx(90.0, abs=1e-8)]
 
     # A packet centre that passes the field rules but lies off the built
     # model's spectrum: via the ring propagation runner and via build_state.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import actionlab.action as action_module
+import actionlab.experiments as experiments_module
 from actionlab.action import _branch_filter, action_profile, stationary_points
 from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, expand, orthonormality_deviation
@@ -30,7 +31,8 @@ from actionlab.experiments import (
     run_resolution_sweep,
 )
 from actionlab.verify import philox_stream, run_invariant_suite
-from conftest import UNIT, bench_module, dense_overlap_scan, mutated, per_pair_emergence
+from conftest import (UNIT, bench_module, dense_overlap_scan, mutated, per_pair_emergence,
+                      probed_default_centers)
 
 SPIN20_SWEEP = {
     "model": {"name": "spin", "j": 20},
@@ -488,6 +490,36 @@ class TestPropagation:
         assert table.n_rows == 1
         assert table.column("t_peak")[0] == pytest.approx(5.0, rel=0.05)
 
+    def test_ring_evolves_energy_amplitudes_not_states(self, monkeypatch):
+        # b is a's energy amplitudes times exp(-i E tau / hbar): no state is
+        # synthesized from them and expanded back.
+        def refuse(*args):
+            raise AssertionError("apply_diagonal called")
+
+        monkeypatch.setattr(experiments_module, "apply_diagonal", refuse)
+        cfg, _ = load_config(CONFIGS / "ring256_propagation.json")
+        table = run_propagation_time_experiment(cfg)
+        assert table.column("t_peak") == [pytest.approx(5.0, rel=1e-4)]
+
+    # Spin 20 x(10) -> z -> y(10) keeps both probes of each stationary point.
+    # At spin 10 x(-6) -> z -> y(-4) the points sit at +-7.02 and the
+    # gradient's support is [-9, 9], so the outer probes (+-10.02) leave it.
+    @pytest.mark.parametrize("j, x_a, x_b, n_centers", [
+        (20.0, 10.0, 10.0, 6),
+        (10.0, -6.0, -4.0, 4),
+    ], ids=["spin20", "spin10-outer-probes-dropped"])
+    def test_default_centers_equal_probing_gradient_at(self, j, x_a, x_b, n_centers):
+        cfg = cfg_of({
+            "model": {"name": "spin", "j": j},
+            "a": {"basis": "x", "eigenvalue": x_a},
+            "b": {"basis": "y", "eigenvalue": x_b},
+            "intermediate": "z",
+        })
+        *_, basis, profile = experiments_module._profile_for(cfg)
+        want = probed_default_centers(profile, float(np.median(basis.spacing)))
+        assert len(want) == n_centers
+        assert run_propagation_time_experiment(cfg).column("center") == want
+
     def test_spin_zero_at_stationary_and_sign_flip(self, spin20):
         cfg = cfg_of(SPIN20_SWEEP)
         table = run_propagation_time_experiment(cfg)
@@ -532,6 +564,20 @@ class TestPropagation:
             "propagation": {"tau": 5.0, "scan_halfwidth": 2.0},
         })
         with pytest.raises(ScanBoundaryError, match="widen"):
+            run_propagation_time_experiment(cfg)
+
+    def test_peak_on_last_scan_point_raises(self):
+        # The half-width holds the predicted peak (5) by less than a grid
+        # step, so the overlap's argmax is the scan's last point.
+        cfg = cfg_of({
+            "model": {"name": "ring", "sites": 256, "circumference": 256.0,
+                      "mass": 1.0, "flight_time": 20.0},
+            "a": {"basis": "energy", "packet_center": 0.5, "packet_width": 0.1},
+            "b": {"basis": "position", "eigenvalue": 0.0},
+            "intermediate": "momentum",
+            "propagation": {"tau": 5.0, "scan_halfwidth": 5.001},
+        })
+        with pytest.raises(ScanBoundaryError, match="overlap peak at scan boundary"):
             run_propagation_time_experiment(cfg)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from actionlab import models
+from actionlab import experiments, models
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -20,13 +20,13 @@ class TestClassicalityReport:
     def run(self, monkeypatch, capsys, *args: str):
         report = load_script("classicality_report")
         widths = []
-        profile = report.action_profile
+        profile = experiments.action_profile
 
         def recording(*a, smoothing, **kw):
             widths.append(smoothing)
             return profile(*a, smoothing=smoothing, **kw)
 
-        monkeypatch.setattr(report, "action_profile", recording)
+        monkeypatch.setattr(experiments, "action_profile", recording)
         monkeypatch.setattr(sys, "argv", ["classicality_report.py", *args])
         report.main()
         return capsys.readouterr().out.splitlines(), widths
@@ -38,7 +38,8 @@ class TestClassicalityReport:
         sweep = [line for line in lines if "dx_m: disturbance" in line]
         assert len(sweep) == 4
         assert [line.split()[0] for line in sweep] == ["0.25", "1", "4", "16"]
-        assert widths == [pytest.approx(models.SPIN_PROFILE_SMOOTHING_SPACINGS)]
+        # One profile for the emergence row and one for the sweep, both filtered.
+        assert widths == [pytest.approx(models.SPIN_PROFILE_SMOOTHING_SPACINGS)] * 2
 
     def test_two_state_profile_stays_bare(self, monkeypatch, capsys):
         # The CLI's policy (profile_smoothing_for) leaves j = 1/2 unfiltered.
