@@ -53,8 +53,9 @@ EMERGENCE_BLOCK = 16
 # ---------------------------------------------------------------------------
 
 # Size bounds: the largest models the experiments are sized for (spin j and
-# ring N at the paper's semiclassical scale).  A t-scan holds (Q + B) d phases
-# per centre (``_overlap_scan``): at both bounds 201 x 4095 complex, 13 MB.
+# ring N at the paper's semiclassical scale).  A t-scan holds (Q + B) phases
+# per level the window reaches (``_overlap_scan``): at both bounds at most
+# 201 x 4095 complex, 13 MB, and 201 x 68 at the default window.
 MAX_J = 2000
 MAX_SITES = 8192
 MAX_SCAN_POINTS = 10001
@@ -496,7 +497,9 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
     b_index = final_basis.index_at(float(cfg.b.eigenvalue))
     unit = points[0].delta_x_m if cfg.sweep.units == "delta_x_m" else 1.0
     stars = np.array([p.x_star for p in points]) if points else np.array([])
-    dominant_x = points[0].x_star if points else np.nan
+    # The action gradient at the dominant stationary point, read once for
+    # every value's regime.
+    gradient = profile.gradient_at(points[0].x_star) if points else np.nan
 
     # One call per value, so each value's d x d arrays are freed before the
     # next value builds its own; a plain loop would hold two sets at once.
@@ -506,7 +509,7 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
         joint = joint_distribution(a, final_basis, kernel)
         report = nondisturbance_check(kernel, profile, points)
         if points:
-            regime = regime_classifier(kernel, profile, dominant_x).value
+            regime = regime_classifier(kernel, gradient, profile.hbar).value
             argmax = joint.conditional_argmax(b_index)
             offset = float(np.min(np.abs(stars - argmax)))
         else:
@@ -669,6 +672,7 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
             probes = (pt.x_star - 3.0 * step, pt.x_star + 3.0 * step)
             centers += [pt.x_star, *(p for p in probes if support[0] <= p <= support[-1])]
         centers = centers or [float(profile.x_grid[profile.dim // 2])]
+    rates = basis.eigenvalues / hbar
     rows = []
     for i, center in enumerate(centers):
         field = None if prop.centers is None else f"propagation.centers[{i}]"
@@ -692,7 +696,19 @@ def run_propagation_time_experiment(cfg: ExperimentConfig) -> ResultTable:
             raise ScanBoundaryError(f"scan half-width {half:g} does not reach the predicted peak "
                                     f"{expected:g} for center {center:g}; widen the scan",
                                     field="propagation.scan_halfwidth")
-        t_grid, overlap = _overlap_scan(windowed, basis.eigenvalues / hbar, half, prop.scan_points)
+        # The overlap peak is hbar / sigma_E wide in t, sigma_E the rms energy
+        # spread under the window; a coarser scan step aliases it.
+        mean = weights @ rates / norm
+        spread = float(np.sqrt(weights @ (rates - mean) ** 2 / norm))
+        dt = 2.0 * half / (prop.scan_points - 1)
+        if dt * spread > 1.0:
+            raise ConfigError(
+                f"scan step {dt:.3g} exceeds the overlap peak's width {1.0 / spread:.3g} "
+                f"at center {center:g}; add scan points or narrow the scan",
+                field="propagation.scan_points" if prop.scan_halfwidth is None
+                else "propagation.scan_halfwidth")
+        # The scan sums only the levels the window reaches (``_overlap_scan``).
+        t_grid, overlap = _overlap_scan(windowed, rates, half, prop.scan_points)
         peak = int(np.argmax(overlap))
         if peak in (0, len(t_grid) - 1):
             raise ScanBoundaryError(
@@ -719,7 +735,18 @@ def _overlap_scan(windowed: np.ndarray, rates: np.ndarray, half: float,
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid t_k = -half + k dt (n points) and |sum_m exp(-i t_k w_m) windowed_m|.
     With k = q B + r, B = ceil(sqrt(n)), block rows exp(-i t_qB w) times offset
-    rows exp(-i r dt w) make it one (Q x d)(d x B) product: (Q + B) d exponentials."""
+    rows exp(-i r dt w) make it one (Q x L)(L x B) product over the L levels in
+    reach: (Q + B) L exponentials.
+
+    The sum runs over the levels the window reaches: the contiguous span from
+    the first to the last m with |windowed_m| >= (eps / d) sum |windowed|
+    (d = windowed.size, eps the double rounding unit).  The d or fewer terms
+    left out add up to at most eps sum |windowed|, which moves each overlap
+    by less than the d eps sum |windowed| rounding bound its product has."""
+    mags = np.abs(windowed)
+    reach = np.flatnonzero(mags >= np.finfo(float).eps / windowed.size * np.sum(mags))
+    span = slice(reach[0], reach[-1] + 1)
+    windowed, rates = windowed[span], rates[span]
     t_grid, dt = np.linspace(-half, half, n, retstep=True)
     block = int(np.ceil(np.sqrt(n)))
     coarse = np.exp(-1j * np.outer(t_grid[::block], rates)) * windowed

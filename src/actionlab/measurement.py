@@ -547,8 +547,9 @@ class Regime(enum.Enum):
     BOUNDARY = "boundary"
 
 
-def regime_classifier(measurement: Measurement, profile: ActionProfile, r_value: float) -> Regime:
-    """Classify outcome r by comparing 1/delta_x_r with |dS/dx|/hbar there.
+def regime_classifier(measurement: Measurement, gradient: float, hbar: float) -> Regime:
+    """Classify an outcome by comparing 1/delta_x_r with |dS/dx|/hbar there,
+    given the action gradient dS/dx at the outcome.
 
     Quantum regime when the resolution exceeds the gradient scale (the least
     action approximation fails), least-action when it is at least
@@ -557,7 +558,7 @@ def regime_classifier(measurement: Measurement, profile: ActionProfile, r_value:
     """
     if measurement.resolution <= 0.0:
         return Regime.QUANTUM
-    grad_scale = abs(profile.gradient_at(r_value)) / profile.hbar
+    grad_scale = abs(gradient) / hbar
     inv_res = 1.0 / measurement.resolution
     if inv_res > grad_scale:
         return Regime.QUANTUM
@@ -593,7 +594,7 @@ def high_res_amplitude(
     sum_m <b|m><m|a> sqrt(P(r|x_m)).  Outcomes classified least-action raise
     NotApplicableError; the expansion holds from the boundary regime up.
     """
-    regime = regime_classifier(measurement, profile, r_value)
+    regime = regime_classifier(measurement, profile.gradient_at(r_value), profile.hbar)
     if regime is Regime.LEAST_ACTION:
         raise NotApplicableError(
             "outcome sits in the least-action regime; the gradient expansion "

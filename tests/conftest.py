@@ -334,6 +334,16 @@ def dense_overlap_scan(windowed, rates, half: float, n: int) -> tuple[np.ndarray
     return t_grid, np.abs(np.exp(-1j * np.outer(t_grid, rates)) @ windowed)
 
 
+def factored_overlap_scan(windowed, rates, half: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block-factored t-scan of ``experiments._overlap_scan`` summed over
+    every level given, with no cut to the window's reach."""
+    t_grid, dt = np.linspace(-half, half, n, retstep=True)
+    block = int(np.ceil(np.sqrt(n)))
+    coarse = np.exp(-1j * np.outer(t_grid[::block], rates)) * windowed
+    fine = np.exp(-1j * np.outer(dt * np.arange(block), rates))
+    return t_grid, np.abs(coarse @ fine.T).ravel()[:n]
+
+
 def probed_default_centers(profile, step: float) -> list[float]:
     """Reference for the propagation runner's default centres: each
     stationary point, then each probe 3 steps beside it at which

@@ -220,6 +220,11 @@ class TestExitCodes:
         (RING_PROPAGATION_CFG, "propagation.scan_halfwidth", 1e-12, "propagation.scan_halfwidth"),
         (RING_PROPAGATION_CFG, "propagation.tau", 120.0, "propagation.tau"),
         (RING_PROPAGATION_CFG, "propagation.tau", 300.0, "propagation.tau"),
+        # A scan step wider than the overlap peak, hbar / sigma_E = 11.8 in t
+        # at the 0.5 centre, aliases it: 16 points (step 12.4) reported
+        # t_peak 5.29, and half-width 1e12 (step 1.7e9) 3.1e7, against 5.
+        (RING_PROPAGATION_CFG, "propagation.scan_points", 16, "propagation.scan_points"),
+        (RING_PROPAGATION_CFG, "propagation.scan_halfwidth", 1e12, "propagation.scan_halfwidth"),
     ])
     def test_malformed_value_reports_field(self, tmp_path, capsys, base, path, value, field):
         config = tmp_path / "bad.json"

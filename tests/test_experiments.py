@@ -14,7 +14,8 @@ from actionlab.hilbert import DiagonalUnitary, apply_diagonal, expand, orthonorm
 from actionlab.cli import load_config
 import actionlab.measurement as measurement_module
 from actionlab.measurement import Measurement, _transfer, gaussian_kernel, joint_distribution
-from actionlab.models import SPIN_PROFILE_SMOOTHING_SPACINGS, make_packet, spin_cone
+from actionlab.models import (SPIN_PROFILE_SMOOTHING_SPACINGS, RingParameters, make_packet,
+                              ring_system, spin_cone)
 from actionlab.experiments import (
     MAX_J,
     MAX_LIST_ITEMS,
@@ -31,8 +32,8 @@ from actionlab.experiments import (
     run_resolution_sweep,
 )
 from actionlab.verify import philox_stream, run_invariant_suite
-from conftest import (UNIT, bench_module, dense_overlap_scan, mutated, per_pair_emergence,
-                      probed_default_centers)
+from conftest import (UNIT, bench_module, dense_overlap_scan, factored_overlap_scan, mutated,
+                      per_pair_emergence, probed_default_centers)
 
 SPIN20_SWEEP = {
     "model": {"name": "spin", "j": 20},
@@ -611,6 +612,24 @@ def scan_windows(ring256, spin50):
     return windows
 
 
+@pytest.fixture(scope="module")
+def flight_window():
+    """The window at 0.5 on the N = 2048 ring's packet (centre 0.5, width 0.1,
+    tau = 5), as the ring-flight benchmark propagates it: (window, half-width,
+    energies)."""
+    basis = ring_system(RingParameters(2048, 2048.0, 1.0, 20.0), UNIT).energy_basis()
+    a = make_packet(basis, 0.5, 0.1)
+    b = apply_diagonal(DiagonalUnitary(basis, -5.0 * basis.eigenvalues), a)
+    profile = action_profile(a, basis, b, UNIT)
+    return (*_scan_window(profile, 0.5, 4.0 * float(np.median(basis.spacing))), basis.eigenvalues)
+
+
+def _reach(windowed: np.ndarray) -> np.ndarray:
+    """The levels with |windowed_m| >= (eps / d) sum |windowed|."""
+    mags = np.abs(windowed)
+    return np.flatnonzero(mags >= np.finfo(float).eps / mags.size * np.sum(mags))
+
+
 class TestOverlapScan:
     @pytest.mark.parametrize("n", [16, 17, 1201, 10001])
     def test_factored_scan_equals_dense_scan(self, scan_windows, n):
@@ -621,6 +640,40 @@ class TestOverlapScan:
             assert overlap.shape == (n,)
             assert np.argmax(overlap) == np.argmax(ref)
             assert np.max(np.abs(overlap - ref)) <= 1e-13 * np.max(ref)
+
+    def test_levels_out_of_reach_are_not_read(self, flight_window):
+        # NaN rates outside the window's reach leave the scan finite: it is
+        # the factored scan of the levels in reach, bit for bit.
+        windowed, half, energies = flight_window
+        reach = _reach(windowed)
+        span = slice(reach[0], reach[-1] + 1)
+        assert reach[-1] - reach[0] + 1 < windowed.size // 4
+        rates = np.full_like(energies, np.nan)
+        rates[span] = energies[span]
+        _, overlap = _overlap_scan(windowed, rates, half, 1201)
+        _, ref = factored_overlap_scan(windowed[span], energies[span], half, 1201)
+        assert np.all(np.isfinite(overlap))
+        assert np.array_equal(overlap, ref)
+
+    @pytest.mark.parametrize("n", [16, 1201])
+    def test_uniform_window_sums_every_level(self, ring256, n):
+        # No term falls below the cut, so the scan is the factored scan of
+        # all d levels, bit for bit.
+        energies = ring256.energy_basis().eigenvalues
+        windowed = np.exp(1j * np.linspace(0.0, 3.0, energies.size)) / energies.size
+        assert _reach(windowed).size == energies.size
+        t_grid, overlap = _overlap_scan(windowed, energies, 40.0, n)
+        ref_grid, ref = factored_overlap_scan(windowed, energies, 40.0, n)
+        assert np.array_equal(t_grid, ref_grid)
+        assert np.array_equal(overlap, ref)
+
+    def test_every_level_above_the_cut_is_summed(self, scan_windows, flight_window):
+        # A NaN rate at a summed level makes every overlap NaN.
+        for windowed, half, energies in [*scan_windows, flight_window]:
+            for m in _reach(windowed):
+                rates = energies.copy()
+                rates[m] = np.nan
+                assert np.all(np.isnan(_overlap_scan(windowed, rates, half, 16)[1])), m
 
     def test_no_scan_points_by_dimension_array(self, scan_windows):
         windowed, half, energies = scan_windows[0]

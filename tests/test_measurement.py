@@ -521,7 +521,8 @@ class TestRegimeClassifier:
         z = spin50.basis("z")
         pt = [p for p in stationary_points(prof) if p.x_star > 0][0]
         for delta in (0.5, 5.0, 50.0):
-            regime = regime_classifier(gaussian_kernel(z, delta), prof, pt.x_star)
+            regime = regime_classifier(gaussian_kernel(z, delta), prof.gradient_at(pt.x_star),
+                                       prof.hbar)
             assert regime is Regime.QUANTUM
 
     def test_coarse_limit_is_least_action_off_station(self, spin50, spin50_profile):
@@ -529,7 +530,7 @@ class TestRegimeClassifier:
         z = spin50.basis("z")
         pt = [p for p in stationary_points(prof) if p.x_star > 0][0]
         r = pt.x_star + 8.0  # finite gradient here
-        regime = regime_classifier(gaussian_kernel(z, 400.0), prof, r)
+        regime = regime_classifier(gaussian_kernel(z, 400.0), prof.gradient_at(r), prof.hbar)
         assert regime is Regime.LEAST_ACTION
 
     def test_boundary_tracks_gradient_contour(self, spin50, spin50_profile):
@@ -539,15 +540,15 @@ class TestRegimeClassifier:
         pt = [p for p in stationary_points(prof) if p.x_star > 0][0]
         r = pt.x_star + 5.0
         g = abs(prof.gradient_at(r))
-        just_fine = regime_classifier(gaussian_kernel(z, 0.9 / g), prof, r)
-        just_coarse = regime_classifier(gaussian_kernel(z, 1.1 / g), prof, r)
+        just_fine = regime_classifier(gaussian_kernel(z, 0.9 / g), g, prof.hbar)
+        just_coarse = regime_classifier(gaussian_kernel(z, 1.1 / g), g, prof.hbar)
         assert just_fine is Regime.QUANTUM
         assert just_coarse is Regime.BOUNDARY
 
     def test_projective_always_quantum(self, spin50, spin50_profile):
         _, _, prof = spin50_profile
         z = spin50.basis("z")
-        regime = regime_classifier(projective_kernel(z), prof, 30.0)
+        regime = regime_classifier(projective_kernel(z), prof.gradient_at(30.0), prof.hbar)
         assert regime is Regime.QUANTUM
 
 
@@ -727,7 +728,7 @@ class TestHbarFromProfile:
         recovered = action_gradient_recovery(measurement_amplitude(ops, a, b), narrow, prof).recovered
         return {
             "max_ratio": nondisturbance_check(coarse, prof, points).max_ratio,
-            "regime": regime_classifier(narrow, prof, pt.x_star + 2.0),
+            "regime": regime_classifier(narrow, prof.gradient_at(pt.x_star + 2.0), prof.hbar),
             "fourier": high.fourier,
             "closed_form": high.closed_form,
             "suppression": high.suppression,
