@@ -15,7 +15,7 @@ measurement resolution that leaves the a -> b statistics undisturbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -85,6 +85,10 @@ class ActionProfile:
     unwrapped independently and never compared through a node).  Gradient and
     curvature come from three-point finite differences with unequal-spacing
     weights and are NaN wherever the stencil leaves the segment.
+
+    The stacked core (``_profile_rows``) holds the profiles of a block of
+    pairs in one ActionProfile: each per-point array gains a leading row axis
+    and ``inner_ab`` holds one overlap per row.
     """
 
     x_grid: np.ndarray
@@ -123,10 +127,13 @@ class ActionProfile:
             raise ValueError(
                 f"x={x:g} outside gradient support [{xs[0]:g}, {xs[-1]:g}]"
             )
-        if self.smoothing > 0.0:
-            window = _fit_window(self, int(np.argmin(np.abs(self.x_grid - x))))
-            if window is not None:
-                return float(np.polyfit(self.x_grid[window] - x, self.s_unwrapped[window], 2)[1])
+        i = np.array([np.argmin(np.abs(self.x_grid - x))])
+        if self.smoothing > 0.0 and np.isfinite(self.s_unwrapped[i[0]]):
+            (lo,), (hi,), _ = _fit_windows(self.s_unwrapped[np.newaxis], self.spacing,
+                                           self.smoothing, np.zeros(1, int), i)
+            if hi - lo >= 2:
+                window = slice(lo, hi + 1)
+                return _quadratic(self.x_grid[window] - x, self.s_unwrapped[window], {})[1]
         return float(np.interp(x, xs, self.gradient[ok]))
 
     def to_columns(self) -> dict[str, np.ndarray]:
@@ -164,6 +171,15 @@ def _segments_of(valid: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, start and stop of every run of True in each row of a 2-D mask,
+    in row order.  A False column closes each row, so no run crosses one."""
+    runs = _segments_of(np.pad(mask, ((0, 0), (0, 1))).ravel())
+    start, stop = np.array(runs, dtype=int).reshape(-1, 2).T
+    row, col = np.divmod(start, mask.shape[1] + 1)
+    return row, col, col + stop - start
+
+
 def unwrap_segment(raw: np.ndarray, two_pi: float, anchor: int = 0) -> np.ndarray:
     """Nearest-multiple chaining outward from an anchor index.
 
@@ -180,23 +196,28 @@ def unwrap_segment(raw: np.ndarray, two_pi: float, anchor: int = 0) -> np.ndarra
 
 
 def _nonuniform_derivatives(x: np.ndarray, f: np.ndarray):
-    """Three-point first and second derivatives on a possibly uneven grid."""
-    n = len(x)
-    grad = np.full(n, np.nan)
-    curv = np.full(n, np.nan)
-    if n < 3:
+    """Three-point first and second derivatives on a possibly uneven grid,
+    along the last axis of ``f`` (one row per profile of a stack)."""
+    grad = np.full(f.shape, np.nan)
+    curv = np.full(f.shape, np.nan)
+    if len(x) < 3:
         return grad, curv
     h1 = x[1:-1] - x[:-2]
     h2 = x[2:] - x[1:-1]
-    f0, f1, f2 = f[:-2], f[1:-1], f[2:]
-    grad[1:-1] = (
-        -h2 / (h1 * (h1 + h2)) * f0
-        + (h2 - h1) / (h1 * h2) * f1
-        + h1 / (h2 * (h1 + h2)) * f2
-    )
-    curv[1:-1] = 2.0 * (
-        f0 / (h1 * (h1 + h2)) - f1 / (h1 * h2) + f2 / (h2 * (h1 + h2))
-    )
+    f0, f1, f2 = f[..., :-2], f[..., 1:-1], f[..., 2:]
+    # Term by term into the results, summed left to right as in
+    #   grad = -h2 / (h1 (h1 + h2)) f0 + (h2 - h1) / (h1 h2) f1 + h1 / (h2 (h1 + h2)) f2
+    #   curv = 2 (f0 / (h1 (h1 + h2)) - f1 / (h1 h2) + f2 / (h2 (h1 + h2))),
+    # with one buffer of the size of f for the terms.
+    g, c = grad[..., 1:-1], curv[..., 1:-1]
+    term = np.empty(g.shape)
+    np.multiply(-h2 / (h1 * (h1 + h2)), f0, out=g)
+    g += np.multiply((h2 - h1) / (h1 * h2), f1, out=term)
+    g += np.multiply(h1 / (h2 * (h1 + h2)), f2, out=term)
+    np.divide(f0, h1 * (h1 + h2), out=c)
+    c -= np.divide(f1, h1 * h2, out=term)
+    c += np.divide(f2, h2 * (h1 + h2), out=term)
+    c *= 2.0
     return grad, curv
 
 
@@ -210,7 +231,8 @@ def action_profile(
     """Action, densities and derivatives of the a -> b transition over a basis.
 
     ``a`` and ``b`` are states, or arrays that already hold their amplitudes
-    in ``basis`` (rows of a stacked ``expand``), which are read as they are.
+    in ``basis``, which are read as they are.  The profile is the one-row
+    case of the stacked core (``_profile_rows``).
 
     ``smoothing`` (eigenvalue units) selects the running-wave branch of the
     contribution amplitudes with a normalized Gaussian window before phases
@@ -224,84 +246,116 @@ def action_profile(
     spacings) and much narrower than the stationary region, so the surviving
     branch is undistorted.
     """
-    amps_a = _amplitudes(a, basis)
-    amps_b = _amplitudes(b, basis)
-    bare_product = np.conj(amps_b) * amps_a
-    inner_ab = complex(np.sum(bare_product))
-    if _vanishes(inner_ab, bare_product):
-        raise UndefinedPhaseError("<b|a> vanishes; action phases are undefined")
-    x = basis.eigenvalues
-    weights = basis.spacing_per_state()
+    stack, (error,) = _profile_rows(_amplitudes(a, basis)[np.newaxis],
+                                    _amplitudes(b, basis)[np.newaxis],
+                                    basis, constants.hbar, smoothing, columns=True)
+    if error is not None:
+        raise error
+    return replace(stack, inner_ab=complex(stack.inner_ab[0]),
+                   **{name: getattr(stack, name)[0] for name in _PER_POINT_ROWS})
+
+
+# The ActionProfile fields that a stack holds one row of per profile.
+_PER_POINT_ROWS = ("amp_product", "amp_product_bare", "s_raw", "s_unwrapped", "magnitude",
+                   "valid", "segment_id", "gradient", "curvature", "rho_a", "rho_b")
+
+
+def _profile_rows(amps_a: np.ndarray, amps_b: np.ndarray, basis: LabeledBasis, hbar: float,
+                  smoothing: float, columns: bool = False):
+    """Action profiles of a stack of pairs: row i of ``amps_a`` and ``amps_b``
+    holds pair i's amplitudes over ``basis``.
+
+    Returns an ActionProfile whose per-point arrays gain a leading row axis
+    (``inner_ab`` holds one overlap per row) and, per row, the error
+    ``action_profile`` raises for it or None.  A refused row has no finite
+    gradient.  Without ``columns`` only what ``_points_of`` reads is kept:
+    the densities, raw phases, products, mask and segment ids are None, so
+    a block keeps four rows of d values per pair, not eleven.
+
+    Every value has the bits of its pair's profile run alone: each step is
+    elementwise or reduces within a row, except the branch filter, which is
+    one [4, d] product per row (one [4B, d] product rounds some entries
+    differently), and the unwrapping, whose turn counts are integers.
+    """
     if smoothing < 0 or not np.isfinite(smoothing):
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-    rho_a_vals = np.abs(amps_a) ** 2 / weights
-    rho_b_vals = np.abs(amps_b) ** 2 / weights
-    amp_product = bare_product
+    x = basis.eigenvalues
+    weights = basis.spacing_per_state()
+    bare = np.conj(amps_b) * amps_a
+    inner = bare.sum(axis=1).astype(complex)
+    errors = [UndefinedPhaseError("<b|a> vanishes; action phases are undefined")
+              if _vanishes(complex(total), row) else None for total, row in zip(inner, bare)]
+    rho_a = rho_b = None
+    if columns or smoothing > 0.0:
+        rho_a = np.abs(amps_a) ** 2 / weights
+        rho_b = np.abs(amps_b) ** 2 / weights
+    # Stacks passed as temporaries (an emergence block's) are freed here,
+    # before the profile's rows are laid out.
+    del amps_a, amps_b
+    amp_product = bare
     if smoothing > 0.0:
-        # One real product filters all four real rows; the real kernel is
-        # never upcast to complex.
         kernel = _branch_filter(basis, smoothing)
-        re, im, rho_a_vals, rho_b_vals = np.stack(
-            [bare_product.real, bare_product.imag, rho_a_vals, rho_b_vals]) @ kernel
-        amp_product = re + 1j * im
+        amp_product = np.empty(bare.shape, dtype=complex)
+        for i, row in enumerate(bare):
+            # One real product filters the four real rows of a pair; the real
+            # kernel is never upcast to complex.
+            re, im, rho_a[i], rho_b[i] = np.stack([row.real, row.imag, rho_a[i], rho_b[i]]) @ kernel
+            amp_product[i] = re + 1j * im
+    s_raw = hbar * np.angle(amp_product * np.conj(inner)[:, np.newaxis])
     magnitude = np.abs(amp_product)
-    peak = float(np.max(magnitude))
-    if peak <= 0.0:
-        raise ProfileTooSparseError("all contributions vanish")
-    valid = magnitude >= MAGNITUDE_FLOOR_RELATIVE * peak
+    if not columns:
+        bare = amp_product = None
+    peak = magnitude.max(axis=1)
+    valid = magnitude >= MAGNITUDE_FLOOR_RELATIVE * peak[:, np.newaxis]
+    s_raw[~valid] = np.nan
     # Two contiguous points are enough to relate phases (and are all a qubit
     # has); derivatives additionally need a full three-point stencil.
-    segments = [seg for seg in _segments_of(valid) if seg[1] - seg[0] >= 2]
-    if not segments:
-        raise ProfileTooSparseError(
-            "fewer than 2 contiguous phase-valid points; no usable profile"
-        )
-    hbar = constants.hbar
+    row, lo, hi = _runs(valid)
+    kept = hi - lo >= 2
+    for i, error in enumerate(errors):
+        if error is None and (peak[i] <= 0.0 or not np.any(kept[row == i])):
+            errors[i] = ProfileTooSparseError("all contributions vanish" if peak[i] <= 0.0 else
+                                              "fewer than 2 contiguous phase-valid points; "
+                                              "no usable profile")
+    # Unwrap along each segment: turn counts between valid neighbours,
+    # cumulated along the row and counted from the segment's anchor.  Steps
+    # that touch a masked point are NaN and count no turn.
     two_pi = 2.0 * np.pi * hbar
-    s_raw = np.full(basis.n_states, np.nan)
-    s_raw[valid] = hbar * np.angle(amp_product[valid] * np.conj(inner_ab))
-    s_unwrapped = np.full(basis.n_states, np.nan)
-    gradient = np.full(basis.n_states, np.nan)
-    curvature = np.full(basis.n_states, np.nan)
-    segment_id = np.full(basis.n_states, -1, dtype=int)
-    for sid, (lo, hi) in enumerate(segments):
-        sl = slice(lo, hi)
+    s = s_raw.copy() if columns else s_raw
+    # A lone valid point has a raw phase but no unwrapped one.
+    s[row[~kept], lo[~kept]] = np.nan
+    turns = np.zeros(s.shape, dtype=np.int64)
+    np.cumsum(np.nan_to_num(np.round((s[:, :-1] - s[:, 1:]) / two_pi)).astype(np.int64),
+              axis=1, out=turns[:, 1:])
+    segment_id = np.full(s.shape, -1, dtype=int) if columns else None
+    row, lo, hi = row[kept], lo[kept], hi[kept]
+    ordinal = np.arange(len(row)) - np.searchsorted(row, row)
+    for i, start, stop, sid in zip(row.tolist(), lo.tolist(), hi.tolist(), ordinal.tolist()):
         # Canonical anchor: the strongest contribution keeps its raw value,
         # so the result does not depend on where the chaining started.
-        anchor = int(np.argmax(magnitude[sl]))
-        seg = unwrap_segment(s_raw[sl], two_pi, anchor=anchor)
-        s_unwrapped[sl] = seg
-        g, c = _nonuniform_derivatives(x[sl], seg)
-        # Steps near the half-turn limit are alias-suspect: the nearest-
-        # multiple chaining is no longer well posed there, so derivatives
-        # across such steps would be sampling artifacts.
-        big = np.abs(np.diff(seg)) > ALIAS_LIMIT * hbar
-        bad = np.zeros(hi - lo, dtype=bool)
-        bad[:-1] |= big
-        bad[1:] |= big
-        g[bad] = np.nan
-        c[bad] = np.nan
-        gradient[sl] = g
-        curvature[sl] = c
-        segment_id[sl] = sid
-    return ActionProfile(
-        x_grid=x.copy(),
-        spacing=weights,
-        amp_product=amp_product,
-        amp_product_bare=bare_product,
-        inner_ab=inner_ab,
-        s_raw=s_raw,
-        s_unwrapped=s_unwrapped,
-        magnitude=magnitude,
-        valid=valid,
-        segment_id=segment_id,
-        gradient=gradient,
-        curvature=curvature,
-        rho_a=rho_a_vals,
-        rho_b=rho_b_vals,
-        hbar=hbar,
-        smoothing=smoothing,
-    )
+        turns[i, start:stop] -= turns[i, start + int(np.argmax(magnitude[i, start:stop]))]
+        if columns:
+            segment_id[i, start:stop] = sid
+    s += two_pi * turns
+    del turns
+    # Steps near the half-turn limit are alias-suspect: the nearest-multiple
+    # chaining is no longer well posed there, so derivatives across such
+    # steps would be sampling artifacts.
+    big = np.abs(np.diff(s, axis=1)) > ALIAS_LIMIT * hbar
+    gradient, curvature = _nonuniform_derivatives(x, s)
+    bad = np.zeros(s.shape, dtype=bool)
+    bad[[error is not None for error in errors]] = True
+    bad[:, :-1] |= big
+    bad[:, 1:] |= big
+    gradient[bad] = np.nan
+    curvature[bad] = np.nan
+    stack = ActionProfile(
+        x_grid=x.copy(), spacing=weights, amp_product=amp_product, amp_product_bare=bare,
+        inner_ab=inner, s_raw=s_raw if columns else None, s_unwrapped=s, magnitude=magnitude,
+        valid=valid if columns else None, segment_id=segment_id, gradient=gradient,
+        curvature=curvature, rho_a=rho_a if columns else None, rho_b=rho_b if columns else None,
+        hbar=hbar, smoothing=smoothing)
+    return stack, errors
 
 
 def _amplitudes(psi: StateVector | np.ndarray, basis: LabeledBasis) -> np.ndarray:
@@ -325,44 +379,41 @@ def _branch_filter(basis: LabeledBasis, smoothing: float) -> np.ndarray:
     return table
 
 
-def _fit_halfwidth(profile: ActionProfile, idx: int) -> int:
-    """Half-width of the local quadratic fit, in grid cells.
+def _fit_windows(s_unwrapped: np.ndarray, spacing: np.ndarray, smoothing: float,
+                 rows: np.ndarray, idx: np.ndarray):
+    """Grid windows [lo, hi] of the local quadratic fits around points
+    (rows, idx) of a stack's unwrapped actions, each clipped to its segment
+    (a run of finite action), and their unclipped half-widths.
 
-    One cell (the classic three-point parabola) for bare profiles; for
-    branch-filtered profiles the fit widens to ~2x the smoothing window so
-    that residual counter-branch leakage averages out of the curvature.
+    The half-width is one cell (the classic three-point parabola) on bare
+    profiles; on branch-filtered ones the fit widens to ~2x the smoothing
+    window, so that residual counter-branch leakage averages out of the
+    curvature.  Each point must lie on a segment.
     """
-    if profile.smoothing <= 0.0:
-        return 1
-    cell = float(profile.spacing[idx])
-    return max(1, int(np.ceil(2.0 * profile.smoothing / cell)))
+    if smoothing > 0.0:
+        half = np.maximum(1, np.ceil(2.0 * smoothing / spacing[idx]).astype(int))
+    else:
+        half = np.ones_like(idx)
+    seg_row, seg_lo, seg_hi = _runs(np.isfinite(s_unwrapped))
+    width = s_unwrapped.shape[1] + 1
+    k = np.searchsorted(seg_row * width + seg_lo, rows * width + idx, side="right") - 1
+    return np.maximum(idx - half, seg_lo[k]), np.minimum(idx + half, seg_hi[k] - 1), half
 
 
-def _fit_window(profile: ActionProfile, idx: int) -> slice | None:
-    """Grid slice of the local quadratic fit around idx, clipped to its segment;
-    None outside the valid support, below three points or on non-finite action."""
-    sid = profile.segment_id[idx]
-    if sid < 0:
-        return None
-    in_seg = np.flatnonzero(profile.segment_id == sid)
-    w = _fit_halfwidth(profile, idx)
-    lo = max(idx - w, int(in_seg[0]))
-    hi = min(idx + w, int(in_seg[-1]))
-    if hi - lo < 2 or not np.all(np.isfinite(profile.s_unwrapped[lo : hi + 1])):
-        return None
-    return slice(lo, hi + 1)
-
-
-def _quadratic_fit(x: np.ndarray, f: np.ndarray, x0: float):
-    """Least-squares parabola around x0; returns (vertex_x, vertex_f, curvature)."""
-    u = x - x0
-    coef = np.polyfit(u, f, 2)
-    second = 2.0 * coef[0]
-    if second == 0.0:
-        return None, None, 0.0
-    vx = x0 - coef[1] / second
-    vf = float(np.polyval(coef, vx - x0))
-    return float(vx), vf, float(second)
+def _quadratic(u: np.ndarray, f: np.ndarray, stencils: dict) -> list[float]:
+    """``np.polyfit(u, f, 2)`` bit for bit: polyfit's scaled Vandermonde and
+    rcond, built once per distinct stencil ``u`` and kept in ``stencils``, then
+    its lstsq per right-hand side (a 2-D right-hand side rounds each column
+    differently).  polyfit's rank warning cannot fire: every window has at
+    least three distinct points."""
+    key = u.tobytes()
+    if key not in stencils:
+        lhs = np.vander(u, 3)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        lhs /= scale
+        stencils[key] = lhs, scale, len(u) * np.finfo(float).eps
+    lhs, scale, rcond = stencils[key]
+    return (np.linalg.lstsq(lhs, f, rcond)[0] / scale).tolist()
 
 
 def stationary_points(profile: ActionProfile) -> list[StationaryPoint]:
@@ -373,56 +424,59 @@ def stationary_points(profile: ActionProfile) -> list[StationaryPoint]:
     branch filter on smoothed ones).  Points are sorted by |curvature|
     descending (the first entry dominates the resolution limits).  An empty
     list is legal: it means no classically allowed intermediate value exists
-    for this a, b pair.
+    for this a, b pair.  This is the one-row case of ``_points_of``.
     """
-    x = profile.x_grid
-    g0, g1 = profile.gradient[:-1], profile.gradient[1:]
-    sids = profile.segment_id
-    sign_change = ((sids[:-1] == sids[1:]) & np.isfinite(g0) & np.isfinite(g1)
-                   & ((g0 == 0.0) | (g0 * g1 < 0.0)))
-    left = np.flatnonzero(sign_change)
-    candidates: list[StationaryPoint] = []
-    for idx in np.where(np.abs(g0[left]) <= np.abs(g1[left]), left, left + 1).tolist():
-        window = _fit_window(profile, idx)
-        if window is None:
-            continue
-        vx, vf, curv = _quadratic_fit(x[window], profile.s_unwrapped[window], float(x[idx]))
+    return _points_of(profile)[0]
+
+
+def _points_of(stack: ActionProfile) -> list[list[StationaryPoint]]:
+    """``stationary_points`` of each row of a stack (or of one profile)."""
+    x, spacing, hbar = stack.x_grid, stack.spacing, stack.hbar
+    s, g, curvature, magnitude = (np.atleast_2d(v) for v in (
+        stack.s_unwrapped, stack.gradient, stack.curvature, stack.magnitude))
+    g0, g1 = g[:, :-1], g[:, 1:]
+    # Finite gradients on both sides put both points inside one segment.
+    rows, left = np.nonzero(np.isfinite(g0) & np.isfinite(g1) & ((g0 == 0.0) | (g0 * g1 < 0.0)))
+    idx = np.where(np.abs(g0[rows, left]) <= np.abs(g1[rows, left]), left, left + 1)
+    # Each candidate has a finite gradient, so its window holds >= 3 points.
+    lo, hi, half = _fit_windows(s, spacing, stack.smoothing, rows, idx)
+    steps, xs, cells = np.diff(x).tolist(), x.tolist(), spacing.tolist()
+    # Python's abs of each overlap: np.abs may differ from it in the last bit.
+    sizes = [abs(complex(total)) for total in np.atleast_1d(stack.inner_ab)]
+    stencils: dict = {}
+    found: list[list[StationaryPoint]] = [[] for _ in s]
+    for r, i, a, b, w, mag, fallback in zip(
+            rows.tolist(), idx.tolist(), lo.tolist(), hi.tolist(), half.tolist(),
+            magnitude[rows, idx].tolist(), curvature[rows, idx].tolist()):
+        x0 = xs[i]
+        c0, c1, c2 = _quadratic(x[a : b + 1] - x0, s[r, a : b + 1], stencils)
+        curv = 2.0 * c0
+        vx = x0 - c1 / curv if curv != 0.0 else None
         # The guard scales with the unclipped half-width, also at segment edges.
-        cell = float(np.max(np.diff(x[window])))
-        guard = cell * max(1.0, _fit_halfwidth(profile, idx) / 2.0)
-        if vx is None or abs(vx - x[idx]) > guard:
+        if vx is None or abs(vx - x0) > max(steps[a:b]) * max(1.0, w / 2.0):
             # Refinement escaping its neighborhood is an extrapolation
             # artifact; fall back to the grid point.
-            vx = float(x[idx])
-            vf = float(profile.s_unwrapped[idx])
-            curv = profile.curvature[idx]
+            vx, vf, curv = x0, float(s[r, i]), fallback
+        else:
+            u = vx - x0
+            vf = (c0 * u + c1) * u + c2
         if not np.isfinite(curv) or curv == 0.0:
             continue
-        hbar = profile.hbar
         delta_x = float(np.sqrt(2.0 * np.pi * hbar / abs(curv)))
-        dxm = float(profile.spacing[idx])
-        wv = float(profile.magnitude[idx] / abs(profile.inner_ab))
-        candidates.append(
-            StationaryPoint(
-                x_star=float(vx),
-                index_star=int(idx),
-                action_at=float(vf),
-                curvature_at=float(curv),
-                delta_x_m=delta_x,
-                delta_n=delta_x / dxm,
-                weak_value_magnitude=wv,
-            )
-        )
+        found[r].append(StationaryPoint(
+            x_star=vx, index_star=i, action_at=vf, curvature_at=curv, delta_x_m=delta_x,
+            delta_n=delta_x / cells[i], weak_value_magnitude=mag / sizes[r]))
     # Leakage on filtered profiles can split one zero into a close pair;
     # collapse clusters, keeping the dominant-curvature representative.
-    candidates.sort(key=lambda p: abs(p.curvature_at), reverse=True)
-    kept: list[StationaryPoint] = []
-    for pt in candidates:
-        cell = float(profile.spacing[pt.index_star])
-        if any(abs(pt.x_star - other.x_star) <= 3.0 * cell for other in kept):
-            continue
-        kept.append(pt)
-    return kept
+    for candidates in found:
+        candidates.sort(key=lambda p: abs(p.curvature_at), reverse=True)
+        kept: list[StationaryPoint] = []
+        for pt in candidates:
+            cell = cells[pt.index_star]
+            if not any(abs(pt.x_star - other.x_star) <= 3.0 * cell for other in kept):
+                kept.append(pt)
+        candidates[:] = kept
+    return found
 
 
 def aligned_unitary(

@@ -26,7 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import __version__
-from .action import ALIAS_LIMIT, action_profile, stationary_points
+from .action import ALIAS_LIMIT, _points_of, _profile_rows, action_profile, stationary_points
 from .errors import ConfigError, ProfileTooSparseError, ScanBoundaryError, UndefinedPhaseError
 from .hilbert import LabeledBasis, PhysicalConstants, StateVector, apply_diagonal, expand
 from .measurement import gaussian_kernel, joint_distribution, nondisturbance_check, regime_classifier
@@ -457,15 +457,20 @@ def _profile_for(cfg: ExperimentConfig):
     return system, a, b, basis, profile
 
 
-def _profile(a, basis, b, constants, smoothing, pair=None, values=None):
-    """``action_profile``; a config with no usable profile names ``b`` when
-    <b|a> vanishes and ``intermediate`` when too few phases are valid, or
-    where given the emergence field ``pair`` and the pair's ``values``."""
+def _profile(a, basis, b, constants, smoothing):
+    """``action_profile``, whose refusal is a ConfigError (``_refusal``)."""
     try:
         return action_profile(a, basis, b, constants, smoothing=smoothing)
     except (UndefinedPhaseError, ProfileTooSparseError) as err:
-        field = "b" if isinstance(err, UndefinedPhaseError) else "intermediate"
-        raise ConfigError(f"pair {values}: {err}" if pair else str(err), field=pair or field) from err
+        raise _refusal(err) from err
+
+
+def _refusal(err: ValueError, pair: str | None = None, values=None) -> ConfigError:
+    """A config with no usable profile names ``b`` when <b|a> vanishes and
+    ``intermediate`` when too few phases are valid, or where given the
+    emergence field ``pair`` and the pair's ``values``."""
+    field = "b" if isinstance(err, UndefinedPhaseError) else "intermediate"
+    return ConfigError(f"pair {values}: {err}" if pair else str(err), field=pair or field)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +548,11 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
     blocks of at most EMERGENCE_BLOCK, of near-equal sizes (so of two or
     more each, when there are): a block's b states take the arrival
     (``_is_arrival``) as one stack, then its b and its a states expand over
-    the intermediate basis as two stacks, whose rows the action profiles
-    read.
+    the intermediate basis as two stacks, which the stacked core profiles
+    (``action._profile_rows``) and refines (``action._points_of``) at once.  A
+    classically forbidden pair whose <b|a> is the roundoff of a zero has
+    no phases and no stationary point: its row says so, with NaN for the
+    point.
     """
     constants = cfg.constants
     system = build_system(cfg.model, constants)
@@ -562,25 +570,31 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
         indices.append((_grid_index(a_basis, cfg.a, x_a, pair or "a.eigenvalue"),
                         _grid_index(b_basis, cfg.b, x_b, pair or "b.eigenvalue")))
 
-    # One call per block, so each block's stacks (at most three alive at
-    # once, each of one state per pair) are freed before the next block.
+    def expanded(states, arrival: bool = False):
+        # A block's states over the intermediate basis, through the arrival if given.
+        if arrival:
+            states = apply_diagonal(system.arrival, states)
+        return expand(states, basis)
+
+    # One call per block, so each block's stacks are freed before the next
+    # block.  They go to the core as temporaries, b first, so at most three
+    # stacks of one state per pair are alive at once, and the core drops
+    # them once it has their products.
     def block_rows(block):
         a_index, b_index = zip(*(indices[i] for i in block))
-        b_states = b_basis.states(b_index)
-        if _is_arrival(system, cfg.b, "b"):
-            b_states = apply_diagonal(system.arrival, b_states)
-        amps_b = expand(b_states, basis)
-        del b_states
-        amps_a = expand(a_basis.states(a_index), basis)
+        stack, errors = _profile_rows(
+            amps_b=expanded(b_basis.states(b_index), _is_arrival(system, cfg.b, "b")),
+            amps_a=expanded(a_basis.states(a_index)),
+            basis=basis, hbar=constants.hbar, smoothing=smoothing)
         rows = []
-        for i, amp_a, amp_b in zip(block, amps_a, amps_b):
-            # A model's default pair names the field that would replace it.
-            pair = (f"emergence.pairs[{i}]" if cfg.emergence
-                    else "emergence.pairs" if system.emergence_pairs else None)
-            points = stationary_points(_profile(amp_a, basis, amp_b, constants, smoothing,
-                                                pair, pairs[i]))
+        for i, points, error in zip(block, _points_of(stack), errors):
             x_a, x_b = pairs[i]
             predicted = system.classical_oracle(x_a, x_b)
+            if error is not None and (predicted or not isinstance(error, UndefinedPhaseError)):
+                # A model's default pair names the field that would replace it.
+                pair = (f"emergence.pairs[{i}]" if cfg.emergence
+                        else "emergence.pairs" if system.emergence_pairs else None)
+                raise _refusal(error, pair, pairs[i]) from error
             template = dict.fromkeys(EMERGENCE_COLUMNS, np.nan)
             template.update(x_a=x_a, x_b=x_b, found=False, classically_allowed=bool(predicted))
             if not predicted:

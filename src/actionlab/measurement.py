@@ -591,20 +591,21 @@ def high_res_amplitude(
     the Gaussian closed form <b|m><m|a> (8 pi dxr^2/dxm^2)^(1/4)
     exp(-(dxr S'/hbar)^2) (local amplitude taken from the profile, which is
     branch-filtered where that matters), and the exact matrix element
-    sum_m <b|m><m|a> sqrt(P(r|x_m)).  Outcomes classified least-action raise
-    NotApplicableError; the expansion holds from the boundary regime up.
+    sum_m <b|m><m|a> sqrt(P(r|x_m)).  The outcome is the grid point x_r
+    nearest ``r_value``; the gradient is read there once, and outcomes it
+    classifies least-action raise NotApplicableError; the expansion holds
+    from the boundary regime up.
     """
-    regime = regime_classifier(measurement, profile.gradient_at(r_value), profile.hbar)
-    if regime is Regime.LEAST_ACTION:
+    hbar = profile.hbar
+    r_idx = int(np.argmin(np.abs(measurement.r_grid - r_value)))
+    x_r = float(measurement.r_grid[r_idx])
+    grad = profile.gradient_at(x_r)
+    if regime_classifier(measurement, grad, hbar) is Regime.LEAST_ACTION:
         raise NotApplicableError(
             "outcome sits in the least-action regime; the gradient expansion "
             "does not apply"
         )
-    hbar = profile.hbar
     delta = measurement.resolution
-    r_idx = int(np.argmin(np.abs(measurement.r_grid - r_value)))
-    x_r = float(measurement.r_grid[r_idx])
-    grad = profile.gradient_at(x_r)
     t_local = complex(profile.amp_product[r_idx])
     x = profile.x_grid
     w = profile.spacing

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from actionlab.action import (
+    ALIAS_LIMIT,
     MAGNITUDE_FLOOR_ABSOLUTE,
     ActionProfile,
     StationaryPoint,
+    _nonuniform_derivatives,
+    _segments_of,
     action_profile,
     stationary_points,
+    unwrap_segment,
 )
 from actionlab.errors import EigensolverError, NotApplicableError, UndefinedPhaseError
 from actionlab.hilbert import (
@@ -239,6 +243,33 @@ def loop_segments_of(valid) -> list[tuple[int, int]]:
     if start is not None:
         runs.append((start, len(valid)))
     return runs
+
+
+def segmentwise_profile(x: np.ndarray, s_raw: np.ndarray, magnitude: np.ndarray,
+                        valid: np.ndarray, hbar: float):
+    """Segment ids, unwrapped action, gradient and curvature of one profile row,
+    one segment at a time: the per-pair form that the stacked core replaces.
+
+    Each run of two or more valid points is a segment, unwrapped from its
+    first magnitude maximum (``unwrap_segment``) and differentiated on its
+    own (``_nonuniform_derivatives``); derivatives beside a step past the
+    alias limit are NaN.
+    """
+    segment_id = np.full(len(x), -1)
+    s_unwrapped, gradient, curvature = (np.full(len(x), np.nan) for _ in range(3))
+    segments = [(lo, hi) for lo, hi in _segments_of(valid) if hi - lo >= 2]
+    for sid, (lo, hi) in enumerate(segments):
+        sl = slice(lo, hi)
+        seg = unwrap_segment(s_raw[sl], 2.0 * np.pi * hbar, int(np.argmax(magnitude[sl])))
+        g, c = _nonuniform_derivatives(x[sl], seg)
+        big = np.abs(np.diff(seg)) > ALIAS_LIMIT * hbar
+        bad = np.zeros(hi - lo, dtype=bool)
+        bad[:-1] |= big
+        bad[1:] |= big
+        g[bad] = np.nan
+        c[bad] = np.nan
+        segment_id[sl], s_unwrapped[sl], gradient[sl], curvature[sl] = sid, seg, g, c
+    return segment_id, s_unwrapped, gradient, curvature
 
 
 def dense_nondisturbance_ratio(kernel, profile, points) -> float:

@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actionlab.action import (
+    _PER_POINT_ROWS,
     _branch_filter,
+    _points_of,
+    _profile_rows,
     _segments_of,
     action_phase,
     action_profile,
@@ -20,6 +23,7 @@ from actionlab.errors import (
     UndefinedPhaseError,
 )
 from actionlab.hilbert import (
+    LabeledBasis,
     PhysicalConstants,
     StateVector,
     apply_diagonal,
@@ -37,6 +41,7 @@ from conftest import (
     loop_unwrap_segment,
     ring_arrival_state,
     row_normalized_filter,
+    segmentwise_profile,
     stationary_phase_overlap,
 )
 
@@ -520,3 +525,90 @@ class TestLoopOracles:
     def test_segments_of_matches_loop(self, flags):
         valid = np.array(flags)
         assert np.array_equal(_segments_of(valid), loop_segments_of(valid))
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def masked_rows(draw):
+    """Rows of magnitude codes over one grid: 0 masks a point, and 1 and 2
+    often tie at a segment's maximum."""
+    d = draw(st.integers(min_value=3, max_value=40))
+    row = st.lists(st.sampled_from([0, 1, 2]), min_size=d, max_size=d)
+    return draw(st.lists(row, min_size=1, max_size=4))
+
+
+class TestStackedCore:
+    """``_profile_rows`` and ``_points_of`` on a stack of pairs, row by row."""
+
+    @given(masked_rows(), st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(0.1, 10.0))
+    # Runs of length 1, 2 and >= 3, a tie at the anchor, an all-masked row.
+    @example([[1, 0, 2, 2, 0, 1, 2, 1, 2, 2, 1], [0] * 11, [2, 1, 0, 1, 1, 1, 0, 0, 2, 0, 1]],
+             0, 1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_segments_unwrap_and_derivatives_equal_each_segment(self, codes, seed, hbar):
+        rng = np.random.default_rng(seed)
+        codes = np.array(codes, dtype=float)
+        x = np.cumsum(rng.uniform(0.5, 2.0, codes.shape[1]))  # an uneven grid
+        basis = LabeledBasis(np.eye(codes.shape[1]), x)
+        amps_a = codes * np.exp(1j * rng.uniform(-np.pi, np.pi, codes.shape))
+        amps_b = np.ones(codes.shape)
+        stack, errors = _profile_rows(amps_a, amps_b, basis, hbar, 0.0, columns=True)
+        for i in range(len(codes)):
+            row, (error,) = _profile_rows(amps_a[i : i + 1], amps_b[i : i + 1], basis, hbar, 0.0,
+                                          columns=True)
+            assert repr(error) == repr(errors[i])
+            for name in _PER_POINT_ROWS:
+                assert same_bits(getattr(stack, name)[i], getattr(row, name)[0]), name
+            if errors[i] is not None:
+                assert np.isnan(stack.gradient[i]).all()
+                continue
+            assert np.array_equal(stack.valid[i], codes[i] > 0)
+            want = segmentwise_profile(x, stack.s_raw[i], stack.magnitude[i], stack.valid[i], hbar)
+            got = (stack.segment_id[i], stack.s_unwrapped[i], stack.gradient[i], stack.curvature[i])
+            for g, w in zip(got, want):
+                assert same_bits(g, w)
+
+    @pytest.mark.parametrize("model", ["spin50", "spin200", "ring256"])
+    def test_block_equals_each_row_alone(self, model, request):
+        # The spins with their branch filter, the ring bare; forbidden pairs
+        # too.  From d = 201 up, one [4B, d] filter product would round some
+        # entries differently from B products of [4, d].
+        if model == "spin200":
+            system = spin_system(200)
+        else:
+            system = request.getfixturevalue(model)
+        if model != "ring256":
+            j = system.basis("z").eigenvalues[-1]
+            pairs = [*system.emergence_pairs, (0.9 * j, 0.8 * j), (-0.6 * j, 0.84 * j)]
+            a_basis, basis, smoothing = "x", system.basis("z"), 2.0
+            b_states = [system.basis("y").state_at(x_b) for _, x_b in pairs]
+        else:
+            pairs = [(100.0, 120.0), (5.0, 250.0), (250.0, 3.0), (0.0, 0.0), (128.0, 100.0),
+                     (30.0, 70.0), (200.0, 160.0), (64.0, 101.0)]
+            a_basis, basis, smoothing = "position", system.basis("momentum"), 0.0
+            b_states = [ring_arrival_state(system, x_b) for _, x_b in pairs]
+        amps_a = np.array([expand(system.basis(a_basis).state_at(x_a), basis) for x_a, _ in pairs])
+        amps_b = np.array([expand(b, basis) for b in b_states])
+        stack, errors = _profile_rows(amps_a, amps_b, basis, 1.0, smoothing, columns=True)
+        points = _points_of(stack)
+        lean, _ = _profile_rows(amps_a, amps_b, basis, 1.0, smoothing)
+        assert _points_of(lean) == points
+        for i in range(len(pairs)):
+            if errors[i] is not None:  # (0.9 j, 0.8 j) tunnels below roundoff at j = 200
+                with pytest.raises(UndefinedPhaseError) as refused:
+                    action_profile(amps_a[i], basis, amps_b[i], UNIT, smoothing=smoothing)
+                assert str(refused.value) == str(errors[i])
+                assert points[i] == [] and not system.classical_oracle(*pairs[i])
+                continue
+            prof = action_profile(amps_a[i], basis, amps_b[i], UNIT, smoothing=smoothing)
+            for name in _PER_POINT_ROWS:
+                assert same_bits(getattr(stack, name)[i], getattr(prof, name)), (i, name)
+            assert stationary_points(prof) == points[i]
+            for pt in points[i]:
+                # |<b|a>| is Python's abs of the complex overlap.
+                assert pt.weak_value_magnitude == prof.magnitude[pt.index_star] / abs(prof.inner_ab)
+        assert sum(map(len, points)) >= len(pairs)  # not vacuous

@@ -15,7 +15,7 @@ from actionlab.cli import dispatch, load_config
 from actionlab.experiments import config_from_dict
 from actionlab.hilbert import LabeledBasis
 from actionlab.models import spin_system
-from conftest import DELETE, mutated
+from conftest import DELETE, bench_module, mutated
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -305,6 +305,32 @@ class TestExitCodes:
         assert "error: emergence.pairs: pair (1.5, 2.5): <b|a> vanishes" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_forbidden_pairs_without_a_phase_keep_the_scan(self, tmp_path):
+        # The benchmark generator's 150 pairs at j = 1000 hold six classically
+        # forbidden pairs.  Two of them, pairs[6] = (787, 715) and pairs[131]
+        # = (749, 749), have a tunnelling <y|x> below the roundoff of its own
+        # sum, so no phase: each gets its row, without a stationary point.
+        workloads = bench_module("workloads")
+        workloads.SPIN_J = 1000
+        workloads.SPIN_MODEL = {"name": "spin", "j": 1000}
+        ((command, raw),) = workloads.spin_emerge(workloads.DEFAULT_SEED)
+        config = tmp_path / "spin1000.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert dispatch([command, "--config", str(config), "--out", str(out),
+                         "--format", "json", "--quiet"]) == 0
+        columns = json.loads((out / "emergence.json").read_text())["columns"]
+        rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+        system = spin_system(1000)
+        oracle = [system.classical_oracle(*pair) for pair in raw["emergence"]["pairs"]]
+        assert len(rows) == sum(max(1, len(branches)) for branches in oracle)
+        assert sum(not branches for branches in oracle) == 6
+        for pair in ([787.0, 715.0], [749.0, 749.0]):
+            (row,) = [dict(row) for row in rows if [row["x_a"], row["x_b"]] == pair]
+            assert [row.pop("x_a"), row.pop("x_b"), row.pop("branch")] == pair + [0.0]
+            assert row.pop("found") is row.pop("classically_allowed") is False
+            assert set(row.values()) == {None}  # NaN in the JSON table
 
     def test_tau_below_alias_limit_is_recovered(self, tmp_path):
         # 2.25 rad per level at the 0.5 centre, below the alias limit 0.8 pi.

@@ -438,6 +438,21 @@ class TestEmergence:
         assert table.n_rows == 1
         assert not table.column("classically_allowed")[0]
 
+    def test_forbidden_pair_without_a_phase_runs_alone(self):
+        # At j = 1000, <y(715)|x(787)> is the roundoff of a zero: the pair is
+        # classically forbidden and has no phase, so no stationary point.
+        cfg = cfg_of({
+            "model": {"name": "spin", "j": 1000},
+            "a": {"basis": "x", "eigenvalue": 787.0},
+            "b": {"basis": "y", "eigenvalue": 715.0},
+            "intermediate": "z",
+            "emergence": {"pairs": [[787.0, 715.0]]},
+        })
+        row = {name: column[0] for name, column in run_emergence_experiment(cfg).columns.items()}
+        assert (row.pop("x_a"), row.pop("x_b"), row.pop("branch")) == (787.0, 715.0, 0.0)
+        assert row.pop("found") is row.pop("classically_allowed") is False
+        assert all(np.isnan(value) for value in row.values())
+
     def test_classical_column_matches_oracle(self, spin50):
         cfg = cfg_of({
             "model": {"name": "spin", "j": 50},

@@ -586,6 +586,28 @@ class TestHighResolutionAmplitude:
             h = high_res_amplitude(kern, prof, pt.x_star + offset)
             assert abs(h.exact) == pytest.approx(abs(h.closed_form), rel=0.20)
 
+    def test_gradient_read_once_at_the_outcome(self, spin50, spin50_profile, monkeypatch):
+        # An off-grid r is the outcome x_r nearest it: the regime and the
+        # expansion both take the one gradient read at x_r.  On this profile
+        # the gradients at r = x* + 2.4 and at its x_r are 0.159 and 0.175.
+        _, _, prof = spin50_profile
+        z = spin50.basis("z")
+        pt = [p for p in stationary_points(prof) if p.x_star > 0][0]
+        r = pt.x_star + 2.4
+        x_r = float(z.eigenvalues[np.argmin(np.abs(z.eigenvalues - r))])
+        assert x_r != r
+        reads = []
+        gradient_at = type(prof).gradient_at
+
+        def counted(profile, x):
+            reads.append(x)
+            return gradient_at(profile, x)
+
+        monkeypatch.setattr(type(prof), "gradient_at", counted)
+        h = high_res_amplitude(gaussian_kernel(z, 0.3 * pt.delta_x_m), prof, r)
+        assert reads == [x_r]
+        assert h.gradient == gradient_at(prof, x_r)
+
     def test_least_action_regime_not_applicable(self, spin50, spin50_profile):
         _, _, prof = spin50_profile
         z = spin50.basis("z")

@@ -19,14 +19,21 @@ def load_script(name: str):
 class TestClassicalityReport:
     def run(self, monkeypatch, capsys, *args: str):
         report = load_script("classicality_report")
+        # The filter widths of the sweep's profile and of the emergence
+        # block's stacked core, in call order.
         widths = []
-        profile = experiments.action_profile
+        profile, core = experiments.action_profile, experiments._profile_rows
 
         def recording(*a, smoothing, **kw):
             widths.append(smoothing)
             return profile(*a, smoothing=smoothing, **kw)
 
+        def recording_core(*a, smoothing, **kw):
+            widths.append(smoothing)
+            return core(*a, smoothing=smoothing, **kw)
+
         monkeypatch.setattr(experiments, "action_profile", recording)
+        monkeypatch.setattr(experiments, "_profile_rows", recording_core)
         monkeypatch.setattr(sys, "argv", ["classicality_report.py", *args])
         report.main()
         return capsys.readouterr().out.splitlines(), widths
