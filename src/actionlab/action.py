@@ -16,7 +16,6 @@ measurement resolution that leaves the a -> b statistics undisturbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .hilbert import (
     expand,
     inner,
 )
-from .measurement import gaussian_kernel
+from .measurement import Measurement, gaussian_kernel
 
 # A grid point is phase-valid when its contribution magnitude is above this
 # fraction of the largest one; Arg is numerically meaningless near nodes.
@@ -236,7 +235,8 @@ def action_profile(
 
     ``smoothing`` (eigenvalue units) selects the running-wave branch of the
     contribution amplitudes with a normalized Gaussian window before phases
-    are taken.  With 0 the phases are those of the bare per-point products.
+    are taken (``gaussian_kernel``, which refuses a negative or non-finite
+    width).  With 0 the phases are those of the bare per-point products.
     A nonzero window is needed whenever a or b is a standing wave in the
     intermediate basis (their components are real up to a global phase, e.g.
     transverse angular-momentum eigenstates in the z basis): the bare
@@ -246,9 +246,10 @@ def action_profile(
     spacings) and much narrower than the stationary region, so the surviving
     branch is undistorted.
     """
+    kernel = gaussian_kernel(basis, smoothing) if smoothing else None
     stack, (error,) = _profile_rows(_amplitudes(a, basis)[np.newaxis],
                                     _amplitudes(b, basis)[np.newaxis],
-                                    basis, constants.hbar, smoothing, columns=True)
+                                    basis, constants.hbar, kernel, columns=True)
     if error is not None:
         raise error
     return replace(stack, inner_ab=complex(stack.inner_ab[0]),
@@ -261,9 +262,9 @@ _PER_POINT_ROWS = ("amp_product", "amp_product_bare", "s_raw", "s_unwrapped", "m
 
 
 def _profile_rows(amps_a: np.ndarray, amps_b: np.ndarray, basis: LabeledBasis, hbar: float,
-                  smoothing: float, columns: bool = False):
-    """Action profiles of a stack of pairs: row i of ``amps_a`` and ``amps_b``
-    holds pair i's amplitudes over ``basis``.
+                  kernel: Measurement | None, columns: bool = False):
+    """Action profiles of a stack of pairs, filtered by ``kernel`` (None: bare):
+    row i of ``amps_a`` and ``amps_b`` holds pair i's amplitudes over ``basis``.
 
     Returns an ActionProfile whose per-point arrays gain a leading row axis
     (``inner_ab`` holds one overlap per row) and, per row, the error
@@ -272,13 +273,10 @@ def _profile_rows(amps_a: np.ndarray, amps_b: np.ndarray, basis: LabeledBasis, h
     the densities, raw phases, products, mask and segment ids are None, so
     a block keeps four rows of d values per pair, not eleven.
 
-    Every value has the bits of its pair's profile run alone: each step is
-    elementwise or reduces within a row, except the branch filter, which is
-    one [4, d] product per row (one [4B, d] product rounds some entries
-    differently), and the unwrapping, whose turn counts are integers.
+    Every value has the bits of its pair's profile run alone: each step,
+    the filter (``Measurement.average``) too, is elementwise or works within
+    a row, and the unwrapping's turn counts are integers.
     """
-    if smoothing < 0 or not np.isfinite(smoothing):
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
     x = basis.eigenvalues
     weights = basis.spacing_per_state()
     bare = np.conj(amps_b) * amps_a
@@ -286,21 +284,17 @@ def _profile_rows(amps_a: np.ndarray, amps_b: np.ndarray, basis: LabeledBasis, h
     errors = [UndefinedPhaseError("<b|a> vanishes; action phases are undefined")
               if _vanishes(complex(total), row) else None for total, row in zip(inner, bare)]
     rho_a = rho_b = None
-    if columns or smoothing > 0.0:
-        rho_a = np.abs(amps_a) ** 2 / weights
-        rho_b = np.abs(amps_b) ** 2 / weights
+    if columns or kernel is not None:
+        rho_a, rho_b = np.abs(amps_a) ** 2 / weights, np.abs(amps_b) ** 2 / weights
     # Stacks passed as temporaries (an emergence block's) are freed here,
     # before the profile's rows are laid out.
     del amps_a, amps_b
     amp_product = bare
-    if smoothing > 0.0:
-        kernel = _branch_filter(basis, smoothing)
-        amp_product = np.empty(bare.shape, dtype=complex)
-        for i, row in enumerate(bare):
-            # One real product filters the four real rows of a pair; the real
-            # kernel is never upcast to complex.
-            re, im, rho_a[i], rho_b[i] = np.stack([row.real, row.imag, rho_a[i], rho_b[i]]) @ kernel
-            amp_product[i] = re + 1j * im
+    if kernel is not None:
+        # Each pair's four real rows as one [4, d] matrix: the kernel stays real.
+        re, im, rho_a, rho_b = np.moveaxis(kernel.average(
+            np.stack([bare.real, bare.imag, rho_a, rho_b], axis=1)), 1, 0)
+        amp_product = re + 1j * im
     s_raw = hbar * np.angle(amp_product * np.conj(inner)[:, np.newaxis])
     magnitude = np.abs(amp_product)
     if not columns:
@@ -354,7 +348,7 @@ def _profile_rows(amps_a: np.ndarray, amps_b: np.ndarray, basis: LabeledBasis, h
         inner_ab=inner, s_raw=s_raw if columns else None, s_unwrapped=s, magnitude=magnitude,
         valid=valid if columns else None, segment_id=segment_id, gradient=gradient,
         curvature=curvature, rho_a=rho_a if columns else None, rho_b=rho_b if columns else None,
-        hbar=hbar, smoothing=smoothing)
+        hbar=hbar, smoothing=kernel.resolution if kernel is not None else 0.0)
     return stack, errors
 
 
@@ -365,18 +359,6 @@ def _amplitudes(psi: StateVector | np.ndarray, basis: LabeledBasis) -> np.ndarra
     if psi.shape != (basis.n_states,):
         raise ValueError(f"need {basis.n_states} amplitudes, got shape {psi.shape}")
     return psi
-
-
-@lru_cache(maxsize=4)
-def _branch_filter(basis: LabeledBasis, smoothing: float) -> np.ndarray:
-    """The branch filter: ``gaussian_kernel(basis, smoothing)``'s d x d P,
-    whose entry (j, i) = P(j|x_i) weights amplitude j in the average around
-    state i (a row vector times P).  Cached per (basis, width), as an
-    emergence scan filters every pair over one basis; at most four
-    read-only d x d arrays."""
-    table = gaussian_kernel(basis, smoothing).at(slice(None), slice(None))
-    table.flags.writeable = False
-    return table
 
 
 def _fit_windows(s_unwrapped: np.ndarray, spacing: np.ndarray, smoothing: float,
@@ -390,10 +372,7 @@ def _fit_windows(s_unwrapped: np.ndarray, spacing: np.ndarray, smoothing: float,
     window, so that residual counter-branch leakage averages out of the
     curvature.  Each point must lie on a segment.
     """
-    if smoothing > 0.0:
-        half = np.maximum(1, np.ceil(2.0 * smoothing / spacing[idx]).astype(int))
-    else:
-        half = np.ones_like(idx)
+    half = np.maximum(1, np.ceil(2.0 * smoothing / spacing[idx]).astype(int))
     seg_row, seg_lo, seg_hi = _runs(np.isfinite(s_unwrapped))
     width = s_unwrapped.shape[1] + 1
     k = np.searchsorted(seg_row * width + seg_lo, rows * width + idx, side="right") - 1

@@ -560,6 +560,7 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
     pairs = cfg.emergence.pairs if cfg.emergence else _default_emergence_pairs(cfg, system)
     grid_step = float(np.median(basis.spacing))
     smoothing = profile_smoothing_for(cfg, system, basis)
+    kernel = gaussian_kernel(basis, smoothing) if smoothing else None   # one filter, every block
     a_basis = _config_basis(system, cfg.a.basis, "a.basis")
     b_basis = _config_basis(system, cfg.b.basis, "b.basis")
     indices = []
@@ -585,7 +586,7 @@ def run_emergence_experiment(cfg: ExperimentConfig) -> ResultTable:
         stack, errors = _profile_rows(
             amps_b=expanded(b_basis.states(b_index), _is_arrival(system, cfg.b, "b")),
             amps_a=expanded(a_basis.states(a_index)),
-            basis=basis, hbar=constants.hbar, smoothing=smoothing)
+            basis=basis, hbar=constants.hbar, kernel=kernel)
         rows = []
         for i, points, error in zip(block, _points_of(stack), errors):
             x_a, x_b = pairs[i]

@@ -5,17 +5,14 @@ conditional probabilities P(r|x_m) of obtaining outcome r when the system
 sits at x_m.  The minimal-decoherence implementation applies the diagonal
 operator with entries sqrt(P(r|x_m)); anything noisier adds decoherence the
 statistics do not require.  This module builds one ``Measurement`` per
-kernel (its basis with P and sqrt(P), read through one accessor and held
-dense or, for a Gaussian on a lattice grid, as one row of exponentials and
-the column sums), exact joint outcome statistics (one P(r, b|a) table, a
-sum of squared real products of sqrt(P) with the real pieces of a transfer
-matrix that does not depend on the kernel and is laid out once per sweep,
-folded on the spin mirror where the pieces allow, with the disturbance and
-factorization metrics read off it once), the slow-kernel
+kernel (P and sqrt(P) dense or, for a Gaussian on a lattice grid, one row
+of exponentials and the column sums), exact joint outcome statistics (one
+P(r, b|a) table from the real pieces of a transfer matrix laid out once per
+sweep, folded on the spin mirror where they allow), the slow-kernel
 (non-disturbance) condition, and the high-resolution regime where the
 measurement resolves the action gradient instead of the intermediate value.
 The Gaussian kernel is also the action layer's branch filter, read along
-its other axis (``action._branch_filter``), so this module owns the one
+its other axis (``Measurement.average``), so this module owns the one
 Gaussian of grid differences and imports ``action`` for annotations only.
 """
 
@@ -43,6 +40,10 @@ NONDISTURBANCE_THRESHOLD = 0.1
 REGIME_GUARD_BAND = 10.0
 # Conditional probabilities within this relative distance of the maximum tie.
 ARGMAX_TIE_RELATIVE = 1e-12
+# ``Measurement.average`` on a lattice kernel sums the offsets whose weight is
+# at least this fraction of the peak: the tail it drops is under 2e-17 of the
+# row's largest |entry|, so of each averaged row's maximum where it keeps that.
+BAND_CUT = 1e-17
 
 
 class _KernelRow(NamedTuple):
@@ -101,6 +102,24 @@ class Measurement:
             return toeplitz_view(kernel.sqrt_row)[r, m] * kernel.sqrt_scale[m]
         return toeplitz_view(kernel.row)[r, m] / kernel.col_sums[m]
 
+    def average(self, rows: np.ndarray) -> np.ndarray:
+        """sum_r rows[..., r] P(r|x_m) at every m: the branch filter.  Dense, one
+        product with P per matrix of the stack; lattice, the zero-padded rows
+        shifted by -k and +k times R[d - 1 + k] per offset k of R's band
+        (BAND_CUT) over S (``_KernelRow``): O(d band) per row, no d x d array."""
+        if self._lattice is None:
+            return rows @ self._dense[0]
+        d = rows.shape[-1]
+        weights = self._lattice.row[d - 1 :]          # R[d - 1 + k], non-increasing in k
+        n = np.count_nonzero(weights >= BAND_CUT * weights[0]) - 1
+        padded = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(n, n)])
+        total, term = np.zeros(rows.shape), np.empty(rows.shape)
+        for k in range(n, 0, -1):                     # the smallest weights first
+            np.add(padded[..., n - k : n - k + d], padded[..., n + k : n + k + d], out=term)
+            total += np.multiply(term, weights[k], out=term)
+        total += np.multiply(rows, weights[0], out=term)
+        return np.divide(total, self._lattice.col_sums, out=total)
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -139,7 +158,7 @@ def gaussian_kernel(basis: LabeledBasis, delta_x_r: float) -> Measurement:
     column is divided by its sum, so completeness holds exactly on the
     finite grid.  The constant cancels there: P(j|x_i) is also the branch
     filter's weight w_j g(x_j - x_i) / sum_j w_j g(x_j - x_i)
-    (``action._branch_filter``).
+    (``Measurement.average``).
 
     On a lattice grid (``_is_lattice``: every spin grid, the ring's dyadic
     positions) the kernel is held as the weighted row R (``gaussian_row``)

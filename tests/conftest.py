@@ -315,8 +315,8 @@ def gaussian_kernel_raw(basis, delta_x_r: float) -> np.ndarray:
 def row_normalized_filter(basis, smoothing: float, stack: np.ndarray) -> np.ndarray:
     """The columns of ``stack`` branch-filtered as the d x d product of the
     Gaussian of grid differences weighted by w_j per column, divided by its
-    row sums: the reference for ``action._branch_filter``, which reads the
-    same quotients off ``gaussian_kernel``'s column-normalized table."""
+    row sums: the reference for the branch filter, ``Measurement.average``,
+    which reads the same quotients off ``gaussian_kernel``'s column sums."""
     x = basis.eigenvalues
     kern = np.exp(-((x[np.newaxis, :] - x[:, np.newaxis]) ** 2) / (2.0 * smoothing**2))
     kern *= basis.spacing_per_state()[np.newaxis, :]

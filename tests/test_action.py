@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from actionlab.action import (
     _PER_POINT_ROWS,
-    _branch_filter,
     _points_of,
     _profile_rows,
     _segments_of,
@@ -139,14 +136,51 @@ class TestActionProfile:
         assert abs(np.sum(prof.amp_product_bare) - inner(b, a)) < 1e-14
 
     @pytest.mark.parametrize("smoothing", [2.0, 3.7])
-    def test_branch_filter_bitwise_equals_dense_product(self, spin50, ring256, smoothing):
-        # The filter is the measurement kernel read along its other axis:
-        # the cached array is gaussian_kernel's d x d P bit for bit, on the
-        # spin lattice and on the dense ring-momentum and energy grids.
-        for basis in (spin50.basis("z"), ring256.basis("momentum"), ring256.energy_basis()):
+    def test_branch_filter_bitwise_equals_dense_product(self, ring256, smoothing):
+        # The filter is the measurement kernel read along its other axis: on
+        # the dense ring-momentum and energy grids the four real rows of a
+        # pair times gaussian_kernel's d x d P, bit for bit.
+        rng = np.random.default_rng(5)
+        for basis in (ring256.basis("momentum"), ring256.energy_basis()):
             width = smoothing * float(np.median(basis.spacing))
-            kern = _branch_filter(basis, width)
-            assert np.array_equal(kern, kernel_table(gaussian_kernel(basis, width)))
+            amps_a, amps_b = [1.0, 1j] @ rng.standard_normal((2, 2, basis.n_states))
+            prof = action_profile(amps_a, basis, amps_b, UNIT, smoothing=width)
+            bare, filtered = filter_rows(prof, amps_a, amps_b)
+            assert np.array_equal(filtered, bare @ kernel_table(gaussian_kernel(basis, width)))
+
+    @pytest.mark.parametrize("j", [50.0, 200.0])
+    @pytest.mark.parametrize("smoothing", [2.0, 3.7])
+    def test_branch_filter_within_roundoff_of_dense_product(self, j, smoothing):
+        # On the spin lattice the filter sums the kernel's band
+        # (Measurement.average): within roundoff of each row's largest entry
+        # of the d x d product, for a pair's four real rows and for a stack
+        # of rows that reach the grid's ends, where the column sums differ.
+        system = spin_system(j)
+        a, b = spin_pair(system, 0.4 * j, 0.3 * j)
+        z = system.basis("z")
+        prof = action_profile(a, z, b, UNIT, smoothing=smoothing)
+        bare, filtered = filter_rows(prof, expand(a, z), expand(b, z))
+        table = kernel_table(gaussian_kernel(z, smoothing))
+        assert_within_row_maxima(filtered, bare @ table)
+        rows = np.random.default_rng(int(j)).random((3, 4, z.n_states))
+        assert_within_row_maxima(gaussian_kernel(z, smoothing).average(rows), rows @ table)
+
+    def test_branch_filter_band_covering_the_grid(self, spin20):
+        # At 10 d spacings the band would reach past the grid: it stops at
+        # the last offset, d - 1.  The pair's densities and positive rows
+        # (its Re and Im average out to cancellation, where the d x d
+        # product itself is 1e-13 of the row maximum off the exact sum).
+        z = spin20.basis("z")
+        a, b = spin_pair(spin20, 8.0, 6.0)
+        width = 10.0 * z.n_states
+        w = z.spacing_per_state()
+        rows = np.concatenate([np.abs([expand(a, z), expand(b, z)]) ** 2 / w,
+                               np.random.default_rng(3).random((4, z.n_states))])
+        kernel = gaussian_kernel(z, width)
+        want = rows @ kernel_table(kernel)
+        assert_within_row_maxima(kernel.average(rows), want)
+        prof = action_profile(a, z, b, UNIT, smoothing=width)
+        assert_within_row_maxima(np.stack([prof.rho_a, prof.rho_b]), want[:2])
 
     @pytest.mark.parametrize("j", [50.0, 200.0])
     @pytest.mark.parametrize("smoothing", [2.0, 3.7])
@@ -163,32 +197,6 @@ class TestActionProfile:
             [bare.real, bare.imag, np.abs(expand(a, z)) ** 2 / w, np.abs(expand(b, z)) ** 2 / w]))
         got = np.column_stack([prof.amp_product.real, prof.amp_product.imag, prof.rho_a, prof.rho_b])
         assert np.all(np.max(np.abs(got - want), axis=0) <= 2e-15 * np.max(np.abs(want), axis=0))
-
-    def test_branch_filter_cached_with_unchanged_profiles(self, spin20):
-        a, b = spin_pair(spin20, 10.0, 10.0)
-        z = spin20.basis("z")
-        first = action_profile(a, z, b, UNIT, smoothing=2.0)
-        hits = _branch_filter.cache_info().hits
-        second = action_profile(a, z, b, UNIT, smoothing=2.0)
-        assert _branch_filter.cache_info().hits == hits + 1
-        for f in dataclasses.fields(first):
-            one, two = getattr(first, f.name), getattr(second, f.name)
-            if isinstance(one, np.ndarray):
-                assert np.array_equal(one, two, equal_nan=True), f.name
-            else:
-                assert one == two, f.name
-        # Oracle: the kernel built afresh, as before it was cached, applied
-        # to the same real stack (Re, Im, rho_a, rho_b) bit for bit,
-        w = z.spacing_per_state()
-        bare = first.amp_product_bare
-        kern = kernel_table(gaussian_kernel(z, 2.0))
-        filtered = np.stack([bare.real, bare.imag, np.abs(expand(a, z)) ** 2 / w,
-                             np.abs(expand(b, z)) ** 2 / w]) @ kern
-        assert np.array_equal(first.amp_product, filtered[0] + 1j * filtered[1])
-        assert np.array_equal(first.rho_a, filtered[2])
-        assert np.array_equal(first.rho_b, filtered[3])
-        # and to the complex product within roundoff.
-        assert np.max(np.abs(first.amp_product - bare @ kern)) < 1e-15
 
     def test_spin50_gradient_sign_change_near_oracle(self, spin50):
         # Brute-force profile against the classical cone-intersection oracle.
@@ -527,6 +535,21 @@ class TestLoopOracles:
         assert np.array_equal(_segments_of(valid), loop_segments_of(valid))
 
 
+def filter_rows(prof, amps_a: np.ndarray, amps_b: np.ndarray):
+    """A profile's four real rows [Re, Im, rho_a, rho_b], bare (from the
+    pair's amplitudes) and branch-filtered."""
+    bare, w = prof.amp_product_bare, prof.spacing
+    return (np.stack([bare.real, bare.imag, np.abs(amps_a) ** 2 / w, np.abs(amps_b) ** 2 / w]),
+            np.stack([prof.amp_product.real, prof.amp_product.imag, prof.rho_a, prof.rho_b]))
+
+
+def assert_within_row_maxima(got: np.ndarray, want: np.ndarray, rel: float = 2e-15):
+    """Each row of ``got`` within ``rel`` of its row's largest |entry| of ``want``."""
+    scale = np.max(np.abs(want), axis=-1)
+    assert np.all(np.max(np.abs(got - want), axis=-1) <= rel * scale), np.max(
+        np.max(np.abs(got - want), axis=-1) / scale)
+
+
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -556,9 +579,9 @@ class TestStackedCore:
         basis = LabeledBasis(np.eye(codes.shape[1]), x)
         amps_a = codes * np.exp(1j * rng.uniform(-np.pi, np.pi, codes.shape))
         amps_b = np.ones(codes.shape)
-        stack, errors = _profile_rows(amps_a, amps_b, basis, hbar, 0.0, columns=True)
+        stack, errors = _profile_rows(amps_a, amps_b, basis, hbar, None, columns=True)
         for i in range(len(codes)):
-            row, (error,) = _profile_rows(amps_a[i : i + 1], amps_b[i : i + 1], basis, hbar, 0.0,
+            row, (error,) = _profile_rows(amps_a[i : i + 1], amps_b[i : i + 1], basis, hbar, None,
                                           columns=True)
             assert repr(error) == repr(errors[i])
             for name in _PER_POINT_ROWS:
@@ -575,8 +598,10 @@ class TestStackedCore:
     @pytest.mark.parametrize("model", ["spin50", "spin200", "ring256"])
     def test_block_equals_each_row_alone(self, model, request):
         # The spins with their branch filter, the ring bare; forbidden pairs
-        # too.  From d = 201 up, one [4B, d] filter product would round some
-        # entries differently from B products of [4, d].
+        # too.  The filter sums the kernel's band elementwise over the stack,
+        # so each row's bits cannot depend on the others (one [4B, d]
+        # product with a d x d P would round some entries differently from d
+        # = 201 up).
         if model == "spin200":
             system = spin_system(200)
         else:
@@ -593,9 +618,10 @@ class TestStackedCore:
             b_states = [ring_arrival_state(system, x_b) for _, x_b in pairs]
         amps_a = np.array([expand(system.basis(a_basis).state_at(x_a), basis) for x_a, _ in pairs])
         amps_b = np.array([expand(b, basis) for b in b_states])
-        stack, errors = _profile_rows(amps_a, amps_b, basis, 1.0, smoothing, columns=True)
+        kernel = gaussian_kernel(basis, smoothing) if smoothing else None
+        stack, errors = _profile_rows(amps_a, amps_b, basis, 1.0, kernel, columns=True)
         points = _points_of(stack)
-        lean, _ = _profile_rows(amps_a, amps_b, basis, 1.0, smoothing)
+        lean, _ = _profile_rows(amps_a, amps_b, basis, 1.0, kernel)
         assert _points_of(lean) == points
         for i in range(len(pairs)):
             if errors[i] is not None:  # (0.9 j, 0.8 j) tunnels below roundoff at j = 200

@@ -8,7 +8,7 @@ import pytest
 
 import actionlab.action as action_module
 import actionlab.experiments as experiments_module
-from actionlab.action import _branch_filter, action_profile, stationary_points
+from actionlab.action import action_profile, stationary_points
 from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, expand, orthonormality_deviation
 from actionlab.cli import load_config
@@ -230,10 +230,11 @@ class TestResolutionSweep:
     def test_sweeps_fold_and_lay_out_no_kernel_table(self, monkeypatch):
         # The bundled sweep and the benchmark's spin sweep (j = 200, x -> z
         # -> y) build every value's table from a lattice kernel on a folded
-        # transfer, and neither they nor the invariant suite read a lattice
-        # kernel as a whole d x d block: each kernel is read from its row.
-        # The one exemption is the branch filter, which holds the d x d P
-        # of its own kernel once per (basis, width).
+        # transfer.  Neither they, the bundled spin-50 emergence, the
+        # benchmark's spin emergence scan nor the invariant suite read a
+        # lattice kernel as a whole d x d block: each kernel is read from its
+        # row, the branch filter too (Measurement.average).  An emergence
+        # scan builds one filter kernel for all its pairs.
         at, joint_table = Measurement.at, measurement_module._joint_table
         filters = []
 
@@ -243,9 +244,7 @@ class TestResolutionSweep:
 
         def checked(kernel, r, m, sqrt=False):
             block = at(kernel, r, m, sqrt)
-            d = kernel.basis.n_states
-            if (kernel.mirrored and np.shape(block) == (d, d)
-                    and not any(kernel is f for f in filters)):
+            if kernel.mirrored and np.shape(block) == (kernel.basis.n_states,) * 2:
                 raise AssertionError("a lattice kernel was laid out as a d x d table")
             return block
 
@@ -258,7 +257,7 @@ class TestResolutionSweep:
         monkeypatch.setattr(Measurement, "at", checked)
         monkeypatch.setattr(measurement_module, "_joint_table", recorded)
         monkeypatch.setattr(action_module, "gaussian_kernel", filter_kernel)
-        _branch_filter.cache_clear()
+        monkeypatch.setattr(experiments_module, "gaussian_kernel", filter_kernel)
         workloads = bench_module("workloads")
         ((_, bench),) = workloads.spin_sweep(workloads.DEFAULT_SEED)
         for raw in (json.loads((CONFIGS / "spin20_sweep.json").read_text()), bench):
@@ -266,8 +265,13 @@ class TestResolutionSweep:
             ran.clear()
             run_resolution_sweep(cfg)
             assert ran == [(True, True)] * len(cfg.sweep.values)
+        ((_, bench),) = workloads.spin_emerge(workloads.DEFAULT_SEED)
+        for raw in (json.loads((CONFIGS / "spin50_emergence.json").read_text()), bench):
+            cfg, _ = config_from_dict(raw)
+            filters.clear()
+            run_emergence_experiment(cfg)
+            assert len(filters) == 1 and filters[0].mirrored
         assert all(run_invariant_suite().column("passed"))
-        assert len({(f.basis, f.resolution) for f in filters}) == len(filters)
 
 
 class TestSweepClosedFormsAtSize:

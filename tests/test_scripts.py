@@ -28,9 +28,9 @@ class TestClassicalityReport:
             widths.append(smoothing)
             return profile(*a, smoothing=smoothing, **kw)
 
-        def recording_core(*a, smoothing, **kw):
-            widths.append(smoothing)
-            return core(*a, smoothing=smoothing, **kw)
+        def recording_core(*a, kernel, **kw):
+            widths.append(kernel.resolution if kernel else 0.0)
+            return core(*a, kernel=kernel, **kw)
 
         monkeypatch.setattr(experiments, "action_profile", recording)
         monkeypatch.setattr(experiments, "_profile_rows", recording_core)
