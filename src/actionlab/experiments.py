@@ -506,8 +506,9 @@ def run_resolution_sweep(cfg: ExperimentConfig) -> ResultTable:
     # every value's regime.
     gradient = profile.gradient_at(points[0].x_star) if points else np.nan
 
-    # One call per value, so each value's d x d arrays are freed before the
-    # next value builds its own; a plain loop would hold two sets at once.
+    # One call per value, so each value's arrays (its kernel, its joint
+    # block) are freed before the next value builds its own; a plain loop
+    # would hold two sets at once.
     def one(value: float) -> dict:
         delta = value * unit
         kernel = gaussian_kernel(basis, delta)

@@ -455,9 +455,13 @@ def synthesize(coeffs: np.ndarray, basis: LabeledBasis) -> np.ndarray:
 def scaled_overlaps(coeffs: np.ndarray, source: LabeledBasis, target: LabeledBasis) -> np.ndarray:
     """Y[m, k] = coeffs[m] <t_k|s_m>, C-contiguous: the ``target`` coefficients of
     the source rows scaled by ``coeffs``.  From the reference basis it is the
-    elementwise coeffs[m] conj(T[k, m]), with no product."""
+    elementwise coeffs[m] conj(T[k, m]), with no product, formed as
+    conj(conj(coeffs[m]) T[k, m]) in the output itself, so no conjugated
+    copy of T is laid out.  Conjugation only flips signs, so every entry
+    has the bits of coeffs[m] conj(T[k, m]) but for the sign of a zero."""
     if source.is_identity:
-        return np.multiply(coeffs[:, np.newaxis], np.conj(target.vectors).T, order="C")
+        y = np.multiply(np.conj(coeffs)[:, np.newaxis], target.vectors.T, order="C")
+        return np.conjugate(y, out=y)
     return np.ascontiguousarray(_from_reference(coeffs[:, np.newaxis] * source.vectors, target))
 
 

@@ -8,7 +8,9 @@ statistics do not require.  This module builds one ``Measurement`` per
 kernel (P and sqrt(P) dense or, for a Gaussian on a lattice grid, one row
 of exponentials and the column sums), exact joint outcome statistics (one
 P(r, b|a) table from the real pieces of a transfer matrix laid out once per
-sweep, folded on the spin mirror where they allow), the slow-kernel
+sweep, folded on the spin mirror m -> -m where they allow, and computed at
+one column of each pair b, -b that the final basis' mirror makes equal),
+the slow-kernel
 (non-disturbance) condition, and the high-resolution regime where the
 measurement resolves the action gradient instead of the intermediate value.
 The Gaussian kernel is also the action layer's branch filter, read along
@@ -239,9 +241,13 @@ def projective_kernel(basis: LabeledBasis) -> Measurement:
 class JointDistribution:
     """Exact joint statistics P(r, b|a) of an intermediate-plus-final sequence.
 
-    ``table`` is the one d x d array, |sqrt(P) Y|^2 for the transfer matrix
-    Y[m, b] = <m|a><b|m>, summed from Y's real pieces (``_transfer``); the
-    per-b quantities derive from it.
+    P(r, b|a) = |sqrt(P) Y|^2 for the transfer matrix Y[m, b] = <m|a><b|m>,
+    summed from Y's real pieces (``_transfer``), is held as ``_computed``:
+    the rows r computed (those r <= 0 where the table folds on the mirror
+    m -> -m) at the columns computed, and ``_columns`` maps each b to its
+    column there (b's own, or that of its mirror -b where the two are equal
+    bit for bit).  ``table`` lays out the d x d array on demand; the per-b
+    quantities are derived through the map, in the laid-out table's order.
     ``total_variation`` is half the summed |sum_r P(r,b|a) - P(b|a)|, the
     standard distance between the r-marginalized final distribution and the
     undisturbed baseline.  ``factorization_residual`` measures how far the
@@ -250,14 +256,17 @@ class JointDistribution:
     """
 
     r_grid: np.ndarray             # the measurement's read-only outcome grid
-    table: np.ndarray              # P(r, b | a)
     baseline: np.ndarray           # P(b | a) without measurement
     total_variation: float
     factorization_residual: float
+    total_probability: float
+    _computed: np.ndarray          # P(r, b | a) at the rows and columns computed, as [r, column]
+    _columns: np.ndarray           # b -> its column in _computed
 
     @property
-    def total_probability(self) -> float:
-        return float(self.table.sum())
+    def table(self) -> np.ndarray:
+        """P(r, b|a) as the d x d array [r, b], laid out on demand."""
+        return _mirror_rows(self._computed[:, self._columns], self.r_grid.size)
 
     def conditional_argmax(self, b_index: int) -> float:
         """Outcome x_r maximizing P(r|a,b) for one final outcome.
@@ -268,9 +277,19 @@ class JointDistribution:
         P(r|a,b) is column ``b_index`` of the table over its sum, and that
         positive scale cannot change the ties, so the column is read as is.
         """
-        col = self.table[:, b_index]
+        col = _mirror_rows(self._computed[:, self._columns[b_index]], self.r_grid.size)
         tied = np.flatnonzero(col >= (1.0 - ARGMAX_TIE_RELATIVE) * np.max(col))
         return float(self.r_grid[tied[-1]])
+
+
+def _mirror_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    """The d rows of P(r, b|a) from the rows computed: those r <= 0, then,
+    where they are fewer than d, the rows r > 0 as their mirror copies,
+    C-ordered whatever the layout of ``rows``."""
+    out = np.empty((d, *rows.shape[1:]))
+    out[: len(rows)] = rows
+    out[len(rows) :] = rows[: d - len(rows)][::-1]
+    return out
 
 
 def joint_distribution(
@@ -281,33 +300,47 @@ def joint_distribution(
     <b|M(r)|a> = sum_m sqrt(P(r|x_m)) Y[m, b], and ``_transfer`` splits Y
     into real pieces whose products with sqrt(P) are orthogonal parts of it,
     so P(r, b|a) is the sum over pieces of (sqrt(P)[:, rows] @ piece)^2
-    (``_joint_table``), folded on the mirror where Y and the kernel allow.
-    As P >= 0, the factorization residual is max_b (max_r P / P_b)
-    |P(b|a) - P_b|, with P_b the column sum; the ratio is at most one, so a
+    (``_joint_table``), folded on the mirror where Y and the kernel allow,
+    at one column of each pair of equal ones.  Each column sum runs over r
+    in the laid-out table's order (the rows computed, then their mirror
+    copies), so the marginal P_b, and from it the total variation, has the
+    bits of ``table.sum(axis=0)``.  As P >= 0, the factorization residual
+    is max_b (max_r P / P_b) |P(b|a) - P_b|; the ratio is at most one, so a
     tiny P_b cannot overflow.
     """
     inter = measurement.basis
     if a.dim != inter.dim or final_basis.dim != inter.dim:
         raise ValueError("dimension mismatch between state, bases and operators")
     transfer = _transfer(a, inter, final_basis, measurement.mirrored)
-    table = _joint_table(transfer, measurement)
-    marginal_b = table.sum(axis=0)
+    computed = _joint_table(transfer, measurement)
+    d, half = inter.dim, len(computed)
+    sums = computed.sum(axis=0)
+    if half < d:       # then the mirror rows r > 0, as the laid-out table adds them, row by row
+        sums = np.vstack([sums, computed[d - half - 1 :: -1]]).sum(axis=0)
+    marginal_b = sums[transfer.columns]
     safe = np.where(marginal_b > 0.0, marginal_b, 1.0)
     baseline = transfer.baseline
+    column_max = computed.max(axis=0)[transfer.columns]
     return JointDistribution(
         r_grid=measurement.r_grid,
-        table=table,
         baseline=baseline,
         total_variation=0.5 * float(np.abs(marginal_b - baseline).sum()),
-        factorization_residual=float(np.max(table.max(axis=0) / safe * np.abs(baseline - safe))),
+        factorization_residual=float(np.max(column_max / safe * np.abs(baseline - safe))),
+        total_probability=float(marginal_b.sum()),
+        _computed=computed,
+        _columns=transfer.columns,
     )
 
 
 def _joint_table(transfer: _Transfer, measurement: Measurement) -> np.ndarray:
-    """The sum over pieces of (sqrt(P)[:, rows] @ piece)^2, each product
-    taken as [b, r] so a column group adds into whole rows of the
-    accumulator, and each sum over m as _SPLIT partial products over
-    interleaved runs of m, added pairwise (``_split_product``).
+    """P(r, b|a) at the rows r computed and the columns computed
+    (``_Transfer.columns``), as a C-ordered [r, column] array: the sum over
+    pieces of (sqrt(P)[:, rows] @ piece)^2, each product taken as
+    [column, r] so a column group adds into whole rows of the accumulator,
+    and each sum over m as _SPLIT partial products over interleaved runs of
+    m, added pairwise (``_split_product``).  The pieces hold only the
+    columns computed: one of each pair b, -b that the final basis' mirror
+    makes equal, about half of them for spin y rows.
 
     Folded (``_Transfer.folded``), each piece's rows are closed under the
     mirror m -> -m (index m -> d - 1 - m), and its columns split by their
@@ -317,13 +350,14 @@ def _joint_table(transfer: _Transfer, measurement: Measurement) -> np.ndarray:
     s = +1; where s = -1 the centre holds roundoff of an exact zero and is
     dropped.  The kernel is mirror-symmetric bit for bit
     (``gaussian_kernel``), so P(-r, b|a) = P(r, b|a): only the rows r <= 0
-    are computed, and the rows r > 0 are their mirror copies.  Unfolded, a
-    piece's block is sqrt(P) at its rows, every r: Re Y and Im Y read the
-    same rows, so they share one block.
+    are computed, and ``JointDistribution.table`` lays out the rows r > 0
+    as their mirror copies.  Unfolded, every row r is computed, and a
+    piece's block is sqrt(P) at its rows: Re Y and Im Y read the same rows,
+    so they share one block.
     """
     d = transfer.baseline.size
     half = (d + 1) // 2 if transfer.folded else d
-    top_t = np.zeros((d, half))                      # P(r, b|a) at the rows computed, as [b, r]
+    top_t = np.zeros((int(transfer.columns.max()) + 1, half))   # as [column, r]
     near = rows = None
     for piece in transfer.pieces:
         if transfer.folded or not np.array_equal(piece.rows, rows):
@@ -338,10 +372,7 @@ def _joint_table(transfer: _Transfer, measurement: Measurement) -> np.ndarray:
         for block, (cols, part) in zip(blocks, piece.parts):
             amp = _split_product(part, block.T, piece.starts)
             top_t[cols] += np.square(amp, out=amp)
-    table = np.empty((d, d))
-    table[:half] = top_t.T
-    table[half:] = table[: d - half][::-1]
-    return table
+    return np.ascontiguousarray(top_t.T)
 
 
 # Interleaved runs of the sum over m in each product.
@@ -379,7 +410,8 @@ class _Piece(NamedTuple):
     ``rows`` are the indices m of the kernel columns the piece is summed
     against, in ``_runs`` order (run i begins at ``starts[i]``); ``parts``
     are (columns, part) pairs, each part the piece at those rows and
-    columns laid out as [b, m].  Folded, ``rows`` are the piece's rows
+    columns laid out as [column, m], the columns indexing those computed
+    (``_Transfer.columns``).  Folded, ``rows`` are the piece's rows
     m < 0 with the centre last, if it has one, ``mirrors`` their mirror
     rows -m (without the centre), and ``parts`` the columns of sign +1 at
     every row, then those of sign -1 without the centre.  Unfolded, ``rows``
@@ -394,12 +426,14 @@ class _Piece(NamedTuple):
 
 
 class _Transfer(NamedTuple):
-    """Y's real pieces, laid out once (``_Piece``), whether they fold, and
-    the baseline |<b|a>|^2."""
+    """Y's real pieces at the columns computed, laid out once (``_Piece``),
+    whether they fold, the baseline |<b|a>|^2, and ``columns``: each b's
+    index among the columns computed (``_column_mirror``)."""
 
     pieces: tuple[_Piece, ...]
     baseline: np.ndarray
     folded: bool
+    columns: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -417,7 +451,14 @@ def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis,
       one half-height piece holding its nonzero parts as re + im, exact as
       the other term is +-0: half the work of the next case;
     - any other Y is the two full pieces Re Y and Im Y.
-    For a ``mirrored`` kernel, each piece's column mirror signs are read
+    Where in every piece column d - 1 - b is an exact +-copy of column b,
+    read off the bits (``_column_mirror``), the two columns of P are equal
+    and only the first is computed.  Spin y rows are such a mirror within
+    each parity piece, at every j: a rotation by pi about z maps Jy to -Jy
+    and |m> to a sign alternating in m.  Spin x rows are not (their one
+    real piece's sign alternates in m), nor is a complex a through x: they
+    keep every column.
+    For a ``mirrored`` kernel, each piece's row mirror signs are read
     off its off-centre rows, exactly (``_sign_groups``: spin x and y rows
     are exact mirrors, and a y row's sign alternates with m, so each parity
     has its own).  Y folds where every piece has them and its rows map onto
@@ -437,6 +478,8 @@ def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis,
         parts = tuple((rows, re[rows] + im[rows]) for rows in (_EVEN, _ODD))
     else:
         parts = ((_ALL, re), (_ALL, im))
+    kept, columns = _column_mirror([piece for _, piece in parts])
+    parts = [(rows, piece[:, kept]) for rows, piece in parts]
     d = len(y)
     groups = [_sign_groups(piece) if mirrored and (rows is _ALL or d % 2) else None
               for rows, piece in parts]
@@ -444,8 +487,26 @@ def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis,
     pieces = tuple(_lay_out(np.arange(d)[rows], piece, signs if folded else None)
                    for (rows, piece), signs in zip(parts, groups))
     baseline = np.abs(expand(a, final)) ** 2
-    baseline.flags.writeable = False
-    return _Transfer(pieces, baseline, folded)
+    return _Transfer(pieces, _frozen(baseline), folded, _frozen(columns))
+
+
+def _column_mirror(pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The columns to compute, and each column's index among them.
+
+    Columns b and d - 1 - b (b < d - 1 - b) give the same column of P when
+    in every piece one is an exact +-copy of the other, read bit for bit
+    (a sign per piece and column, like ``_sign_groups`` per row); then b is
+    computed and d - 1 - b maps to it.  Every other column maps to itself.
+    """
+    d = pieces[0].shape[1]
+    k = d // 2
+    copies = np.ones(k, dtype=bool)
+    for piece in pieces:
+        low, high = piece[:, :k], piece[:, ::-1][:, :k]
+        copies &= (high == low).all(axis=0) | (high == -low).all(axis=0)
+    source, mirrored = np.arange(d), np.flatnonzero(copies)
+    source[d - 1 - mirrored] = mirrored
+    return np.unique(source, return_inverse=True)
 
 
 def _lay_out(m: np.ndarray, piece: np.ndarray, signs) -> _Piece:
@@ -453,7 +514,8 @@ def _lay_out(m: np.ndarray, piece: np.ndarray, signs) -> _Piece:
     ``signs`` (``_sign_groups``) or, where they are None, not."""
     if signs is None:
         # The columns in quarters, so each product's partials are the size of
-        # a folded one's: d/4 columns by d rows, against d/2 by d/2.
+        # a folded one's: a quarter of the columns by d rows, against half
+        # of them by d/2.
         order, starts = _runs(m.size)
         heads, mirrors = [order] * 4, None
         edges = np.linspace(0, piece.shape[1], 5).astype(int)

@@ -13,7 +13,8 @@ from actionlab.errors import ConfigError, ScanBoundaryError
 from actionlab.hilbert import DiagonalUnitary, apply_diagonal, expand, orthonormality_deviation
 from actionlab.cli import load_config
 import actionlab.measurement as measurement_module
-from actionlab.measurement import Measurement, _transfer, gaussian_kernel, joint_distribution
+from actionlab.measurement import (JointDistribution, Measurement, _transfer, gaussian_kernel,
+                                   joint_distribution)
 from actionlab.models import (SPIN_PROFILE_SMOOTHING_SPACINGS, RingParameters, make_packet,
                               ring_system, spin_cone)
 from actionlab.experiments import (
@@ -187,30 +188,35 @@ class TestResolutionSweep:
         z, y = system.basis("z"), system.basis("y")
         cached = _transfer(a, z, y, True)
         assert _transfer(a, z, y, True) is cached
-        pieces, baseline, folded = cached
+        pieces, baseline, folded, columns = cached
         # An x eigenstate through z into y: the even/odd half-height pieces,
         # each an exact mirror whose sign alternates with the column, so the
-        # table folds.
+        # table folds.  Column -b of each piece is a +-copy of column b, so
+        # only the columns b <= 0 are computed, and each b > 0 reads -b's.
         assert folded
         even, odd = list(range(0, 41, 2)), list(range(1, 40, 2))
         assert [sorted([*piece.rows, *piece.mirrors]) for piece in pieces] == [even, odd]
+        assert columns.tolist() == [*range(21), *range(19, -1, -1)]
         # The odd rows are zero in the column of y eigenvalue 0 (index 20): it
         # has both signs and goes with +1.
+        low_even, low_odd = [b for b in even if b <= 20], [b for b in odd if b <= 20]
         assert [[cols.tolist() for cols, _ in piece.parts] for piece in pieces] == [
-            [even, odd], [sorted(odd + [20]), [b for b in even if b != 20]]]
+            [low_even, low_odd], [low_odd + [20], [b for b in low_even if b != 20]]]
         for _, part in (pair for piece in pieces for pair in piece.parts):
             assert not part.flags.writeable and part.flags.c_contiguous
-        assert not baseline.flags.writeable
+        assert not baseline.flags.writeable and not columns.flags.writeable
         misses = _transfer.cache_info().misses
         _transfer(system.basis("x").state_at(5.0), z, y, True)
         assert _transfer.cache_info().misses == misses + 1
 
     @pytest.mark.parametrize("j", [20.0, 20.5])
     def test_transfer_holds_each_piece_of_y_once(self, j):
-        # The bundled sweep's transfer (j = 20, d = 41) folds: it holds Y's
-        # rows m < 0 and, at the columns of sign +1, the centre row, each
-        # entry once.  At j = 20.5 (d = 42) the even/odd pieces do not fold,
-        # and the transfer holds each of them once: d^2 floats in all.
+        # Both transfers hold only the columns b <= 0 (21 of them), as each
+        # column b > 0 is a +-copy of column -b in every piece.  The bundled
+        # sweep's transfer (j = 20, d = 41) folds: it holds Y's rows m < 0
+        # and, at the columns of sign +1, the centre row, each entry once.  At
+        # j = 20.5 (d = 42) the even/odd pieces do not fold, and the transfer
+        # holds each of them once: d rows by 21 columns in all.
         raw = SPIN20_SWEEP
         if j % 1:
             for path, value in (("model.j", j), ("a.eigenvalue", 10.5), ("b.eigenvalue", 10.5)):
@@ -221,11 +227,12 @@ class TestResolutionSweep:
         transfer = _transfer(a, system.basis("z"), system.basis("y"), True)
         d = system.dimension
         held = sum(part.size for piece in transfer.pieces for _, part in piece.parts)
+        computed = int(transfer.columns.max()) + 1
         if transfer.folded:
             centre_plus = transfer.pieces[0].parts[0][0].size
-            assert (d, held) == (41, d // 2 * d + centre_plus)
+            assert (d, computed, held) == (41, 21, d // 2 * computed + centre_plus)
         else:
-            assert (d, held) == (42, d * d)
+            assert (d, computed, held) == (42, 21, d * computed)
 
     def test_sweeps_fold_and_lay_out_no_kernel_table(self, monkeypatch):
         # The bundled sweep and the benchmark's spin sweep (j = 200, x -> z
@@ -272,6 +279,29 @@ class TestResolutionSweep:
             run_emergence_experiment(cfg)
             assert len(filters) == 1 and filters[0].mirrored
         assert all(run_invariant_suite().column("passed"))
+
+    def test_sweep_values_hold_the_computed_block_only(self, monkeypatch):
+        # The benchmark's spin sweep (j = 200, x -> z -> y) reads TV, the
+        # residual, the total probability and one column's argmax through
+        # the column map: each value holds P(r, b|a) at the rows r <= 0 and
+        # the columns b <= 0 (201 by 201, of 401 by 401), and no value lays
+        # out the d x d table.
+        blocks, joint_table = [], measurement_module._joint_table
+
+        def recorded(transfer, measurement):
+            blocks.append(joint_table(transfer, measurement))
+            return blocks[-1]
+
+        def laid_out(joint):
+            raise AssertionError("a sweep value laid out its d x d joint table")
+
+        monkeypatch.setattr(measurement_module, "_joint_table", recorded)
+        monkeypatch.setattr(JointDistribution, "table", property(laid_out))
+        workloads = bench_module("workloads")
+        ((_, bench),) = workloads.spin_sweep(workloads.DEFAULT_SEED)
+        cfg, _ = config_from_dict(bench)
+        run_resolution_sweep(cfg)
+        assert [block.shape for block in blocks] == [(201, 201)] * len(cfg.sweep.values)
 
 
 class TestSweepClosedFormsAtSize:

@@ -378,6 +378,23 @@ class TestStructuredBases:
         assert got.flags.c_contiguous
         assert np.array_equal(got, change_basis(np.diag(coeffs), source, target))
 
+    @pytest.mark.parametrize("target_name", ["x", "y", "z"])
+    @pytest.mark.parametrize("state", ["x eigenstate", "complex"])
+    def test_scaled_overlaps_from_identity_same_bits_as_conjugated_copy(self, spin20, state,
+                                                                        target_name):
+        # From the identity the output is conj(conj(c_m) T[k, m]), written in
+        # place, not c_m conj(T[k, m]) from a conjugated copy of T.  Negation
+        # is exact, so every entry has the same bits but for the sign of a
+        # zero, which + 0.0 makes positive on both sides.
+        z, target = spin20.basis("z"), spin20.basis(target_name)
+        a = (spin20.basis("x").state_at(8.0) if state == "x eigenstate"
+             else random_state(41, np.random.default_rng(14)))
+        coeffs = expand(a, z)
+        got = scaled_overlaps(coeffs, z, target)
+        want = np.multiply(coeffs[:, np.newaxis], np.conj(target.vectors).T, order="C")
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
     @pytest.mark.parametrize("source_name, target_name",
                              [("x", "y"), ("x", "z"), ("y", "x"), ("y", "z")])
     def test_scaled_overlaps_from_spin_rows_bitwise_at_size(self, source_name, target_name):

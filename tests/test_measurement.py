@@ -6,6 +6,7 @@ from actionlab.errors import NotApplicableError
 from actionlab.hilbert import LabeledBasis, PhysicalConstants, expand, random_state
 from actionlab.measurement import (
     Regime,
+    _column_mirror,
     _is_lattice,
     _transfer,
     build_measurement,
@@ -267,7 +268,9 @@ class TestJointDistribution:
         # sqrt(P)[:, m] + s sqrt(P)[:, -m], the centre once for s = +1, each
         # sum over m taken as four partial sums over every fourth row m < 0
         # (the centre in the last), added pairwise, and only the rows r <= 0
-        # are computed; the rows r > 0 are their mirror.  The identity path
+        # are computed; the rows r > 0 are their mirror.  Column -b of each
+        # piece is a +-copy of column b, so only the columns b <= 0 are
+        # computed; the columns b > 0 are their copies.  The identity path
         # skips the identity product and must not move a bit of that.  The
         # final basis is a complex-row copy of y, whose product is the dense
         # formula's; the phased y itself is checked in TestTransferPieces.
@@ -280,15 +283,15 @@ class TestJointDistribution:
         assert np.array_equal(np.conj(np.conj(np.diag(alpha)) @ y.vectors.T).view(float),
                               dense_y.view(float))
         groups = [[cols for cols, _ in piece.parts] for piece in _transfer(a, z, y, True).pieces]
-        even, odd = list(range(0, 41, 2)), list(range(1, 40, 2))
+        even, odd = list(range(0, 21, 2)), list(range(1, 20, 2))   # the columns b <= 0
         # The odd rows are zero in the column of y eigenvalue 0 (index 20): it
         # has both signs and goes with +1.
         assert [[cols.tolist() for cols in pair] for pair in groups] == [
-            [even, odd], [sorted(odd + [20]), [b for b in even if b != 20]]]
+            [even, odd], [odd + [20], [b for b in even if b != 20]]]
         sqrt_p = kernel_table(ops, sqrt=True)[:21]       # the rows r <= 0
-        top_t = np.zeros((41, 21))                       # as [b, r]
+        top_t = np.zeros((21, 21))                       # as [b, r], the columns b <= 0
         for rows, pair in zip((slice(0, None, 2), slice(1, None, 2)), groups):
-            piece = (dense_y.real + dense_y.imag)[rows]
+            piece = (dense_y.real + dense_y.imag)[rows][:, :21]
             m = np.arange(41)[rows]
             k = m.size // 2
             order = np.concatenate([np.arange(i, k, 4) for i in range(4)])
@@ -302,7 +305,8 @@ class TestJointDistribution:
                        for lo, hi in zip(starts, [*starts[1:], None])]
                 top_t[cols] += ((amp[0] + amp[1]) + (amp[2] + amp[3])) ** 2
         joint = joint_distribution(a, y, ops)
-        assert np.array_equal(joint.table, np.vstack([top_t.T, top_t.T[:20][::-1]]))
+        top = np.hstack([top_t.T, top_t.T[:, :20][:, ::-1]])   # the rows r <= 0, every b
+        assert np.array_equal(joint.table, np.vstack([top, top[:20][::-1]]))
         textbook = textbook_joint_table(a, z, y, ops)
         assert np.max(np.abs(joint.table - textbook)) <= 1e-15 * np.max(textbook)
         assert np.array_equal(joint.baseline, np.abs(y.vectors.conj() @ a.amplitudes) ** 2)
@@ -465,6 +469,55 @@ class TestTransferPieces:
         joint = joint_distribution(a, final, ops)
         textbook = textbook_joint_table(a, inter, final, ops)
         assert np.max(np.abs(joint.table - textbook)) <= 1e-15
+
+    @pytest.mark.parametrize("j", [20.0, 20.5, 200.0])
+    def test_y_rows_compute_one_column_of_each_mirror_pair(self, j):
+        # A rotation by pi about z maps Jy to -Jy and |m> to a sign that
+        # alternates in m, so in each parity piece of Y column -b is a
+        # +-copy of column b: only the columns b <= 0 are computed (21 of 41,
+        # 21 of 42, 201 of 401), and the table's columns b and -b have the
+        # same bits.
+        system = spin_system(j)
+        d = system.dimension
+        z, y = system.basis("z"), system.basis("y")
+        a = system.basis("x").state_at(0.4 * j)
+        transfer = _transfer(a, z, y, True)
+        b = np.arange(d)
+        assert transfer.columns.tolist() == np.minimum(b, d - 1 - b).tolist()
+        assert int(transfer.columns.max()) + 1 == {41: 21, 42: 21, 401: 201}[d]
+        ops = gaussian_kernel(z, 3.0)
+        table = joint_distribution(a, y, ops).table
+        assert table.tobytes() == table[:, ::-1].tobytes()
+        textbook = textbook_joint_table(a, z, y, ops)
+        assert np.max(np.abs(table - textbook)) <= 1e-15 * np.max(textbook)
+
+    @pytest.mark.parametrize("j", [20.0, 20.5])
+    def test_columns_without_one_sign_per_piece_are_all_computed(self, j):
+        # x rows: Y's one real piece is a mirror whose sign alternates in m,
+        # so no column pair has one sign over the piece; a complex a through
+        # x has no column mirror at all.  Either way every b is computed.
+        system = spin_system(j)
+        d = system.dimension
+        x, y, z = (system.basis(name) for name in "xyz")
+        cases = [(x.state_at(0.4 * j), z, x),
+                 (random_state(d, np.random.default_rng(int(2 * j))), x, y)]
+        for a, inter, final in cases:
+            ops = gaussian_kernel(inter, 3.0)
+            transfer = _transfer(a, inter, final, ops.mirrored)
+            assert transfer.columns.tolist() == list(range(d))
+            table = joint_distribution(a, final, ops).table
+            textbook = textbook_joint_table(a, inter, final, ops)
+            assert np.max(np.abs(table - textbook)) <= 1e-15 * np.max(textbook)
+
+    def test_column_mirror_needs_one_sign_per_piece_and_column(self):
+        # Column 1 mirrors column 0 only where it is one sign times it over
+        # every row of a piece; the sign may differ between pieces.
+        one_sign, mixed = np.array([[1.0, -1.0], [2.0, -2.0]]), np.array([[1.0, 1.0], [2.0, -2.0]])
+        same = np.array([[3.0, 3.0]])
+        for pieces, columns in (([one_sign], [0, 0]), ([one_sign, same], [0, 0]),
+                                ([mixed], [0, 1]), ([same, mixed], [0, 1])):
+            kept, got = _column_mirror(pieces)
+            assert (kept.tolist(), got.tolist()) == (sorted(set(columns)), columns)
 
 
 class TestNondisturbanceCheck:
