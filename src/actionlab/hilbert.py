@@ -16,7 +16,8 @@ state and one per reference component, so that a second basis differing
 from it only by such phases shares its rows.  ``_to_reference`` (z V) and
 ``_from_reference`` (z conj(V)^T) are the only products that read the
 storage form; ``expand``, ``synthesize`` and ``scaled_overlaps`` are built
-on them.  Products with real rows are real products on the stacked real and
+on them, and ``_dense`` and ``_dense_columns`` lay out blocks of dense rows or
+columns.  Products with real rows are real products on the stacked real and
 imaginary parts of the other factor.
 """
 
@@ -234,14 +235,14 @@ class LabeledBasis:
         """Dense (n_states, dim) rows.
 
         The stored rows where they are the vectors; an identity basis builds
-        np.eye and a rephased one its complex rows on each call.
+        np.eye and a rephased one its complex rows on each call (``_dense``).
         """
         if self._rows is None:
             dense = np.eye(self.dim, dtype=complex)
         elif self._state_phases is None:
             return self._rows
         else:
-            dense = self._state_phases[:, np.newaxis] * self._rows * self._site_phases
+            dense = _dense(self)
         dense.flags.writeable = False
         return dense
 
@@ -354,6 +355,36 @@ def orthonormality_deviation(vectors) -> float:
     return float(np.max(np.abs(gram)))
 
 
+_ALL = slice(None)
+
+
+def _dense(basis: LabeledBasis, states: slice = _ALL) -> np.ndarray:
+    """The rows V[k] at the ``states`` k of a basis that stores rows: a view
+    where they carry no phases, else a new array of (c_k X[k, m]) D_m, the
+    second product taken in place."""
+    rows = basis._rows[states]
+    if basis._state_phases is None:
+        return rows
+    block = np.multiply(basis._state_phases[states, np.newaxis], rows)
+    block *= basis._site_phases
+    return block
+
+
+def _dense_columns(basis: LabeledBasis, sites: slice) -> np.ndarray:
+    """V[:, m]^T, the entries of every state at the reference components
+    ``sites`` m, one row per component: a view of stored rows without
+    phases, else a new C-ordered array, phased with the ufunc sequence of
+    ``_dense``."""
+    rows = basis._rows
+    if rows is None:
+        return np.equal.outer(np.arange(basis.dim)[sites], np.arange(basis.n_states)).astype(complex)
+    if basis._state_phases is None:
+        return rows[:, sites].T
+    block = np.multiply(basis._state_phases, rows[:, sites].T, order="C")
+    block *= basis._site_phases[sites, np.newaxis]
+    return block
+
+
 def _real_product(z: np.ndarray, pre, real: np.ndarray, post) -> np.ndarray:
     """((z * pre) @ real^T) * post for complex rows z, with ``real`` never upcast.
 
@@ -452,17 +483,25 @@ def synthesize(coeffs: np.ndarray, basis: LabeledBasis) -> np.ndarray:
     return _to_reference(np.asarray(coeffs), basis)
 
 
-def scaled_overlaps(coeffs: np.ndarray, source: LabeledBasis, target: LabeledBasis) -> np.ndarray:
-    """Y[m, k] = coeffs[m] <t_k|s_m>, C-contiguous: the ``target`` coefficients of
-    the source rows scaled by ``coeffs``.  From the reference basis it is the
-    elementwise coeffs[m] conj(T[k, m]), with no product, formed as
-    conj(conj(coeffs[m]) T[k, m]) in the output itself, so no conjugated
-    copy of T is laid out.  Conjugation only flips signs, so every entry
-    has the bits of coeffs[m] conj(T[k, m]) but for the sign of a zero."""
+def scaled_overlaps(coeffs: np.ndarray, source: LabeledBasis, target: LabeledBasis,
+                    rows: slice = _ALL) -> np.ndarray:
+    """Y[m, k] = coeffs[m] <t_k|s_m> at the source rows m in ``rows`` (all by
+    default), C-contiguous: the ``target`` coefficients of the source rows
+    scaled by ``coeffs``.  From the reference basis it is the elementwise
+    coeffs[m] conj(T[k, m]), with no product, formed as
+    conj(conj(coeffs[m]) T[k, m]) in the output itself from T's columns m
+    alone (``_dense_columns``), so a block of rows lays out no d x d array.
+    Conjugation only flips signs, so every entry has the bits of
+    coeffs[m] conj(T[k, m]) but for the sign of a zero, and a block has the
+    bits of the whole; from other bases a block's product agrees with the
+    whole to roundoff."""
+    scale = coeffs[rows]
     if source.is_identity:
-        y = np.multiply(np.conj(coeffs)[:, np.newaxis], target.vectors.T, order="C")
+        t = _dense_columns(target, rows)
+        y = np.multiply(np.conj(scale)[:, np.newaxis], t, out=t if t.flags.writeable else None,
+                        order="C")
         return np.conjugate(y, out=y)
-    return np.ascontiguousarray(_from_reference(coeffs[:, np.newaxis] * source.vectors, target))
+    return np.ascontiguousarray(_from_reference(scale[:, np.newaxis] * _dense(source, rows), target))
 
 
 def apply_diagonal(unitary: DiagonalUnitary,

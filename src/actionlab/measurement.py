@@ -436,6 +436,11 @@ class _Transfer(NamedTuple):
     columns: np.ndarray
 
 
+# Rows of Y that ``_transfer`` builds at a time; even, so a block starting
+# at a multiple of it starts at an even m.
+_BLOCK = 64
+
+
 @lru_cache(maxsize=1)
 def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis,
               mirrored: bool) -> _Transfer:
@@ -466,68 +471,127 @@ def _transfer(a: StateVector, inter: LabeledBasis, final: LabeledBasis,
     at odd d); half-integer spins (even d) with even/odd pieces do not, as
     the mirror swaps those pieces' rows.  Each piece is laid out once, in
     the form the product reads (``_Piece``).
+    Y itself is never laid out: each pass builds _BLOCK rows at a time
+    (``scaled_overlaps``) and keeps per-column reductions.  The first reads
+    the zeros, the second each row block with its mirror block, and the
+    third fills the parts, from the rows r <= 0 where Y folds.
     Independent of the kernel's values, so a sweep builds them once: the
     keys are immutable and hash by identity.  The arrays are read-only and
     C-contiguous.
     """
-    y = scaled_overlaps(expand(a, inter), inter, final)
-    re, im = y.real, y.imag
-    if not im.any():
-        parts = ((_ALL, re),)
-    elif _parity_axes(re, im):
-        parts = tuple((rows, re[rows] + im[rows]) for rows in (_EVEN, _ODD))
+    coeffs = expand(a, inter)
+    d, k = coeffs.size, coeffs.size // 2
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        return scaled_overlaps(coeffs, inter, final, slice(lo, hi))
+
+    nonzero = np.zeros((2, 2, d), dtype=bool)      # [Re or Im, even or odd m, b]
+    for lo in range(0, d, _BLOCK):
+        y = block(lo, min(lo + _BLOCK, d))
+        for part, flags in zip((y.real, y.imag), nonzero):
+            flags |= [part[rows].any(axis=0) for rows in (_EVEN, _ODD)]
+    if not nonzero[1].any():
+        rows = (_ALL,)
+    elif _parity_axes(nonzero):
+        rows = (_EVEN, _ODD)
     else:
-        parts = ((_ALL, re), (_ALL, im))
-    kept, columns = _column_mirror([piece for _, piece in parts])
-    parts = [(rows, piece[:, kept]) for rows, piece in parts]
-    d = len(y)
-    groups = [_sign_groups(piece) if mirrored and (rows is _ALL or d % 2) else None
-              for rows, piece in parts]
+        rows = (_ALL, _ALL)
+
+    def split(y: np.ndarray, lo: int) -> list[np.ndarray]:
+        """Each piece's rows among Y's rows lo, lo + 1, ... (the block y)."""
+        if rows[0] is _EVEN:
+            return [y.real[p::2] + y.imag[p::2] for p in (lo % 2, 1 - lo % 2)]
+        return [y.real, y.imag][: len(rows)]
+
+    # Per piece, columns d - 1 - b against b < k, and rows d - 1 - m against
+    # m < k (the same mirror within a piece that folds): equal, or negated.
+    col_flags = np.ones((len(rows), 2, k), dtype=bool)
+    row_flags = np.ones((len(rows), 2, d), dtype=bool)
+    fold = mirrored and (rows[0] is _ALL or d % 2 == 1)
+    for lo in range(0, k, _BLOCK):
+        hi = min(lo + _BLOCK, k)
+        low, high = split(block(lo, hi), lo), split(block(d - hi, d - lo), d - hi)
+        for low_p, high_p, cols, flags in zip(low, high, col_flags, row_flags):
+            cols &= _column_flags(low_p) & _column_flags(high_p)
+            if fold:
+                flags &= _equal_or_negated(high_p[::-1], low_p)
+    if d % 2:                                      # the centre row, columns only
+        for piece, cols in zip(split(block(k, k + 1), k), col_flags):
+            cols &= _column_flags(piece)
+    kept, columns = _column_mirror(col_flags, d)
+    groups = [_sign_groups(flags[:, kept]) if fold else None for flags in row_flags]
     folded = None not in groups
-    pieces = tuple(_lay_out(np.arange(d)[rows], piece, signs if folded else None)
-                   for (rows, piece), signs in zip(parts, groups))
+
+    laid = [_lay_out(np.arange(d)[r], kept, signs if folded else None)
+            for r, signs in zip(rows, groups)]
+    top = (d + 1) // 2 if folded else d           # the rows m <= 0 where Y folds
+    for lo in range(0, top, _BLOCK):
+        first = lo if rows[0] is _ALL else lo // 2   # the block's first row in each piece
+        for piece_rows, (piece, slots) in zip(split(block(lo, min(lo + _BLOCK, top)), lo), laid):
+            for (_, part), (cols, slot) in zip(piece.parts, slots):
+                at = slot[first : first + len(piece_rows)]
+                filled = np.flatnonzero(at >= 0)
+                part[:, at[filled]] = piece_rows[np.ix_(filled, cols)].T
+    for piece, _ in laid:
+        for _, part in piece.parts:
+            _frozen(part)
     baseline = np.abs(expand(a, final)) ** 2
-    return _Transfer(pieces, _frozen(baseline), folded, _frozen(columns))
+    return _Transfer(tuple(piece for piece, _ in laid), _frozen(baseline), folded, _frozen(columns))
 
 
-def _column_mirror(pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _equal_or_negated(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Per column, whether ``high`` equals ``low`` at every row, and whether
+    it is its negative, bit for bit (so +0 and -0 match)."""
+    return np.stack([(high == low).all(axis=0), (high == -low).all(axis=0)])
+
+
+def _column_flags(piece: np.ndarray) -> np.ndarray:
+    """``_equal_or_negated`` of columns d - 1 - b against b < d // 2 of a
+    piece's rows."""
+    k = piece.shape[1] // 2
+    return _equal_or_negated(piece[:, ::-1][:, :k], piece[:, :k])
+
+
+def _column_mirror(flags: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The columns to compute, and each column's index among them.
 
     Columns b and d - 1 - b (b < d - 1 - b) give the same column of P when
     in every piece one is an exact +-copy of the other, read bit for bit
-    (a sign per piece and column, like ``_sign_groups`` per row); then b is
-    computed and d - 1 - b maps to it.  Every other column maps to itself.
+    (``flags``: per piece, ``_column_flags`` over all its rows; a sign per
+    piece and column, like ``_sign_groups`` per row); then b is computed and
+    d - 1 - b maps to it.  Every other column maps to itself.
     """
-    d = pieces[0].shape[1]
-    k = d // 2
-    copies = np.ones(k, dtype=bool)
-    for piece in pieces:
-        low, high = piece[:, :k], piece[:, ::-1][:, :k]
-        copies &= (high == low).all(axis=0) | (high == -low).all(axis=0)
+    copies = np.all(flags.any(axis=1), axis=0)
     source, mirrored = np.arange(d), np.flatnonzero(copies)
     source[d - 1 - mirrored] = mirrored
     return np.unique(source, return_inverse=True)
 
 
-def _lay_out(m: np.ndarray, piece: np.ndarray, signs) -> _Piece:
-    """The ``_Piece`` of a piece at the rows ``m``, folded on its column
-    ``signs`` (``_sign_groups``) or, where they are None, not."""
+def _lay_out(m: np.ndarray, kept: np.ndarray, signs) -> tuple[_Piece, list]:
+    """The ``_Piece`` of a piece at the rows ``m`` and the columns ``kept``,
+    folded on its column ``signs`` (``_sign_groups``) or, where they are
+    None, not, with its parts allocated, and per part the columns of Y it
+    holds and, per row of the piece, its slot in the part (-1: none)."""
     if signs is None:
         # The columns in quarters, so each product's partials are the size of
         # a folded one's: a quarter of the columns by d rows, against half
         # of them by d/2.
         order, starts = _runs(m.size)
         heads, mirrors = [order] * 4, None
-        edges = np.linspace(0, piece.shape[1], 5).astype(int)
+        edges = np.linspace(0, kept.size, 5).astype(int)
         groups = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     else:
         k = m.size // 2
         order, starts = _runs(k)
         heads = (np.append(order, k)[: m.size - k], order)   # the centre with sign +1 only
         groups, mirrors = signs, m[::-1][:k][order]
-    parts = tuple((cols, _frozen(np.ascontiguousarray(piece[rows][:, cols].T)))
-                  for rows, cols in zip(heads, groups))
-    return _Piece(m[heads[0]], mirrors, starts, parts)
+    parts, slots = [], []
+    for head, cols in zip(heads, groups):
+        slot = np.full(m.size, -1)
+        slot[head] = np.arange(head.size)
+        parts.append((cols, np.empty((kept[cols].size, head.size))))
+        slots.append((kept[cols], slot))
+    return _Piece(m[heads[0]], mirrors, starts, tuple(parts)), slots
 
 
 def _runs(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -537,24 +601,24 @@ def _runs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(runs), np.cumsum([0, *map(len, runs[:-1])])
 
 
-def _parity_axes(re: np.ndarray, im: np.ndarray) -> bool:
+def _parity_axes(nonzero: np.ndarray) -> bool:
     """True when each column's even-row entries lie on one axis (all their
     real or all their imaginary parts zero) and its odd-row entries on the
-    other."""
-    even_real, odd_real = (~im[rows].any(axis=0) for rows in (_EVEN, _ODD))
-    even_imag, odd_imag = (~re[rows].any(axis=0) for rows in (_EVEN, _ODD))
+    other, from ``nonzero[part, parity, column]``: whether the real (0) or
+    imaginary (1) parts of the even (0) or odd (1) rows are nonzero."""
+    (even_imag, odd_imag), (even_real, odd_real) = ~nonzero
     return bool(np.all((even_real & odd_imag) | (even_imag & odd_real)))
 
 
-def _sign_groups(piece: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _sign_groups(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The indices of a piece's columns of mirror sign +1 and of sign -1,
-    read bit for bit off its off-centre rows (piece[n - 1 - l] = +-piece[l]);
-    None when some column has neither.  A column that is zero off the
-    centre has both signs and goes with +1, which keeps the centre.
+    from ``flags``: per column, whether its off-centre rows are mirror
+    copies, piece[n - 1 - l] = +piece[l], and whether negated ones, read bit
+    for bit (``_equal_or_negated``); None when some column has neither.  A
+    column that is zero off the centre has both signs and goes with +1,
+    which keeps the centre.
     """
-    k = len(piece) // 2
-    low, high = piece[:k], piece[::-1][:k]
-    even, odd = (high == low).all(axis=0), (high == -low).all(axis=0)
+    even, odd = flags
     if not np.all(even | odd):
         return None
     return np.flatnonzero(even), np.flatnonzero(~even)
@@ -588,8 +652,9 @@ def nondisturbance_check(
     survive and the separation argument must hold), intersected with points
     of finite action curvature (all of them when ``points`` is empty).
     Kernel curvature is differenced along x_m for every outcome row, on the
-    support columns only, which a lattice kernel reads from its row (no
-    d x d P is laid out); the edge columns take their neighbour's value.
+    support columns only, each run of them read as one block, which a
+    lattice kernel builds from its row (no d x d P is laid out); the edge
+    columns take their neighbour's value.
     The check passes when the ratio stays under NONDISTURBANCE_THRESHOLD.
     hbar is the profile's.
     """
@@ -610,12 +675,20 @@ def nondisturbance_check(
         # A flat action (S'' = 0) gives no curvature scale to separate against.
         return SlowKernelReport(np.inf, False, n_support)
     # Second difference of each kernel row at the support columns c, with
-    # the ufunc sequence of np.diff(table, 2, axis=1); the edge columns are
-    # clipped onto their neighbour.
-    c = np.clip(np.flatnonzero(support), 1, profile.dim - 2)
-    left, mid, right = np.split(measurement.at(_ALL, np.concatenate([c - 1, c, c + 1])), 3, axis=1)
-    pcurv = np.abs((right - mid) - (mid - left)) / (profile.spacing[c] ** 2)
-    max_ratio = float(np.max(pcurv / scurv[np.newaxis, :]))
+    # the ufunc sequence of np.diff(table, 2, axis=1), from one block of
+    # columns per run of the support; the edge columns are clipped onto
+    # their neighbour, which then serves two support points.
+    index, peaks = np.flatnonzero(support), []
+    for run in np.split(np.arange(n_support), np.flatnonzero(np.diff(index) > 1) + 1):
+        c = np.clip(index[run], 1, profile.dim - 2)
+        cols = measurement.at(_ALL, slice(c[0] - 1, c[-1] + 2))
+        mid = cols[:, 1:-1]
+        pcurv = np.abs((cols[:, 2:] - mid) - (mid - cols[:, :-2]))
+        pcurv /= profile.spacing[c[0] : c[-1] + 1] ** 2
+        if c.size > pcurv.shape[1]:
+            pcurv = pcurv[:, c - c[0]]
+        peaks.append(np.max(pcurv / scurv[run][np.newaxis, :]))
+    max_ratio = float(np.max(peaks))
     passed = bool(max_ratio < NONDISTURBANCE_THRESHOLD)
     return SlowKernelReport(max_ratio, passed, n_support)
 

@@ -10,7 +10,8 @@ import actionlab.action as action_module
 import actionlab.experiments as experiments_module
 from actionlab.action import action_profile, stationary_points
 from actionlab.errors import ConfigError, ScanBoundaryError
-from actionlab.hilbert import DiagonalUnitary, apply_diagonal, expand, orthonormality_deviation
+from actionlab.hilbert import (DiagonalUnitary, LabeledBasis, apply_diagonal, expand,
+                               orthonormality_deviation)
 from actionlab.cli import load_config
 import actionlab.measurement as measurement_module
 from actionlab.measurement import (JointDistribution, Measurement, _transfer, gaussian_kernel,
@@ -302,6 +303,48 @@ class TestResolutionSweep:
         cfg, _ = config_from_dict(bench)
         run_resolution_sweep(cfg)
         assert [block.shape for block in blocks] == [(201, 201)] * len(cfg.sweep.values)
+
+    @pytest.fixture()
+    def bench_sweep(self):
+        """The benchmark's spin sweep config (j = 200, x -> z -> y), its
+        system and its state a, with no transfer cached."""
+        workloads = bench_module("workloads")
+        ((_, bench),) = workloads.spin_sweep(workloads.DEFAULT_SEED)
+        cfg, _ = config_from_dict(bench)
+        system = build_system(cfg.model, cfg.constants)
+        _transfer.cache_clear()
+        return cfg, system, build_state(system, cfg.a, "a")
+
+    def test_sweep_reads_no_dense_rows_of_y(self, monkeypatch, bench_sweep):
+        # The transfer builds Y's rows from the stored real rows and the two
+        # phase vectors, a block at a time: the sweep never asks the phased
+        # y basis for its dense complex rows.
+        cfg, system, _ = bench_sweep
+        read, vectors = [], LabeledBasis.vectors
+
+        def recorded(basis):
+            read.append(basis)
+            return vectors.fget(basis)
+
+        monkeypatch.setattr(LabeledBasis, "vectors", property(recorded))
+        run_resolution_sweep(cfg)
+        assert _transfer.cache_info().currsize == 1
+        assert all(basis is not system.basis("y") for basis in read)
+
+    def test_transfer_peak_below_one_complex_square(self, bench_sweep):
+        # No complex d x d Y and no dense phased rows: building the transfer
+        # peaks below d^2 complex entries (2.45 MiB at d = 401).
+        cfg, system, a = bench_sweep
+        z, y = system.basis(cfg.intermediate), system.basis("y")
+        d = system.dimension
+        tracemalloc.start()
+        try:
+            transfer = _transfer(a, z, y, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert transfer.folded and d == 401
+        assert peak < d * d * 16
 
 
 class TestSweepClosedFormsAtSize:

@@ -313,6 +313,23 @@ class TestPhasedBasis:
             want = rows @ source.vectors @ target.vectors.conj().T
             assert np.max(np.abs(change_basis(rows, source, target) - want)) <= 1e-15
 
+    def test_dense_rows_are_one_array_with_the_bits_of_the_product(self, system):
+        # (c_k X[k, m]) D_m, the second product taken in place: the bits of
+        # the out-of-place expression, with one d x d complex array and
+        # numpy's buffers for casting the real rows (8192 entries each).
+        import tracemalloc
+
+        y = system.basis("y")
+        want = y._state_phases[:, np.newaxis] * y._rows * y._site_phases
+        tracemalloc.start()
+        try:
+            dense = y.vectors
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dense.tobytes() == want.tobytes()
+        assert peak < dense.nbytes + 2 * 8192 * 16
+
     def test_rephased_rejects_bad_input(self, system):
         x, y = system.basis("x"), system.basis("y")
         d = system.dimension
@@ -410,6 +427,28 @@ class TestStructuredBases:
         got = scaled_overlaps(coeffs, source, target)
         assert got.flags.c_contiguous
         assert np.array_equal(got, change_basis(np.diag(coeffs), source, target))
+
+    @pytest.mark.parametrize("source_name, target_name",
+                             [("z", "y"), ("z", "x"), ("z", "z"), ("x", "y"), ("y", "z")])
+    def test_scaled_overlaps_row_blocks(self, source_name, target_name):
+        # A block of source rows reads only what it needs.  From the identity,
+        # or into it, each entry is elementwise, so a block has the bits of
+        # the whole, zeros' signs too; a product with real target rows may
+        # round a block in another order than the whole, within roundoff.
+        from actionlab.models import spin_system
+
+        system = spin_system(200.0)
+        source, target = system.basis(source_name), system.basis(target_name)
+        rng = np.random.default_rng(15)
+        coeffs = rng.normal(size=401) + 1j * rng.normal(size=401)
+        whole = scaled_overlaps(coeffs, source, target)
+        for lo, hi in ((0, 64), (64, 128), (200, 201), (337, 401)):
+            got = scaled_overlaps(coeffs, source, target, slice(lo, hi))
+            assert got.flags.c_contiguous and got.shape == (hi - lo, 401)
+            if source.is_identity or target.is_identity:
+                assert got.tobytes() == whole[lo:hi].tobytes()
+            else:
+                assert np.max(np.abs(got - whole[lo:hi])) <= 1e-15 * np.max(np.abs(whole))
 
     @pytest.mark.parametrize("target_name", ["position", "momentum"])
     def test_scaled_overlaps_from_dft_rows_match_diagonal_product(self, ring256, target_name):

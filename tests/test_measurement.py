@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from actionlab.action import action_profile, stationary_points
 from actionlab.errors import NotApplicableError
-from actionlab.hilbert import LabeledBasis, PhysicalConstants, expand, random_state
+from actionlab.hilbert import (LabeledBasis, PhysicalConstants, StateVector, expand,
+                               random_state, scaled_overlaps)
 from actionlab.measurement import (
+    Measurement,
     Regime,
+    _column_flags,
     _column_mirror,
     _is_lattice,
     _transfer,
@@ -456,6 +461,35 @@ class TestTransferPieces:
         assert abs(joint.total_variation - tv) <= 1e-15
         assert abs(joint.factorization_residual - residual) <= 1e-15
 
+    @pytest.mark.parametrize("j", [63.5, 199.5, 200.0])
+    @pytest.mark.parametrize("case", ["x-z-y", "x-z-x", "complex-z-y", "x-y-z"])
+    def test_pieces_have_the_bits_of_the_whole_y(self, j, case):
+        # The transfer builds Y a block of rows at a time (d = 128, 400 and
+        # 401 take several), yet each part holds the bits of the whole Y's
+        # piece at its rows and columns: into or from the identity every
+        # entry of Y is elementwise, so a block has the bits of the whole.
+        system = spin_system(j)
+        d = system.dimension
+        state, inter_name, final_name = case.split("-")
+        inter, final = system.basis(inter_name), system.basis(final_name)
+        a = (system.basis("x").state_at(0.4 * j) if state == "x"
+             else random_state(d, np.random.default_rng(int(2 * j))))
+        transfer = _transfer(a, inter, final, True)
+        y = scaled_overlaps(expand(a, inter), inter, final)
+        reads = self.rows_read(transfer)
+        if len(reads) == 1:
+            whole = [y.real]
+        elif reads[0] == list(range(0, d, 2)):
+            whole = [y.real + y.imag] * 2
+        else:
+            whole = [y.real, y.imag]
+        assert len(whole) == {"x-z-y": 2, "x-z-x": 1, "complex-z-y": 2, "x-y-z": 2}[case]
+        kept = np.unique(transfer.columns, return_index=True)[1]
+        for piece, full in zip(transfer.pieces, whole):
+            for cols, part in piece.parts:
+                want = full[piece.rows[: part.shape[1]]][:, kept[cols]].T
+                assert part.tobytes() == np.ascontiguousarray(want).tobytes()
+
     @pytest.mark.parametrize("j", [20.0, 20.5])
     @pytest.mark.parametrize("final_name", ["y", "z"])
     def test_complex_state_through_x_takes_general_pieces(self, j, final_name):
@@ -509,15 +543,35 @@ class TestTransferPieces:
             textbook = textbook_joint_table(a, inter, final, ops)
             assert np.max(np.abs(table - textbook)) <= 1e-15 * np.max(textbook)
 
+    def test_centre_row_can_break_the_column_mirror(self):
+        # Final rows (1, sqrt 2, 1)/2 and (1, -sqrt 2, 1)/2 make Y's columns 0
+        # and 2 equal off the centre row and opposite on it, so both are
+        # computed, while the rows still fold on the mirror.
+        z = LabeledBasis.identity([-1.0, 0.0, 1.0])
+        r = np.sqrt(2.0)
+        final = LabeledBasis([[0.5, r / 2, 0.5], [1 / r, 0.0, -1 / r], [0.5, -r / 2, 0.5]],
+                             [-1.0, 0.0, 1.0])
+        a = StateVector(np.array([1.0, 2.0, 1.0]) / np.sqrt(6.0))
+        ops = gaussian_kernel(z, 0.7)
+        transfer = _transfer(a, z, final, ops.mirrored)
+        assert transfer.folded and transfer.columns.tolist() == [0, 1, 2]
+        table = joint_distribution(a, final, ops).table
+        textbook = textbook_joint_table(a, z, final, ops)
+        assert np.max(np.abs(table - textbook)) <= 1e-15 * np.max(textbook)
+
     def test_column_mirror_needs_one_sign_per_piece_and_column(self):
         # Column 1 mirrors column 0 only where it is one sign times it over
-        # every row of a piece; the sign may differ between pieces.
+        # every row of a piece; the sign may differ between pieces.  Read a
+        # row block at a time, the blocks' flags combine: each row of mixed
+        # has one sign, but not the same one.
         one_sign, mixed = np.array([[1.0, -1.0], [2.0, -2.0]]), np.array([[1.0, 1.0], [2.0, -2.0]])
         same = np.array([[3.0, 3.0]])
         for pieces, columns in (([one_sign], [0, 0]), ([one_sign, same], [0, 0]),
                                 ([mixed], [0, 1]), ([same, mixed], [0, 1])):
-            kept, got = _column_mirror(pieces)
+            kept, got = _column_mirror(np.stack([_column_flags(p) for p in pieces]), 2)
             assert (kept.tolist(), got.tolist()) == (sorted(set(columns)), columns)
+        by_rows = _column_flags(mixed[:1]) & _column_flags(mixed[1:])
+        assert _column_mirror(by_rows[np.newaxis], 2)[1].tolist() == [0, 1]
 
 
 class TestNondisturbanceCheck:
@@ -558,6 +612,34 @@ class TestNondisturbanceCheck:
         for pts in (points, []):
             report = nondisturbance_check(kern, prof, pts)
             assert report.max_ratio == dense_nondisturbance_ratio(kern, prof, pts)
+
+    def test_reads_each_support_run_as_one_column_block(self, monkeypatch, spin50,
+                                                       spin50_profile):
+        # A lattice kernel is read as one block of columns per run of the
+        # support, never through an index array of columns.  A curvature
+        # finite and nonzero everywhere puts the whole grid in the support,
+        # both ends too, where a clipped column serves two support points;
+        # max_ratio keeps the bits of the dense second difference there too.
+        _, _, prof = spin50_profile
+        points = stationary_points(prof)
+        kern = gaussian_kernel(spin50.basis("z"), points[0].delta_x_m)
+        assert kern.mirrored
+        at, read = Measurement.at, []
+
+        def recorded(kernel, r, m, sqrt=False):
+            read.append(m)
+            return at(kernel, r, m, sqrt)
+
+        monkeypatch.setattr(Measurement, "at", recorded)
+        curvature = np.where(np.isfinite(prof.curvature) & (prof.curvature != 0.0),
+                             prof.curvature, 1.0)
+        edges = dataclasses.replace(prof, curvature=curvature)
+        for profile, pts, runs in ((prof, points, 2), (edges, [], 1)):
+            read.clear()
+            report = nondisturbance_check(kern, profile, pts)
+            assert len(read) == runs and all(isinstance(m, slice) for m in read)
+            assert report.max_ratio == dense_nondisturbance_ratio(kern, profile, pts)
+        assert (read[0].start, read[0].stop) == (0, spin50.dimension)
 
     def test_without_points_support_is_finite_curvature(self, spin20, spin20_profile):
         _, _, prof = spin20_profile
